@@ -39,6 +39,7 @@ from .grassmann import (
     axis_subspace,
     full_space,
     goodness,
+    haar_frames,
     haar_sample,
     project_body,
     project_point,

@@ -350,7 +350,9 @@ def polygon_area(ring: np.ndarray) -> float:
     if r.ndim != 2 or r.shape[0] < 3:
         return 0.0
     x, y = r[:, 0], r[:, 1]
-    return float(abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))) / 2.0
+    x_next = np.concatenate((x[1:], x[:1]))
+    y_next = np.concatenate((y[1:], y[:1]))
+    return float(abs(np.dot(x, y_next) - np.dot(y, x_next))) / 2.0
 
 
 def polygon_clip(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:

@@ -23,13 +23,21 @@ from ..constructions import (
     thm2_sequence,
     thm3_sequence,
 )
-from ..grassmann import Subspace, axis_subspace, goodness, haar_sample, project_body
+from ..grassmann import (
+    Subspace,
+    axis_subspace,
+    goodness,
+    haar_frames,
+    haar_sample,
+    project_body,
+)
 from ..metrics import (
     AUX_STREAM_BASE,
     SamplingPlan,
     _bulk_inside,
     _exact_symdiff,
     _mc_symdiff,
+    _sample_box,
     delta_j,
     fiber_profile,
     hausdorff,
@@ -94,6 +102,16 @@ def _ols_loglog(xs, ys) -> tuple[float, float]:
     return slope, se
 
 
+def _slope_footer(labels, xs, ys) -> str:
+    """thm1's slope footer line; the log-log slope is undefined, and the
+    line names the rows, when some y is not positive."""
+    bad = [str(m) for m, y in zip(labels, ys) if not y > 0.0]
+    if bad:
+        return f"loglog slope delta_hat vs L_i: slope undefined: rows {','.join(bad)} non-positive"
+    slope, se = _ols_loglog(xs, ys)
+    return f"loglog slope delta_hat vs L_i: slope={slope:.6g} se={se:.6g}"
+
+
 def run_thm1(cfg: ExperimentConfig) -> CsvTable:
     """Drift experiment: doubling prism needles attached to the unit j-cube.
 
@@ -124,10 +142,9 @@ def run_thm1(cfg: ExperimentConfig) -> CsvTable:
                        est.value, est.std_error, dh, floor,
                        est.value / row.claimed_step_bound])
 
-    slope, slope_se = _ols_loglog([float(v) for v in table.column("L_i")],
-                                  [float(v) for v in table.column("delta_hat")])
-    table.footer_comments.append(
-        f"loglog slope delta_hat vs L_i: slope={slope:.6g} se={slope_se:.6g}")
+    table.footer_comments.append(_slope_footer(
+        table.column("i"), [float(v) for v in table.column("L_i")],
+        [float(v) for v in table.column("delta_hat")]))
     if low_precision:
         table.footer_comments.append(
             "low-precision rows (relative se > 5%): " + ",".join(map(str, low_precision)))
@@ -139,8 +156,11 @@ def _good_subspace_scan(cfg: ExperimentConfig, plane: Subspace, u: np.ndarray):
     first passing subspace and its certificate."""
     good = 0
     first = None
-    for i in range(cfg.n_subspaces):
-        h = haar_sample(cfg.d, cfg.j, RngStream(cfg.seed, AUX_STREAM_BASE + 2 * i))
+    # stream keys AUX_STREAM_BASE + 2i
+    frames = haar_frames(cfg.d, cfg.j, cfg.seed,
+                         AUX_STREAM_BASE // 2 + np.arange(cfg.n_subspaces))
+    for basis in frames:
+        h = Subspace(basis)
         cert = goodness(h, plane, u)
         if cert.sigma_min > GOOD_SIGMA and cert.c > 0:
             good += 1
@@ -155,10 +175,7 @@ def _mass_outside(proj: VPolytope, radius: float, n_points: int,
                   stream: RngStream) -> tuple[float, float]:
     """MC estimate of the projected body's volume outside the centered ball."""
     verts = proj.vertices
-    lo = verts.min(axis=0) - 1e-9
-    hi = verts.max(axis=0) + 1e-9
-    box_vol = float(np.prod(hi - lo))
-    pts = lo + uniform_block(stream, n_points * verts.shape[1]).reshape(n_points, -1) * (hi - lo)
+    pts, box_vol = _sample_box(verts, n_points, stream)
     hit = _bulk_inside(verts, pts) & (np.einsum("ij,ij->i", pts, pts) > radius * radius)
     phat = float(np.count_nonzero(hit)) / n_points
     return box_vol * phat, box_vol * math.sqrt(phat * (1.0 - phat) / n_points)
@@ -272,8 +289,8 @@ def run_lemma(cfg: ExperimentConfig) -> CsvTable:
     e1 = np.zeros(cfg.d)
     e1[0] = 1.0
     sigma, ell, jac, proj2 = [], [], [], []
-    for i in range(cfg.n_subspaces):
-        h = haar_sample(cfg.d, cfg.j, RngStream(cfg.seed, 2 * i))
+    for basis in haar_frames(cfg.d, cfg.j, cfg.seed, np.arange(cfg.n_subspaces)):
+        h = Subspace(basis)
         cert = goodness(h, plane, u)
         sigma.append(cert.sigma_min)
         ell.append(cert.ell)

@@ -15,9 +15,9 @@ from .numerics import (
     RankDeficiencyError,
     RngStream,
     ball_volume,
-    gaussian_block,
+    gaussian_rows,
     gram_jacobian,
-    gram_schmidt,
+    gram_schmidt_stack,
     singular_min,
 )
 
@@ -28,6 +28,7 @@ __all__ = [
     "full_space",
     "axis_subspace",
     "haar_sample",
+    "haar_frames",
     "project_point",
     "project_body",
     "axis_split",
@@ -83,16 +84,46 @@ def haar_sample(d: int, j: int, s: RngStream) -> Subspace:
     """Rotation-invariant random subspace: orthonormalized Gaussian d x j frame.
 
     The measure-zero rank-deficiency event triggers a redraw from the next
-    counter block; five failures raise."""
+    counter block; five failures raise.  The one-frame case of haar_frames,
+    drawn from s and advancing its counter past the blocks used."""
+    frames, used = _draw_frames(d, j, s.seed, np.array([s.stream]), s.counter)
+    s.counter += int(used[0])
+    return Subspace(frames[0])
+
+
+def haar_frames(d: int, j: int, seed: int, indices) -> np.ndarray:
+    """(n, d, j) stack of the Haar frames of samples `indices`: row k is
+    haar_sample(d, j, RngStream(seed, 2 * indices[k])).basis, bit for bit."""
+    streams = 2 * np.asarray(indices, dtype=np.uint64).reshape(-1)
+    return _draw_frames(d, j, seed, streams, 0)[0]
+
+
+def _draw_frames(d: int, j: int, seed: int, streams: np.ndarray,
+                 counter0: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormalized Gaussian frames, one per stream key, all starting at
+    counter0; rows that come out rank deficient redraw together from the
+    next counter block.  Returns the frames and the counters each used."""
     if not 1 <= j <= d:
         raise ValueError(f"need 1 <= j <= d, got (d={d}, j={j})")
-    for _ in range(5):
-        g = gaussian_block(s, d * j).reshape(d, j)
-        try:
-            return Subspace(gram_schmidt(g))
-        except RankDeficiencyError:
-            continue
-    raise RankDeficiencyError("5 consecutive rank-deficient Gaussian frames")
+    block = 2 * d * j
+    frames = np.empty((streams.size, d, j))
+    blocks = np.zeros(streams.size, dtype=np.int64)
+    todo = np.arange(streams.size)
+    for attempt in range(5):
+        if not todo.size:
+            break
+        g = gaussian_rows(seed, streams[todo], counter0 + attempt * block, d * j)
+        q, residual = gram_schmidt_stack(g.reshape(-1, d, j))
+        blocks[todo] += 1
+        ok = np.all(residual >= 1e-12, axis=1)
+        frames[todo[ok]] = q[ok]
+        todo = todo[~ok]
+    if todo.size:
+        raise RankDeficiencyError("5 consecutive rank-deficient Gaussian frames")
+    gram = np.swapaxes(frames, 1, 2) @ frames
+    if frames.size and float(np.max(np.abs(gram - np.eye(j)))) >= 1e-10:
+        raise ValueError("basis columns are not orthonormal")
+    return frames, blocks * block
 
 
 def project_point(h: Subspace, x: np.ndarray) -> np.ndarray:

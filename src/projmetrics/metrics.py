@@ -10,7 +10,16 @@ Inner volumes are exact for j <= 2 (interval / polygon oracles) and Monte
 Carlo for j >= 3.  Every random draw is addressed by (seed, sample index),
 so estimates are bit-identical for any worker count: sample i consumes
 streams 2i (subspace) and 2i+1 (points), and the reduction runs in index
-order.
+order.  The Haar frames of a batch of samples are drawn as one (n, d, j)
+array (grassmann.haar_frames) and the operands projected with one batched
+product; only the inner oracles run once per sample.
+
+Flat bodies skip the per-sample oracles.  When the operands together span
+an affine j-flat with orthonormal frame Q, the projection onto H restricted
+to that flat is the linear map H^T Q, so every sample value is
+|det(H^T Q)| * vol_j(K symdiff L), with the in-flat volume computed once.
+On the exact path delta_j uses that identity (Kubota/Cauchy; Schneider,
+Convex Bodies, 2nd ed., sec. 5.3) for every such pair.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from .bodies import (
     polygon_clip,
     ring_contains,
 )
-from .grassmann import Subspace, axis_split, full_space, haar_sample, project_body
+from .grassmann import Subspace, axis_split, haar_frames, project_body
 from .numerics import RngStream, flag_coefficient, uniform_block
 
 __all__ = [
@@ -94,13 +103,12 @@ class MetricEstimate:
 # ---------------------------------------------------------------------------
 
 
+def _numerical_rank(sv: np.ndarray) -> int:
+    return int(np.sum(sv > 1e-12 * max(1.0, float(sv[0]))))
+
+
 def _affine_rank(verts: np.ndarray) -> int:
-    if verts.shape[0] == 1:
-        return 0
-    centered = verts - verts[0]
-    sv = np.linalg.svd(centered, compute_uv=False)
-    scale = max(1.0, float(sv[0]) if sv.size else 1.0)
-    return int(np.sum(sv > 1e-12 * scale))
+    return _numerical_rank(np.linalg.svd(verts - verts[0], compute_uv=False))
 
 
 def _hull_equations(verts: np.ndarray):
@@ -198,24 +206,17 @@ def _inner_exact(j: int, mode: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _pair_value(seed: int, index: int, d: int, j: int,
-                va: np.ndarray | None, vb: np.ndarray | None,
-                n_points: int, exact_inner: bool) -> tuple[float, float]:
-    """Raw symmetric-difference volume of the two projections for sample
-    `index` (empty operand = empty projection), with its inner MC error."""
-    if j == d:
-        h = full_space(d)
-    else:
-        h = haar_sample(d, j, RngStream(seed, 2 * index))
-    pa = va @ h.basis if va is not None else None
-    pb = vb @ h.basis if vb is not None else None
+def _pair_value(pa: np.ndarray | None, pb: np.ndarray | None, j: int, n_points: int,
+                exact_inner: bool, pstream: RngStream | None) -> tuple[float, float]:
+    """Raw symmetric-difference volume of two projected vertex sets (None =
+    empty operand = empty projection), with its inner MC error; pstream
+    feeds the MC oracles only."""
     if exact_inner:
         if pa is None:
             return _exact_volume(pb, j), 0.0
         if pb is None:
             return _exact_volume(pa, j), 0.0
         return _exact_symdiff(pa, pb, j), 0.0
-    pstream = RngStream(seed, 2 * index + 1)
     if pa is None:
         return _mc_volume(pb, j, n_points, pstream)
     if pb is None:
@@ -224,11 +225,39 @@ def _pair_value(seed: int, index: int, d: int, j: int,
 
 
 def _batch_values(task) -> np.ndarray:
+    """Sample values lo..hi-1: pure in (seed, index), hence worker-independent."""
     seed, lo, hi, d, j, va, vb, n_points, exact_inner = task
-    out = np.empty(hi - lo)
-    for index in range(lo, hi):
-        out[index - lo] = _pair_value(seed, index, d, j, va, vb, n_points, exact_inner)[0]
-    return out
+    frames = haar_frames(d, j, seed, np.arange(lo, hi))
+    # one batched product; each slice has the bits of va @ frame
+    pa = va @ frames if va is not None else [None] * (hi - lo)
+    pb = vb @ frames if vb is not None else [None] * (hi - lo)
+    return np.array([
+        _pair_value(a, b, j, n_points, exact_inner, RngStream(seed, 2 * index + 1))[0]
+        for index, a, b in zip(range(lo, hi), pa, pb)])
+
+
+def _flat_values(seed: int, n: int, d: int, j: int, va, vb) -> np.ndarray | None:
+    """Exact sample values of operands that together span an affine j-flat,
+    None for any other pair.
+
+    With Q an orthonormal d x j frame of the flat, sample i is the in-flat
+    volume scaled by |det(H_i^T Q)|.  Q and the in-flat coordinates come
+    from the sorted union of the vertices, so they do not depend on operand
+    or vertex order."""
+    ops = [v for v in (va, vb) if v is not None]
+    pts, inverse = np.unique(np.vstack(ops), axis=0, return_inverse=True)
+    centered = pts - pts[0]
+    _, sv, vt = np.linalg.svd(centered, full_matrices=False)
+    if _numerical_rank(sv) != j:
+        return None
+    q = vt[:j].T
+    coords = (centered @ q)[inverse.reshape(-1)]
+    if len(ops) == 1:
+        inner = _exact_volume(coords, j)
+    else:
+        inner = _exact_symdiff(coords[:va.shape[0]], coords[va.shape[0]:], j)
+    frames = haar_frames(d, j, seed, np.arange(n))
+    return np.abs(np.linalg.det(np.swapaxes(frames, 1, 2) @ q)) * inner
 
 
 def _collect_values(seed, n, d, j, va, vb, n_points, exact_inner, workers) -> np.ndarray:
@@ -303,7 +332,8 @@ def delta_j(a: VPolytope | None, b: VPolytope | None, j: int, plan: SamplingPlan
     flag = flag_coefficient(d, j)
 
     if j == d:  # no subspace averaging: the symmetric difference metric
-        f, inner_se = _pair_value(plan.seed, 0, d, j, va, vb, plan.n_points, exact_inner)
+        f, inner_se = _pair_value(va, vb, j, plan.n_points, exact_inner,
+                                  RngStream(plan.seed, 1))
         return MetricEstimate(
             value=flag * f,
             std_error=flag * inner_se,
@@ -314,7 +344,10 @@ def delta_j(a: VPolytope | None, b: VPolytope | None, j: int, plan: SamplingPlan
         )
 
     n = plan.n_subspaces
-    fvals = _collect_values(plan.seed, n, d, j, va, vb, plan.n_points, exact_inner, workers)
+    fvals = _flat_values(plan.seed, n, d, j, va, vb) if exact_inner else None
+    if fvals is None:
+        fvals = _collect_values(plan.seed, n, d, j, va, vb, plan.n_points, exact_inner,
+                                workers)
     value = flag * float(np.mean(fvals))
     se = flag * float(np.std(fvals, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
     return MetricEstimate(

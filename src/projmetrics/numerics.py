@@ -20,6 +20,7 @@ __all__ = [
     "flag_coefficient",
     "needle_bound_constant",
     "gram_schmidt",
+    "gram_schmidt_stack",
     "gram_jacobian",
     "singular_min",
     "RngStream",
@@ -27,6 +28,7 @@ __all__ = [
     "rng_gaussian",
     "uniform_block",
     "gaussian_block",
+    "gaussian_rows",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -84,20 +86,42 @@ def gram_schmidt(mat: np.ndarray) -> np.ndarray:
     m = np.array(mat, dtype=float)
     if m.ndim != 2:
         raise ValueError("expected a 2-D matrix")
-    d, k = m.shape
+    q, residual = gram_schmidt_stack(m[None])
+    low = np.flatnonzero(residual[0] < 1e-12)
+    if low.size:
+        i = int(low[0])
+        raise RankDeficiencyError(
+            f"column {i} is numerically dependent (residual {residual[0, i]:.3e})")
+    return q[0]
+
+
+def gram_schmidt_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two-pass modified Gram-Schmidt on the columns of each d x k matrix of
+    an (n, d, k) stack, in one pass of array operations over the stack.
+
+    Returns the orthonormalized stack and the (n, k) residual norms; a
+    matrix with a residual below 1e-12 is rank deficient and its columns
+    from there on are meaningless.  Each matrix gets the arithmetic of the
+    one-matrix case, so its bits do not depend on the rest of the stack.
+    """
+    m = np.asarray(mats, dtype=float)
+    if m.ndim != 3:
+        raise ValueError("expected an (n, d, k) stack of matrices")
+    _, d, k = m.shape
     if k > d:
         raise ValueError(f"cannot orthonormalize {k} columns in dimension {d}")
     q = np.empty_like(m)
+    residual = np.empty((m.shape[0], k))
     for i in range(k):
-        v = m[:, i].copy()
+        v = m[:, :, i].copy()
         for _ in range(2):  # re-orthogonalization pass
             for l in range(i):
-                v -= (q[:, l] @ v) * q[:, l]
-        nrm = float(np.linalg.norm(v))
-        if nrm < 1e-12:
-            raise RankDeficiencyError(f"column {i} is numerically dependent (residual {nrm:.3e})")
-        q[:, i] = v / nrm
-    return q
+                ql = q[:, :, l]
+                v -= np.vecdot(ql, v)[:, None] * ql
+        nrm = np.sqrt(np.vecdot(v, v))
+        residual[:, i] = nrm
+        q[:, :, i] = v / np.where(nrm < 1e-12, 1.0, nrm)[:, None]
+    return q, residual
 
 
 def gram_jacobian(mat: np.ndarray) -> float:
@@ -142,26 +166,49 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _cell_bits(seed: int, stream: int, counter0: int, n: int) -> np.ndarray:
+def _cell_bits(seed: int, streams, counter0: int, n: int) -> np.ndarray:
+    # One int stream key gives an (n,) block; an array of keys, one row each.
     counters = np.arange(counter0, counter0 + n, dtype=np.uint64)
+    if isinstance(streams, np.ndarray):
+        keys = streams.astype(np.uint64)[:, None]  # wraps negatives, as & _MASK64
+    else:
+        keys = np.uint64(streams & _MASK64)
     with np.errstate(over="ignore"):
         key = _mix64(np.uint64(seed & _MASK64))
-        key = _mix64(key ^ np.uint64(stream & _MASK64))
+        key = _mix64(key ^ keys)
         return _mix64(key ^ counters)
+
+
+def _uniform_rows(seed: int, streams, counter0: int, n: int) -> np.ndarray:
+    """Uniforms in [0,1) from counters counter0 .. counter0 + n - 1 of each
+    stream key in `streams` (an (m, n) array; (n,) for one int key).  A row
+    equals uniform_block on RngStream(seed, key, counter0)."""
+    bits = _cell_bits(seed, streams, counter0, n)
+    return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 def uniform_block(s: RngStream, n: int) -> np.ndarray:
     """n uniforms in [0,1); advances the counter by n."""
-    bits = _cell_bits(s.seed, s.stream, s.counter, n)
+    u = _uniform_rows(s.seed, s.stream, s.counter, n)
     s.counter += n
-    return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return u
+
+
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    # pairs along the last axis; log(1-u) > -inf since u < 1
+    r = np.sqrt(-2.0 * np.log1p(-u[..., 0::2]))
+    return r * np.cos(2.0 * math.pi * u[..., 1::2])
+
+
+def gaussian_rows(seed: int, streams, counter0: int, n: int) -> np.ndarray:
+    """n standard normals per stream key, from 2n counters starting at
+    counter0; a row equals gaussian_block on RngStream(seed, key, counter0)."""
+    return _box_muller(_uniform_rows(seed, streams, counter0, 2 * n))
 
 
 def gaussian_block(s: RngStream, n: int) -> np.ndarray:
     """n standard normals via Box-Muller; advances the counter by 2n."""
-    u = uniform_block(s, 2 * n)
-    r = np.sqrt(-2.0 * np.log1p(-u[0::2]))  # log(1-u) > -inf since u < 1
-    return r * np.cos(2.0 * math.pi * u[1::2])
+    return _box_muller(uniform_block(s, 2 * n))
 
 
 def rng_uniform(s: RngStream) -> float:

@@ -185,6 +185,14 @@ class TestPolygonOps:
         ring = hull_2d(np.array([[-3, 0], [3, 0], [0, 0.5], [0, -0.5]], dtype=float))
         assert polygon_area(ring) == pytest.approx(3.0, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_area_bits_match_roll_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        ring = hull_2d(rng.uniform(-5.0, 5.0, size=(rng.integers(3, 40), 2)))
+        x, y = ring[:, 0], ring[:, 1]
+        rolled = float(abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))) / 2.0
+        assert polygon_area(ring) == rolled
+
     def test_degenerate_area(self):
         assert polygon_area(np.array([[1.0, 2.0]])) == 0.0
         assert polygon_area(np.array([[0.0, 0.0], [1.0, 1.0]])) == 0.0

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -22,6 +23,7 @@ from projmetrics.experiments import (
     write_svg,
 )
 from projmetrics.experiments.cli import main
+from projmetrics.experiments.runners import _slope_footer
 from projmetrics.grassmann import full_space
 
 SMALL = dict(d=3, j=2, seed=42, n_subspaces=150, n_points=2000, steps=3)
@@ -92,6 +94,14 @@ class TestThm1Runner:
             assert float(record["claimed_bound"]) == pytest.approx(
                 4.0 / float(record["L_i"]), abs=1e-12)
         assert any("loglog slope" in c for c in table.footer_comments)
+
+    def test_slope_footer_names_non_positive_rows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no log(0) RuntimeWarning
+            line = _slope_footer(["0", "1", "2", "3"], [2.0, 4.0, 8.0, 16.0],
+                                 [1.0, 0.0, 4.0, -1.0])
+            assert line.endswith("slope undefined: rows 1,3 non-positive")
+            assert "slope=" in _slope_footer(["0", "1"], [2.0, 4.0], [1.0, 2.0])
 
     def test_deterministic_rerun(self):
         a = run_thm1(ExperimentConfig(**SMALL))

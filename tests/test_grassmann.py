@@ -13,11 +13,12 @@ from projmetrics.grassmann import (
     complete_to_basis,
     full_space,
     goodness,
+    haar_frames,
     haar_sample,
     project_body,
     project_point,
 )
-from projmetrics.numerics import RngStream, ball_volume, gaussian_block
+from projmetrics.numerics import RankDeficiencyError, RngStream, ball_volume, gaussian_block
 
 
 class TestSubspace:
@@ -59,6 +60,46 @@ class TestHaarSample:
         s2 = [float(np.sum(project_point(haar_sample(4, 2, RngStream(4, i)), rv) ** 2))
               for i in range(10_000)]
         assert ks_2samp(s1, s2).statistic < 0.03
+
+
+class TestHaarFrames:
+    @pytest.mark.parametrize("d,j", [(1, 1), (3, 1), (3, 2), (3, 3), (4, 3), (8, 2), (8, 7)])
+    def test_rows_are_haar_samples(self, d, j):
+        indices = np.arange(3, 3 + 64)
+        frames = haar_frames(d, j, 19, indices)
+        assert frames.shape == (64, d, j)
+        for frame, i in zip(frames, indices):
+            s = RngStream(19, 2 * int(i))
+            assert np.array_equal(frame, haar_sample(d, j, s).basis)
+            assert np.max(np.abs(frame.T @ frame - np.eye(j))) < 1e-12
+
+    def test_rank_deficient_rows_redraw(self, monkeypatch):
+        from projmetrics import grassmann
+
+        real = grassmann.gaussian_rows
+
+        def first_block_flat(seed, streams, counter0, n):
+            g = real(seed, streams, counter0, n)
+            if counter0 == 0:  # odd sample indices draw a zero frame first
+                g[(streams // 2) % 2 == 1] = 0.0
+            return g
+
+        monkeypatch.setattr(grassmann, "gaussian_rows", first_block_flat)
+        frames = haar_frames(3, 2, 4, np.arange(6))
+        for i, frame in enumerate(frames):
+            s = RngStream(4, 2 * i)
+            assert np.array_equal(frame, haar_sample(3, 2, s).basis)
+            assert s.counter == 12 * (1 + i % 2)  # one block, or two after a redraw
+        redrawn = real(4, np.array([2]), 12, 6).reshape(3, 2)
+        assert np.allclose(frames[1] @ (frames[1].T @ redrawn), redrawn, atol=1e-12)
+
+    def test_five_failures_raise(self, monkeypatch):
+        from projmetrics import grassmann
+
+        monkeypatch.setattr(grassmann, "gaussian_rows",
+                            lambda seed, streams, counter0, n: np.zeros((streams.size, n)))
+        with pytest.raises(RankDeficiencyError):
+            haar_frames(3, 2, 0, np.arange(4))
 
 
 class TestProjection:

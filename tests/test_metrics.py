@@ -10,6 +10,7 @@ from projmetrics.grassmann import axis_subspace, full_space, haar_sample
 from projmetrics.metrics import (
     SamplingPlan,
     UnsupportedModeError,
+    _batch_values,
     delta_j,
     fiber_profile,
     hausdorff,
@@ -17,7 +18,7 @@ from projmetrics.metrics import (
     projected_volume,
     symdiff_volume,
 )
-from projmetrics.numerics import RngStream
+from projmetrics.numerics import RngStream, gram_schmidt
 
 
 def grassmann_line_average_oracle(n: int = 20_001) -> float:
@@ -137,6 +138,75 @@ class TestDeltaJ:
             delta_j(cube3, None, 4, SamplingPlan(seed=0))
         with pytest.raises(ValueError):
             delta_j(cube3, None, 0, SamplingPlan(seed=0))
+
+
+def tilted_pair(seed: int, nested: bool = False):
+    """Two random polygons in one tilted affine 2-flat of R^3, then the same
+    two as 2-D bodies in flat coordinates; `nested` shrinks the second into
+    the first."""
+    rng = np.random.default_rng(seed)
+    q = gram_schmidt(np.array([[1.0, 0.2], [0.3, 1.0], [0.7, -0.4]]))
+    offset = np.array([0.3, -1.1, 2.0])
+    a2 = random_convex_polygon(rng).vertices
+    if nested:
+        b2 = 0.6 * a2 + 0.4 * a2.mean(axis=0)
+    else:
+        b2 = random_convex_polygon(rng).vertices
+    return (VPolytope(offset + a2 @ q.T), VPolytope(offset + b2 @ q.T),
+            VPolytope(a2), VPolytope(b2))
+
+
+class TestFlatBodies:
+    """Bodies in a common j-flat: delta_j = vol_j(K symdiff L), sampled as
+    |det(H^T Q)| times that volume."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_common_plane_identity(self, seed):
+        a, b, a2, b2 = tilted_pair(seed)
+        exact = symdiff_volume(a2, b2, SamplingPlan(seed=0)).value
+        est = delta_j(a, b, 2, SamplingPlan(n_subspaces=2000, seed=seed))
+        assert est.std_error > 0.0
+        assert abs(est.value - exact) <= 4.0 * est.std_error
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nested_difference_of_volumes(self, seed):
+        a, b, _, _ = tilted_pair(seed, nested=True)
+        plan = SamplingPlan(n_subspaces=300, seed=seed)
+        diff = intrinsic_volume(a, 2, plan).value - intrinsic_volume(b, 2, plan).value
+        assert delta_j(a, b, 2, plan).value == pytest.approx(diff, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_sample_oracles(self, seed):
+        a, b, a2, b2 = tilted_pair(seed)
+        plan = SamplingPlan(n_subspaces=200, seed=seed)
+        for ops, ops2 in (((a, b), (a2, b2)), ((a, None), (a2, None)), ((None, b), (None, b2))):
+            in_flat = delta_j(*ops2, 2, plan).value
+            est = delta_j(*ops, 2, plan)
+            verts = [None if op is None else op.vertices for op in ops]
+            loop = _batch_values((plan.seed, 0, plan.n_subspaces, 3, 2, *verts, 0, True))
+            flat = np.array([f for _, f in est.per_subspace])
+            # to 1e-12 of the in-flat value, the largest a sample can take
+            # (|det| <= 1): the loop's hull and clip of a nearly edge-on
+            # projection carry rounding on that scale, not on the sample's
+            assert np.max(np.abs(flat - loop)) <= 1e-12 * in_flat
+
+    def test_segments_on_a_line(self):
+        a = VPolytope([[0.0, 0.0, 0.0], [3.0, 4.0, 0.0]])
+        b = VPolytope([[1.5, 2.0, 0.0], [4.5, 6.0, 0.0]])
+        plan = SamplingPlan(n_subspaces=100, seed=6)
+        est = delta_j(a, b, 1, plan)
+        loop = _batch_values((plan.seed, 0, plan.n_subspaces, 3, 1, a.vertices, b.vertices,
+                              0, True))
+        assert np.max(np.abs([f for _, f in est.per_subspace] - loop)) <= 1e-12 * 5.0
+
+    def test_symmetry_bitwise(self):
+        a, b, _, _ = tilted_pair(7)
+        shuffled = VPolytope(a.vertices[::-1])
+        plan = SamplingPlan(n_subspaces=100, seed=2)
+        ab = delta_j(a, b, 2, plan)
+        for other in (delta_j(b, a, 2, plan), delta_j(b, shuffled, 2, plan)):
+            assert other.value == ab.value and other.std_error == ab.std_error
+            assert other.per_subspace == ab.per_subspace
 
 
 class TestIntrinsicVolume:
