@@ -8,8 +8,14 @@ import argparse
 import pathlib
 import sys
 
+import numpy as np
+
+from projmetrics.bodies import VPolytope
+from projmetrics.constructions import NeedleSpec, augment, cross_section, prism_needle
+from projmetrics.grassmann import full_space
 from projmetrics.experiments import (
     ExperimentConfig,
+    run_fibers,
     run_lemma,
     run_thm1,
     run_thm2,
@@ -53,6 +59,18 @@ def main() -> int:
                                  n_subspaces=1000 if args.quick else 10_000, n_points=1)
     write_csv(run_lemma(lemma_cfg), out / "lemma_d4_j2.csv")
     print(f"lemma -> {out / 'lemma_d4_j2.csv'}")
+
+    # square plus a thin prism needle: where did the hull gain fiber length?
+    square = VPolytope([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    spec = NeedleSpec(x0=np.array([0.5, 0.5]), u=np.array([1.0, 0.0]),
+                      plane=full_space(2), length=8.0, eps=0.01, kind="prism")
+    tube = VPolytope(spec.x0 + cross_section(spec.plane, spec.u, spec.eps).vertices)
+    table = run_fibers(augment(square, prism_needle(spec)), square, "e1e2", 400, tube=tube)
+    write_csv(table, out / "fibers_needle.csv")
+    footer = dict(c.split(": ", 1) for c in table.footer_comments)
+    print(f"fibers -> {out / 'fibers_needle.csv'} (diff_measure_outside_tube "
+          f"{float(footer['diff_measure_outside_tube']):.6f}, tube_measure "
+          f"{float(footer['tube_measure']):.6f})")
 
     table = run_validation(seed=args.seed)
     write_csv(table, out / "validation.csv")

@@ -12,6 +12,7 @@ from .bodies import (
     distance_to_hull,
     hull_2d,
     line_fiber,
+    line_fibers,
     load_body,
     membership,
     polygon_area,

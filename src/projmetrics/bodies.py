@@ -1,9 +1,12 @@
 """Convex bodies as vertex lists (V-polytopes).
 
-The single workhorse is the min-norm-point solver: it gives point-to-hull
-distance, membership, and (through vertex scans) the Hausdorff metric.
-Exact 2-D geometry (monotone-chain hull, shoelace area, convex clipping)
-provides the oracle against which Monte Carlo estimators are checked.
+The min-norm-point solver gives point-to-hull distance, membership, and
+(through vertex scans) the Hausdorff metric.  Facet equations A x + b <= 0
+(interval ends, hull_2d edges, qhull) give exact line chords and bulk
+membership; a lower-dimensional hull is first reduced to the frame of its
+affine hull.  Exact 2-D geometry (monotone-chain hull, shoelace area,
+convex clipping) provides the oracle against which Monte Carlo estimators
+are checked.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ __all__ = [
     "distance_to_hull",
     "membership",
     "line_fiber",
+    "line_fibers",
+    "contains",
+    "facets",
     "hull_2d",
     "polygon_area",
     "polygon_clip",
@@ -251,61 +257,170 @@ def line_fiber(body: VPolytope, base: np.ndarray, direction: np.ndarray,
                tol: float = DEFAULT_TOL) -> Interval:
     """The set {t : base + t*direction in conv(body)} (an interval by convexity).
 
-    The bracketing range comes from the vertex projections onto the line
-    parameter; an interior parameter is located by ternary search on the
-    convex map t -> dist(base + t*direction, body), then each endpoint by
-    40 bisection steps of the membership oracle.
-    """
+    The one-row case of `line_fibers`: the chord comes from the facet
+    equations of the hull, so its endpoints are exact up to rounding."""
     base = np.asarray(base, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    dn2 = float(direction @ direction)
-    if dn2 <= 0.0:
+    lo, hi, empty = line_fibers(body, base.reshape(1, -1), direction, tol)
+    return EMPTY_INTERVAL if empty[0] else Interval(float(lo[0]), float(hi[0]))
+
+
+def line_fibers(body: VPolytope, bases: np.ndarray, direction: np.ndarray,
+                tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Chords of conv(body) along the lines bases[i] + t*direction.
+
+    Returns (lo, hi, empty) arrays over the rows of the (n, d) array
+    `bases`; an empty row has lo = hi = 0.  With facets a.x + b <= 0, the
+    chord is [max over a.u < 0 of -(a.x + b)/(a.u), min over a.u > 0 of the
+    same] (Schneider, Convex Bodies, 2nd ed., sec. 1.1).  A facet parallel
+    to the line (|a.u| at rounding scale) only asks that the base lie within
+    tol of its half-space, and a line that misses the hull by at most tol
+    gets a chord of length 0.
+
+    A lower-dimensional hull is taken in the frame of its affine hull: a line
+    leaving that flat meets it in one point at most (a chord of length 0),
+    and a line inside it (to within tol) gets the same facet algebra in
+    flat coordinates.  Each row's bits do not depend on the other rows.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    d = body.ambient_dim
+    x = np.asarray(bases, dtype=float)
+    u = np.asarray(direction, dtype=float)
+    if x.ndim != 2 or x.shape[1] != d or u.shape != (d,):
+        raise ValueError(f"need (n, {d}) bases and a ({d},) direction, "
+                         f"got {x.shape} and {u.shape}")
+    un = float(np.linalg.norm(u))
+    if un <= 0.0:
         raise ValueError("direction must be nonzero")
-    tau = tol * (1.0 + float(np.sqrt(dn2)))
+    origin, frame, normal, a, b = _flat_facets(body.vertices)
+    xo, uo = _rowdot(x - origin, normal), _rowdot(u[None], normal)[0]
+    xf, uf = _rowdot(x - origin, frame), _rowdot(u[None], frame)[0]
+    if float(np.linalg.norm(uo)) > _PARALLEL * un:
+        # the line crosses the flat once, at the t nearest to it
+        t = -_rowdot(xo, uo[None])[:, 0] / float(uo @ uo)
+        hit = _within(xo + t[:, None] * uo, tol) & _in_facets(xf + t[:, None] * uf, a, b, tol)
+        t[~hit] = 0.0
+        return t, t.copy(), ~hit
+    lo, hi, empty = _chords(xf, uf, a, b, tol)
+    off = ~_within(xo, tol)
+    lo[off] = hi[off] = 0.0
+    return lo, hi, empty | off
 
-    tproj = (body.vertices - base) @ direction / dn2
-    t_lo, t_hi = float(np.min(tproj)), float(np.max(tproj))
 
-    def dist(t: float) -> float:
-        return distance_to_hull(base + t * direction, body, tol)
+def contains(body: VPolytope, pts: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Membership of the rows of pts in conv(body) by its facet equations: a
+    point within tol of every facet's half-space (and, for a
+    lower-dimensional body, of its affine hull) is inside."""
+    p = np.asarray(pts, dtype=float)
+    if p.ndim != 2 or p.shape[1] != body.ambient_dim:
+        raise ValueError(f"need an (n, {body.ambient_dim}) point array, got {p.shape}")
+    origin, frame, normal, a, b = _flat_facets(body.vertices)
+    return (_within(_rowdot(p - origin, normal), tol)
+            & _in_facets(_rowdot(p - origin, frame), a, b, tol))
 
-    # locate a member parameter
-    a, b = t_lo, t_hi
-    best_t, best_d = a, dist(a)
-    for t, dv in ((b, dist(b)), ((a + b) / 2, dist((a + b) / 2))):
-        if dv < best_d:
-            best_t, best_d = t, dv
-    it = 0
-    while best_d > tol and (b - a) > min(tau, 1e-13 * (1 + abs(a) + abs(b))) and it < 200:
-        it += 1
-        m1 = a + (b - a) / 3.0
-        m2 = b - (b - a) / 3.0
-        d1, d2 = dist(m1), dist(m2)
-        if d1 < best_d:
-            best_t, best_d = m1, d1
-        if d2 < best_d:
-            best_t, best_d = m2, d2
-        if d1 <= d2:
-            b = m2
-        else:
-            a = m1
-    if best_d > tol:
-        return EMPTY_INTERVAL
 
-    def bisect(inside_t: float, outside_t: float) -> float:
-        for _ in range(40):
-            mid = 0.5 * (inside_t + outside_t)
-            if dist(mid) <= tol:
-                inside_t = mid
-            else:
-                outside_t = mid
-            if abs(outside_t - inside_t) <= tau / 4:
-                break
-        return inside_t
+# |a.u| <= _PARALLEL * |u| counts a facet (or a flat) as parallel to the line:
+# rounding in unit normals stays far below it, real crossings far above it.
+_PARALLEL = 1e-12
 
-    hi = t_hi if dist(t_hi) <= tol else bisect(best_t, t_hi)
-    lo = t_lo if dist(t_lo) <= tol else bisect(best_t, t_lo)
-    return Interval(lo, hi)
+
+def _rowdot(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x @ m.T summed coordinate by coordinate: unlike a BLAS product, each
+    row's bits do not depend on how many rows are stacked."""
+    out = np.zeros((x.shape[0], m.shape[0]))
+    for k in range(x.shape[1]):
+        out += x[:, k, None] * m[None, :, k]
+    return out
+
+
+def _within(offsets: np.ndarray, tol: float) -> np.ndarray:
+    return np.sqrt(np.sum(offsets * offsets, axis=1)) <= tol
+
+
+def _in_facets(x: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    return np.all(_rowdot(x, a) + b <= tol, axis=1)
+
+
+def _chords(x, u, a, b, tol):
+    """Facet algebra of line_fibers for a full-dimensional hull {a.x + b <= 0}."""
+    au = _rowdot(u[None], a)[0]
+    s = _rowdot(x, a) + b
+    un = float(np.linalg.norm(u))
+    cross = np.abs(au) > _PARALLEL * un
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = -s / au
+    lo = np.max(t, axis=1, initial=-np.inf, where=cross & (au < 0))
+    hi = np.min(t, axis=1, initial=np.inf, where=cross & (au > 0))
+    empty = np.any((s > tol) & ~cross, axis=1) | (lo > hi + tol / un)
+    hi = np.maximum(hi, lo)
+    lo[empty] = hi[empty] = 0.0
+    return lo, hi, empty
+
+
+def _numerical_rank(sv: np.ndarray) -> int:
+    return int(np.sum(sv > 1e-12 * max(1.0, float(sv[0]))))
+
+
+def _affine_rank(verts: np.ndarray) -> int:
+    return _numerical_rank(np.linalg.svd(verts - verts[0], compute_uv=False))
+
+
+def _flat_facets(verts: np.ndarray):
+    """(origin, frame, normal, a, b): x is in conv(verts) iff
+    normal @ (x - origin) = 0 and a @ frame @ (x - origin) + b <= 0.  The
+    orthonormal rows of frame span the affine hull, those of normal its
+    complement.  A full-dimensional hull gets origin 0, the identity frame
+    and no normal rows, so its facets act on unchanged ambient coordinates."""
+    n, d = verts.shape
+    # vt must be d x d to hold the complement; with n >= d the thin SVD gives
+    # that without an n x n U
+    _, sv, vt = np.linalg.svd(verts - verts[0], full_matrices=n < d)
+    r = _numerical_rank(sv)
+    if r == d:
+        return np.zeros(d), np.eye(d), np.zeros((0, d)), *facets(verts)
+    origin, frame = verts[0], vt[:r]
+    if r == 0:  # a single point: no facets inside its flat
+        return origin, frame, vt, np.zeros((0, 0)), np.zeros(0)
+    return origin, frame, vt[r:], *facets(_rowdot(verts - origin, frame))
+
+
+def _hull_equations(verts: np.ndarray):
+    """Facet inequalities A x + b <= 0 of conv(verts) from qhull (Barber,
+    Dobkin & Huhdanpaa, ACM TOMS 22(4), 1996), for dimension >= 3; None when
+    the hull is degenerate (volume zero)."""
+    if _affine_rank(verts) < verts.shape[1]:
+        return None
+    from scipy.spatial import ConvexHull  # deferred: importing bodies stays cheap
+
+    eq = ConvexHull(verts).equations
+    return eq[:, :-1], eq[:, -1]
+
+
+def facets(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-normal facet inequalities A x + b <= 0 of conv(verts), which must
+    be full-dimensional in its own dimension k = verts.shape[1]: the two
+    endpoints for k = 1, the edges of the hull_2d ring for k = 2, qhull for
+    k >= 3."""
+    v = np.asarray(verts, dtype=float)
+    if v.ndim != 2 or v.shape[0] < 1:
+        raise ValueError("expected a nonempty (n, k) vertex array")
+    k = v.shape[1]
+    if k == 1:
+        lo, hi = float(v.min()), float(v.max())
+        if lo < hi:
+            return np.array([[-1.0], [1.0]]), np.array([lo, -hi])
+    elif k == 2:
+        ring = hull_2d(v)
+        if ring.shape[0] >= 3:
+            edge = np.roll(ring, -1, axis=0) - ring
+            a = np.stack([edge[:, 1], -edge[:, 0]], axis=1)  # outward for a CCW ring
+            a /= np.linalg.norm(a, axis=1)[:, None]
+            return a, -np.sum(a * ring, axis=1)
+    else:
+        eqs = _hull_equations(v)
+        if eqs is not None:
+            return eqs
+    raise ValueError(f"conv(verts) is not full-dimensional in R^{k}")
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--body-b", required=True)
     p.add_argument("--plane", default="e1e2")
     p.add_argument("--grid", type=int, default=200)
+    p.add_argument("--tube", help="needle cross-section body, in ambient coordinates")
     p.add_argument("--out", required=True)
 
     return top
@@ -185,7 +186,11 @@ def _dispatch(args) -> int:
 
     if args.command == "fibers":
         a, b = _load(args.body_a), _load(args.body_b)
-        table = run_fibers(a, b, args.plane, args.grid)
+        tube = None if args.tube is None else _load(args.tube)
+        if tube is not None and tube.ambient_dim != a.ambient_dim:
+            raise ConfigError(f"tube dimension {tube.ambient_dim} does not match "
+                              f"body dimension {a.ambient_dim}")
+        table = run_fibers(a, b, args.plane, args.grid, tube=tube)
         write_csv(table, args.out)
         return EXIT_OK
 

@@ -34,9 +34,13 @@ from .bodies import (
     DEFAULT_TOL,
     Interval,
     VPolytope,
+    _affine_rank,
+    _hull_equations,
+    _numerical_rank,
+    contains,
     distance_to_hull,
     hull_2d,
-    line_fiber,
+    line_fibers,
     membership,
     polygon_area,
     polygon_clip,
@@ -101,25 +105,6 @@ class MetricEstimate:
 # ---------------------------------------------------------------------------
 # Inner volume/symdiff evaluators in fixed dimension j.
 # ---------------------------------------------------------------------------
-
-
-def _numerical_rank(sv: np.ndarray) -> int:
-    return int(np.sum(sv > 1e-12 * max(1.0, float(sv[0]))))
-
-
-def _affine_rank(verts: np.ndarray) -> int:
-    return _numerical_rank(np.linalg.svd(verts - verts[0], compute_uv=False))
-
-
-def _hull_equations(verts: np.ndarray):
-    """Facet inequalities A x + b <= 0 of conv(verts) for bulk membership in
-    dimension >= 3; None when the hull is degenerate (volume zero)."""
-    if _affine_rank(verts) < verts.shape[1]:
-        return None
-    from scipy.spatial import ConvexHull  # deferred: only the MC path needs it
-
-    eq = ConvexHull(verts).equations
-    return eq[:, :-1], eq[:, -1]
 
 
 def _bulk_inside(verts: np.ndarray, pts: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -407,9 +392,13 @@ def fiber_profile(outer: VPolytope, inner: VPolytope, h: Subspace, u: np.ndarray
     """Transverse profile of the fiber-length difference between two nested
     bodies, measured inside h along the projected axis of u.
 
-    `tube`, when given, is the transverse cross-section polytope (in ambient
-    coordinates, at the needle base); each grid point reports whether it lies
-    in the image of that cross-section inside the transverse coordinates.
+    Each projected body's chords along the axis come from one `line_fibers`
+    call over the whole transverse grid: exact facet algebra on its hull,
+    with a lower-dimensional projection reduced to the frame of its affine
+    hull.  `tube`, when given, is the transverse cross-section polytope (in
+    ambient coordinates, at the needle base); each grid point reports
+    whether it lies in the image of that cross-section inside the
+    transverse coordinates, tested against the image's facet equations.
     Differences below 100*tol are clamped to zero.
     """
     if outer.ambient_dim != inner.ambient_dim or outer.ambient_dim != h.ambient_dim:
@@ -437,27 +426,20 @@ def fiber_profile(outer: VPolytope, inner: VPolytope, h: Subspace, u: np.ndarray
     axes = [lo[k] + (np.arange(n_axis) + 0.5) * (extent[k] / n_axis) for k in range(tdim)]
     mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
-    tube_e: VPolytope | None = None
-    if tube is not None:
-        tube_e = VPolytope((tube.vertices @ h.basis) @ e_basis)
+    bases = mesh @ e_basis.T
+    lo_o, hi_o, _ = line_fibers(proj_outer, bases, u_h, tol)
+    lo_i, hi_i, _ = line_fibers(proj_inner, bases, u_h, tol)
+    diff = (hi_o - lo_o) - (hi_i - lo_i)  # empty chords have lo = hi = 0
+    diff[diff < 100.0 * tol] = 0.0
 
-    clamp = 100.0 * tol
-    rows = []
-    n_diff = 0
-    n_diff_outside = 0
-    for y in mesh:
-        base = e_basis @ y
-        len_outer = line_fiber(proj_outer, base, u_h, tol).length
-        len_inner = line_fiber(proj_inner, base, u_h, tol).length
-        diff = len_outer - len_inner
-        if diff < clamp:
-            diff = 0.0
-        in_tube = bool(tube_e is not None and membership(y, tube_e, tol))
-        if diff > 0.0:
-            n_diff += 1
-            if not in_tube:
-                n_diff_outside += 1
-        rows.append(FiberRow(tuple(float(c) for c in y), diff, in_tube))
+    tube_e: VPolytope | None = None
+    if tube is None:
+        in_tube = np.zeros(mesh.shape[0], dtype=bool)
+    else:
+        tube_e = VPolytope((tube.vertices @ h.basis) @ e_basis)
+        in_tube = contains(tube_e, mesh, tol)
+    rows = tuple(FiberRow(tuple(float(c) for c in y), float(dv), bool(t))
+                 for y, dv, t in zip(mesh, diff, in_tube))
 
     if tube_e is None:
         tube_measure = 0.0
@@ -466,12 +448,13 @@ def fiber_profile(outer: VPolytope, inner: VPolytope, h: Subspace, u: np.ndarray
     elif tdim == 2:
         tube_measure = polygon_area(hull_2d(tube_e.vertices))
     else:
-        tube_measure = cell * sum(1 for r in rows if r.in_tube)
+        tube_measure = cell * int(np.count_nonzero(in_tube))
 
+    positive = diff > 0.0
     return FiberProfile(
-        rows=tuple(rows),
+        rows=rows,
         cell_measure=cell,
-        diff_measure=cell * n_diff,
-        diff_measure_outside_tube=cell * n_diff_outside,
+        diff_measure=cell * int(np.count_nonzero(positive)),
+        diff_measure_outside_tube=cell * int(np.count_nonzero(positive & ~in_tube)),
         tube_measure=tube_measure,
     )

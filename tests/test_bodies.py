@@ -10,9 +10,12 @@ from projmetrics.bodies import (
     BodyParseError,
     VPolytope,
     bounding_radius,
+    contains,
     distance_to_hull,
+    facets,
     hull_2d,
     line_fiber,
+    line_fibers,
     load_body,
     membership,
     polygon_area,
@@ -150,6 +153,128 @@ class TestLineFiber:
         fs = line_fiber(small, base, direction)
         fb = line_fiber(big, base, direction)
         assert fb.lo <= fs.lo + 2e-9 and fs.hi <= fb.hi + 2e-9
+
+
+class TestLineFibers:
+    """Exact chords from facet equations, against closed forms and Wolfe."""
+
+    def test_rows_equal_line_fiber_bitwise(self):
+        rng = np.random.default_rng(11)
+        for dim in (2, 3):
+            body = VPolytope(rng.uniform(-1, 1, size=(9, dim)))
+            bases = rng.uniform(-1.5, 1.5, size=(40, dim))
+            direction = rng.normal(size=dim)
+            lo, hi, empty = line_fibers(body, bases, direction)
+            assert empty.any() and not empty.all()
+            for i, base in enumerate(bases):
+                f = line_fiber(body, base, direction)
+                assert (f.empty, f.lo, f.hi) == (empty[i], lo[i], hi[i])
+
+    def test_line_along_edge(self, square2):
+        u = np.array([1.0, 0.0])
+        for base in ([0.3, 0.0], [0.3, 1.0], [2.0, 1.0]):
+            assert line_fiber(square2, np.array(base), u).length == 1.0
+        assert line_fiber(square2, np.array([0.3, 1.0 + 1e-6]), u).empty
+        assert line_fiber(square2, np.array([0.3, -1e-6]), u).empty
+
+    def test_transversal_segment(self):
+        seg = VPolytope([[0.0, 0.0], [3.0, 0.0]])
+        f = line_fiber(seg, np.array([1.0, 0.5]), np.array([0.0, 2.0]))
+        assert not f.empty and f.length == 0.0
+        assert f.lo == pytest.approx(-0.25, abs=1e-15)
+        assert line_fiber(seg, np.array([4.0, 0.5]), np.array([0.0, 1.0])).empty
+
+    def test_segment_along_line(self):
+        seg = VPolytope([[0.0, 0.0], [3.0, 0.0]])
+        f = line_fiber(seg, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+        assert f.length == pytest.approx(3.0, rel=1e-12)
+        assert f.lo == pytest.approx(-1.0, abs=1e-12)
+        seg3 = VPolytope([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0]])
+        f = line_fiber(seg3, np.array([0.5, 1.0, 1.0]), np.array([2.0, 4.0, 4.0]))
+        assert f.length == pytest.approx(0.5, rel=1e-12)
+        assert line_fiber(seg3, np.array([0.5, 1.0, 1.1]), np.array([1.0, 2.0, 2.0])).empty
+
+    def test_single_point_body(self):
+        pt = VPolytope([[1.0, 2.0, 3.0]])
+        f = line_fiber(pt, np.array([0.0, 2.0, 3.0]), np.array([2.0, 0.0, 0.0]))
+        assert not f.empty and f.lo == f.hi == 0.5
+        assert line_fiber(pt, np.array([0.0, 2.1, 3.0]), np.array([1.0, 0.0, 0.0])).empty
+
+    def test_flat_polygon_in_space(self):
+        # a unit square in the plane z = 1 of R^3: in-plane lines get chords
+        # in frame coordinates, crossing lines a single point
+        sq = VPolytope([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+        f = line_fiber(sq, np.array([0.0, 0.5, 1.0]), np.array([1.0, 1.0, 0.0]))
+        assert f.lo == pytest.approx(0.0, abs=1e-15)
+        assert f.hi == pytest.approx(0.5, abs=1e-15)
+        f = line_fiber(sq, np.array([0.25, 0.5, 0.0]), np.array([0.0, 0.0, 1.0]))
+        assert not f.empty and f.lo == f.hi == pytest.approx(1.0, abs=1e-15)
+        assert line_fiber(sq, np.array([1.5, 0.5, 0.0]), np.array([0.0, 0.0, 1.0])).empty
+        assert line_fiber(sq, np.array([0.0, 0.5, 1.1]), np.array([1.0, 0.0, 0.0])).empty
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_qhull_polytope_against_wolfe(self, seed):
+        rng = np.random.default_rng(seed)
+        body = VPolytope(rng.uniform(-1, 1, size=(12, 3)))
+        direction = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        bases = rng.uniform(-0.6, 0.6, size=(25, 3))
+        lo, hi, empty = line_fibers(body, bases, direction)
+        assert (~empty).sum() >= 10
+        for base, a, b, e in zip(bases, lo, hi, empty):
+            if e:
+                # a line that misses stays clear of the body
+                ts = np.linspace(-4.0, 4.0, 81)
+                assert min(distance_to_hull(base + t * direction, body) for t in ts) > 0.0
+                continue
+            assert distance_to_hull(base + 0.5 * (a + b) * direction, body) <= 1e-9
+            assert distance_to_hull(base + (a - 1e-6) * direction, body) > 1e-9
+            assert distance_to_hull(base + (b + 1e-6) * direction, body) > 1e-9
+
+    def test_rejects_bad_input(self, square2):
+        with pytest.raises(ValueError):
+            line_fibers(square2, np.zeros((3, 3)), np.array([1.0, 0.0]))
+        with pytest.raises(ValueError):
+            line_fibers(square2, np.zeros((3, 2)), np.zeros(2))
+        with pytest.raises(ValueError):
+            line_fibers(square2, np.zeros((3, 2)), np.array([1.0, 0.0]), tol=0.0)
+
+
+class TestFacets:
+    def test_interval_and_square(self, square2):
+        a, b = facets(np.array([[2.0], [-1.0], [0.5]]))
+        x = np.array([[-1.5], [-1.0], [2.0], [2.5]])
+        assert np.all(x @ a.T + b <= 0, axis=1).tolist() == [False, True, True, False]
+        a, b = facets(square2.vertices)
+        assert a.shape == (4, 2)
+        assert np.allclose(np.linalg.norm(a, axis=1), 1.0)
+        assert np.all(square2.vertices @ a.T + b <= 0.0)
+        assert np.all(np.array([0.5, 0.5]) @ a.T + b == -0.5)
+
+    def test_qhull_facets_contain_vertices(self, cube3):
+        a, b = facets(cube3.vertices)
+        assert np.all(cube3.vertices @ a.T + b <= 1e-12)
+        assert np.all(np.full(3, 0.5) @ a.T + b < 0)
+
+    @pytest.mark.parametrize("verts", [[[1.0], [1.0]], [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]],
+                                       [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]])
+    def test_lower_dimensional_rejected(self, verts):
+        with pytest.raises(ValueError):
+            facets(np.array(verts))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_contains_matches_membership(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = 2 + seed % 2
+        bodies = [VPolytope(rng.uniform(-1, 1, size=(8, dim))),
+                  VPolytope(np.outer([0.0, 1.0], rng.normal(size=dim)))]
+        pts = rng.uniform(-1.2, 1.2, size=(200, dim))
+        for body in bodies:
+            dist = np.array([distance_to_hull(p, body) for p in pts])
+            clear = (dist == 0.0) | (dist > 1e-6)
+            assert np.array_equal(contains(body, pts)[clear], (dist <= 1e-9)[clear])
+        seg = bodies[1].vertices
+        assert contains(bodies[1], 0.3 * seg[1:] + 0.7 * seg[:1]).all()
 
 
 class TestHull2d:

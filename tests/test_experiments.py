@@ -323,6 +323,24 @@ class TestCli:
         table = read_csv(out)
         assert table.header == ["y", "fiber_diff_length", "in_tube"]
 
+    def test_fibers_cli_tube(self, tmp_path):
+        grown, square = TestFibersRunner().make_bodies()
+        tube = VPolytope([[0.5, 0.49], [0.5, 0.51]])
+        paths = {name: tmp_path / f"{name}.body" for name in ("a", "b", "tube", "flat")}
+        save_body(grown, paths["a"])
+        save_body(square, paths["b"])
+        save_body(tube, paths["tube"])
+        save_body(VPolytope([[0.49], [0.51]]), paths["flat"])
+        out = tmp_path / "fib.csv"
+        args = ["fibers", "--body-a", str(paths["a"]), "--body-b", str(paths["b"]),
+                "--grid", "200", "--out", str(out)]
+        assert main(args + ["--tube", str(paths["tube"])]) == 0
+        ref = tmp_path / "ref.csv"
+        write_csv(run_fibers(grown, square, "e1e2", 200, tube=tube), ref)
+        assert out.read_bytes() == ref.read_bytes()
+        assert "true" in read_csv(out).column("in_tube")
+        assert main(args + ["--tube", str(paths["flat"])]) == 3
+
     def test_config_error_exit_code(self, tmp_path):
         assert main(["thm1", "-d", "9", "-j", "2", "--steps", "2", "--l0", "2",
                      "--seed", "1", "--out", str(tmp_path / "x.csv")]) == 3

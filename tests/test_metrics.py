@@ -296,6 +296,21 @@ class TestFiberProfile:
         with pytest.raises(ValueError):
             fiber_profile(square2, outside, full_space(2), np.array([1.0, 0.0]), 10)
 
+    def test_needle_profile_exact(self):
+        # grown = conv{(0,0), (1,0), (8.5,.49), (8.5,.51), (1,1), (0,1)}: its
+        # chord at height y minus the square's is 7.5 min(y, .49, 1-y) / .49
+        square, grown, plane, u, tube = self.canonical_instance()
+        prof = fiber_profile(grown, square, plane, u, grid_n=400, tube=tube)
+        y = np.array([r.y[0] for r in prof.rows])
+        assert np.allclose(y, (np.arange(400) + 0.5) / 400, rtol=0.0, atol=1e-15)
+        exact = 7.5 * np.minimum(np.minimum(y, 1.0 - y), 0.49) / 0.49
+        diff = np.array([r.diff_length for r in prof.rows])
+        assert np.max(np.abs(diff - exact) / exact) <= 1e-12
+        in_tube = np.array([r.in_tube for r in prof.rows])
+        assert np.array_equal(in_tube, (y > 0.49) & (y < 0.51))
+        assert prof.diff_measure == prof.cell_measure * 400 == 1.0
+        assert prof.diff_measure_outside_tube == prof.cell_measure * 392
+
     def test_three_dim_transverse_grid(self, cube3):
         # 2-D transverse grid: the needle's own fibers extend the cube's
         plane = full_space(3)
