@@ -4,9 +4,9 @@ The min-norm-point solver gives point-to-hull distance, membership, and
 (through vertex scans) the Hausdorff metric.  Facet equations A x + b <= 0
 (interval ends, hull_2d edges, qhull) give exact line chords and bulk
 membership; a lower-dimensional hull is first reduced to the frame of its
-affine hull.  Exact 2-D geometry (monotone-chain hull, shoelace area,
-convex clipping) provides the oracle against which Monte Carlo estimators
-are checked.
+affine hull.  The same qhull call also gives the hull's volume.  Exact 2-D
+geometry (monotone-chain hull, shoelace area, convex clipping) provides the
+oracle against which Monte Carlo estimators are checked.
 """
 
 from __future__ import annotations
@@ -384,16 +384,18 @@ def _flat_facets(verts: np.ndarray):
     return origin, frame, vt[r:], *facets(_rowdot(verts - origin, frame))
 
 
-def _hull_equations(verts: np.ndarray):
-    """Facet inequalities A x + b <= 0 of conv(verts) from qhull (Barber,
-    Dobkin & Huhdanpaa, ACM TOMS 22(4), 1996), for dimension >= 3; None when
-    the hull is degenerate (volume zero)."""
+def _qhull(verts: np.ndarray):
+    """(A, b, volume) of conv(verts) from one qhull call (Barber, Dobkin &
+    Huhdanpaa, ACM TOMS 22(4), 1996), for dimension >= 3: the facet
+    inequalities A x + b <= 0 and the hull's volume.  None when the hull is
+    degenerate (volume zero)."""
     if _affine_rank(verts) < verts.shape[1]:
         return None
     from scipy.spatial import ConvexHull  # deferred: importing bodies stays cheap
 
-    eq = ConvexHull(verts).equations
-    return eq[:, :-1], eq[:, -1]
+    hull = ConvexHull(verts)
+    eq = hull.equations
+    return eq[:, :-1], eq[:, -1], float(hull.volume)
 
 
 def facets(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -417,9 +419,9 @@ def facets(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             a /= np.linalg.norm(a, axis=1)[:, None]
             return a, -np.sum(a * ring, axis=1)
     else:
-        eqs = _hull_equations(v)
-        if eqs is not None:
-            return eqs
+        hull = _qhull(v)
+        if hull is not None:
+            return hull[:2]
     raise ValueError(f"conv(verts) is not full-dimensional in R^{k}")
 
 

@@ -34,6 +34,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+MODE_HELP = ("auto: exact for a single or nested flat operand at every j, otherwise "
+             "exact per sample for j <= 2 and Monte Carlo for j >= 3; mc: per-sample "
+             "Monte Carlo everywhere (a cross-check); exact: j <= 2 only")
+
+
 def _build_parser() -> _Parser:
     top = _Parser(prog="projmetrics",
                   description="Projection-averaged metrics on convex bodies")
@@ -43,7 +48,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--subspaces", type=int, default=2000)
         p.add_argument("--points", type=int, default=2000)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--mode", choices=["auto", "mc", "exact"], default="auto")
+        p.add_argument("--mode", choices=["auto", "mc", "exact"], default="auto",
+                       help=MODE_HELP)
 
     p = sub.add_parser("metric", help="distance between two bodies (or body vs empty)")
     p.add_argument("--body-a", required=True)
@@ -75,7 +81,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--workers", type=int, default=1)
         p.add_argument("--subspaces", type=int, default=2000)
         p.add_argument("--points", type=int, default=2000)
-        p.add_argument("--mode", choices=["auto", "mc", "exact"], default="auto")
+        p.add_argument("--mode", choices=["auto", "mc", "exact"], default="auto",
+                       help=MODE_HELP)
 
     runner_flags(sub.add_parser("thm1", help="drift experiment"))
     runner_flags(sub.add_parser("thm2", help="dyadic-Cauchy experiment"))

@@ -6,20 +6,25 @@ coefficient.  With one operand absent the same code path yields the
 intrinsic volume V_j; with j = d no subspace averaging happens and the
 metric is exactly the symmetric difference metric.
 
-Inner volumes are exact for j <= 2 (interval / polygon oracles) and Monte
-Carlo for j >= 3.  Every random draw is addressed by (seed, sample index),
-so estimates are bit-identical for any worker count: sample i consumes
-streams 2i (subspace) and 2i+1 (points), and the reduction runs in index
-order.  The Haar frames of a batch of samples are drawn as one (n, d, j)
-array (grassmann.haar_frames) and the operands projected with one batched
-product; only the inner oracles run once per sample.
+Per-sample inner volumes are exact for j <= 2 (interval / polygon oracles)
+and Monte Carlo for j >= 3.  Every random draw is addressed by (seed,
+sample index), so estimates are bit-identical for any worker count: sample
+i consumes streams 2i (subspace) and 2i+1 (points), and the reduction runs
+in index order.  The Haar frames of a batch of samples are drawn as one
+(n, d, j) array (grassmann.haar_frames) and the operands projected with one
+batched product; only the inner oracles run once per sample.
 
 Flat bodies skip the per-sample oracles.  When the operands together span
 an affine j-flat with orthonormal frame Q, the projection onto H restricted
 to that flat is the linear map H^T Q, so every sample value is
 |det(H^T Q)| * vol_j(K symdiff L), with the in-flat volume computed once.
-On the exact path delta_j uses that identity (Kubota/Cauchy; Schneider,
-Convex Bodies, 2nd ed., sec. 5.3) for every such pair.
+Unless Monte Carlo is asked for, delta_j uses that identity (Kubota/Cauchy;
+Schneider, Convex Bodies, 2nd ed., sec. 5.3), so a single flat operand or a
+nested flat pair is exact at every j: interval and polygon oracles for
+j <= 2, one qhull volume per operand for j >= 3, where a nested pair gives
+|vol K - vol L|.  A flat pair that is not nested at j >= 3 keeps the
+per-sample path.  projected_volume under auto likewise takes the qhull
+volume at j >= 3.
 """
 
 from __future__ import annotations
@@ -35,8 +40,8 @@ from .bodies import (
     Interval,
     VPolytope,
     _affine_rank,
-    _hull_equations,
     _numerical_rank,
+    _qhull,
     contains,
     distance_to_hull,
     hull_2d,
@@ -69,7 +74,8 @@ AUX_STREAM_BASE = 1 << 32
 
 
 class UnsupportedModeError(ValueError):
-    """Exact inner volumes were requested in a dimension that has none."""
+    """No exact inner-volume oracle covers the request: exact mode at j >= 3,
+    or a symmetric difference at j >= 3 of a pair that is not nested."""
 
 
 @dataclass(frozen=True)
@@ -77,7 +83,10 @@ class SamplingPlan:
     n_subspaces: int = 2000
     n_points: int = 2000
     seed: int = 0
-    mode: str = "auto"  # auto | monte_carlo | exact
+    # auto: exact for a single or nested flat operand at every j, else exact
+    # per sample for j <= 2 and Monte Carlo for j >= 3; monte_carlo: always
+    # per-sample MC; exact: j <= 2 only
+    mode: str = "auto"
 
     def __post_init__(self):
         if self.n_subspaces < 1 or self.n_points < 1:
@@ -107,6 +116,13 @@ class MetricEstimate:
 # ---------------------------------------------------------------------------
 
 
+def _facet_inside(hull, verts: np.ndarray, pts: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Points of pts that pass the facet test of hull = _qhull(verts)."""
+    a, b, _ = hull
+    scale = max(1.0, float(np.max(np.abs(verts))))
+    return np.all(pts @ a.T + b <= tol * scale, axis=1)
+
+
 def _bulk_inside(verts: np.ndarray, pts: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     j = verts.shape[1]
     if j == 1:
@@ -114,12 +130,10 @@ def _bulk_inside(verts: np.ndarray, pts: np.ndarray, tol: float = 1e-12) -> np.n
         return (pts[:, 0] >= lo - tol) & (pts[:, 0] <= hi + tol)
     if j == 2:
         return ring_contains(hull_2d(verts), pts, tol)
-    eqs = _hull_equations(verts)
-    if eqs is None:
+    hull = _qhull(verts)
+    if hull is None:
         return np.zeros(pts.shape[0], dtype=bool)
-    a, b = eqs
-    scale = max(1.0, float(np.max(np.abs(verts))))
-    return np.all(pts @ a.T + b <= tol * scale, axis=1)
+    return _facet_inside(hull, verts, pts, tol)
 
 
 def _interval_of(verts: np.ndarray) -> Interval:
@@ -131,7 +145,8 @@ def _exact_volume(verts: np.ndarray, j: int) -> float:
         return _interval_of(verts).length
     if j == 2:
         return polygon_area(hull_2d(verts))
-    raise UnsupportedModeError(f"no exact volume oracle in dimension {j}")
+    hull = _qhull(verts)
+    return 0.0 if hull is None else hull[2]
 
 
 def _ring_key(ring: np.ndarray):
@@ -149,7 +164,14 @@ def _exact_symdiff(va: np.ndarray, vb: np.ndarray, j: int) -> float:
             ra, rb = rb, ra
         inter = polygon_area(polygon_clip(ra, rb))
         return max(0.0, polygon_area(ra) + polygon_area(rb) - 2.0 * inter)
-    raise UnsupportedModeError(f"no exact symmetric difference oracle in dimension {j}")
+    # j >= 3: a nested pair only, |vol A - vol B| with one qhull call per operand
+    ha, hb = _qhull(va), _qhull(vb)
+    vol_a, vol_b = (0.0 if h is None else h[2] for h in (ha, hb))
+    for hull, outer, inner in ((ha, va, vb), (hb, vb, va)):
+        if hull is not None and np.all(_facet_inside(hull, outer, inner)):
+            return abs(vol_a - vol_b)
+    raise UnsupportedModeError(f"no exact symmetric difference oracle in dimension {j} "
+                               "for a pair that is not nested")
 
 
 def _sample_box(verts: np.ndarray, n: int, stream: RngStream):
@@ -223,12 +245,13 @@ def _batch_values(task) -> np.ndarray:
 
 def _flat_values(seed: int, n: int, d: int, j: int, va, vb) -> np.ndarray | None:
     """Exact sample values of operands that together span an affine j-flat,
-    None for any other pair.
+    None for any other pair and, at j >= 3, for a pair that is not nested.
 
     With Q an orthonormal d x j frame of the flat, sample i is the in-flat
     volume scaled by |det(H_i^T Q)|.  Q and the in-flat coordinates come
-    from the sorted union of the vertices, so they do not depend on operand
-    or vertex order."""
+    from the sorted union of the vertices, and at j >= 3 each operand hands
+    qhull its vertices in that sorted order, so no bit depends on operand or
+    vertex order."""
     ops = [v for v in (va, vb) if v is not None]
     pts, inverse = np.unique(np.vstack(ops), axis=0, return_inverse=True)
     centered = pts - pts[0]
@@ -236,11 +259,15 @@ def _flat_values(seed: int, n: int, d: int, j: int, va, vb) -> np.ndarray | None
     if _numerical_rank(sv) != j:
         return None
     q = vt[:j].T
-    coords = (centered @ q)[inverse.reshape(-1)]
-    if len(ops) == 1:
-        inner = _exact_volume(coords, j)
-    else:
-        inner = _exact_symdiff(coords[:va.shape[0]], coords[va.shape[0]:], j)
+    flat = centered @ q
+    index = np.split(inverse.reshape(-1), [ops[0].shape[0]])[:len(ops)]
+    if j > 2:  # qhull's bits depend on the order of its input points
+        index = [np.unique(i) for i in index]
+    coords = [flat[i] for i in index]
+    try:
+        inner = _exact_volume(*coords, j) if len(ops) == 1 else _exact_symdiff(*coords, j)
+    except UnsupportedModeError:  # a pair that is not nested, at j >= 3
+        return None
     frames = haar_frames(d, j, seed, np.arange(n))
     return np.abs(np.linalg.det(np.swapaxes(frames, 1, 2) @ q)) * inner
 
@@ -268,7 +295,7 @@ def projected_volume(body: VPolytope, h: Subspace, plan: SamplingPlan,
         raise ValueError("body and subspace ambient dimensions differ")
     j = h.dim
     verts = body.vertices @ h.basis
-    if _inner_exact(j, plan.mode):
+    if _inner_exact(j, plan.mode) or plan.mode == "auto":  # qhull volume at j >= 3
         val = _exact_volume(verts, j)
         return MetricEstimate(val, 0.0, 1, 0, exact=True, per_subspace=((0, val),))
     stream = RngStream(plan.seed, 2 * sample_index + 1)
@@ -329,7 +356,8 @@ def delta_j(a: VPolytope | None, b: VPolytope | None, j: int, plan: SamplingPlan
         )
 
     n = plan.n_subspaces
-    fvals = _flat_values(plan.seed, n, d, j, va, vb) if exact_inner else None
+    fvals = None if plan.mode == "monte_carlo" else _flat_values(plan.seed, n, d, j, va, vb)
+    sampled = fvals is None and not exact_inner
     if fvals is None:
         fvals = _collect_values(plan.seed, n, d, j, va, vb, plan.n_points, exact_inner,
                                 workers)
@@ -339,7 +367,7 @@ def delta_j(a: VPolytope | None, b: VPolytope | None, j: int, plan: SamplingPlan
         value=value,
         std_error=se,
         n_subspaces=n,
-        n_points_per_subspace=0 if exact_inner else plan.n_points,
+        n_points_per_subspace=plan.n_points if sampled else 0,
         exact=False,
         per_subspace=tuple((i, float(f)) for i, f in enumerate(fvals)),
     )

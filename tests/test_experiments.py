@@ -6,8 +6,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from scipy.spatial import ConvexHull
+
 from projmetrics.bodies import VPolytope, save_body
-from projmetrics.constructions import NeedleSpec, augment, prism_needle
+from projmetrics.constructions import NeedleSpec, augment, prism_needle, thm1_sequence
 from projmetrics.experiments import (
     ConfigError,
     CsvTable,
@@ -23,7 +25,7 @@ from projmetrics.experiments import (
     write_svg,
 )
 from projmetrics.experiments.cli import main
-from projmetrics.experiments.runners import _slope_footer
+from projmetrics.experiments.runners import _slope_footer, unit_cube_body
 from projmetrics.grassmann import full_space
 
 SMALL = dict(d=3, j=2, seed=42, n_subspaces=150, n_points=2000, steps=3)
@@ -113,6 +115,34 @@ class TestThm1Runner:
         parallel = run_thm1(ExperimentConfig(**{**SMALL, "workers": 4}))
         assert serial.to_bytes() == parallel.to_bytes()
 
+    def test_flat_needles_at_j3(self):
+        # every K_i lies in the cube's 3-plane, so delta_3(K_i, cube) is
+        # vol_3(K_i) - 1; box MC used to report rows 8 and 9 as 51.0 +- 22.2
+        # and 28.3 +- 13.6 against 170.5 and 341.2
+        cfg = ExperimentConfig(d=4, j=3, seed=1, n_subspaces=200, n_points=2000, steps=12)
+        table = run_thm1(cfg)
+        base, plane, x0, u = unit_cube_body(4, 3)
+        seq = thm1_sequence(base, plane, x0, u, cfg.l0, cfg.steps)
+        for i, exact in ((8, 170.5), (9, 341.2)):
+            body = seq[i][1]
+            assert ConvexHull(body.vertices[:, :3]).volume - 1.0 == pytest.approx(exact,
+                                                                                  abs=0.05)
+            record = dict(zip(table.header, table.rows[i]))
+            value, se = float(record["delta_hat"]), float(record["delta_se"])
+            assert se > 0.0 and abs(value - exact) <= 6.0 * se
+
+    def test_monte_carlo_mode_worker_invariance(self, tmp_path):
+        # mode="monte_carlo" keeps the per-sample box MC and the process pool
+        base = dict(d=4, j=3, seed=3, n_subspaces=20, n_points=300, steps=3)
+        paths = []
+        for workers in (1, 2):
+            path = tmp_path / f"thm1_w{workers}.csv"
+            write_csv(run_thm1(ExperimentConfig(**base, workers=workers,
+                                                mode="monte_carlo")), path)
+            paths.append(path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert run_thm1(ExperimentConfig(**base)).to_bytes() != paths[0].read_bytes()
+
     def test_drift_floor_frozen_values(self):
         # floor = L_i - ||centroid|| - R_K with the unit square's 0.70711 / 1.41421
         table = run_thm1(ExperimentConfig(**SMALL))
@@ -143,7 +173,8 @@ class TestThm2Runner:
             run_thm2(ExperimentConfig(d=3, j=3, seed=0, n_subspaces=10, steps=2))
 
     def test_monte_carlo_lane(self):
-        # j = 3 has no exact inner volumes: the whole row pipeline runs on MC
+        # j = 3: the flat nested steps and the needle's projected volume are
+        # exact qhull volumes; only the outside-mass column runs on MC
         cfg = ExperimentConfig(d=4, j=3, seed=11, n_subspaces=40, n_points=4000, steps=3)
         table = run_thm2(cfg)
         assert len(table.rows) == 3
@@ -151,6 +182,19 @@ class TestThm2Runner:
             record = dict(zip(table.header, row))
             assert float(record["step_delta_hat"]) > 0.0
             assert float(record["measured_block"]) > 0.0
+
+
+    def test_needle_block_at_j3(self):
+        # the projected needle volume is exact at j = 3; box MC used to give
+        # 0 +- 0 and abort at m = 2 with "measured block 0 below corrected bound"
+        cfg = ExperimentConfig(d=4, j=3, seed=1, n_subspaces=50, n_points=2000, steps=12)
+        table = run_thm2(cfg)
+        assert len(table.rows) == 12
+        for row in table.rows:
+            record = dict(zip(table.header, row))
+            assert float(record["measured_block"]) == pytest.approx(
+                float(record["corrected_block"]), rel=1e-9)
+            assert float(record["step_delta_hat"]) > 0.0
 
 
 class TestThm3Runner:

@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from conftest import random_convex_polygon, unit_cube
 from projmetrics.bodies import VPolytope
@@ -49,6 +51,19 @@ class TestProjectedVolume:
     def test_exact_mode_unavailable_high_dim(self, cube3):
         with pytest.raises(UnsupportedModeError):
             projected_volume(cube3, full_space(3), SamplingPlan(seed=0, mode="exact"))
+
+    def test_qhull_volume_at_j3(self):
+        # auto takes the exact qhull volume at j >= 3, MC only when asked
+        a, _, q, offset = tilted_solids(3)
+        h = haar_sample(4, 3, RngStream(5, 0))
+        exact = projected_volume(a, h, SamplingPlan(seed=1))
+        assert exact.exact and exact.std_error == 0.0 and exact.n_points_per_subspace == 0
+        in_flat = ConvexHull((a.vertices - offset) @ q).volume
+        assert exact.value == pytest.approx(
+            abs(np.linalg.det(h.basis.T @ q)) * in_flat, rel=1e-12)
+        mc = projected_volume(a, h, SamplingPlan(n_points=100_000, seed=1,
+                                                 mode="monte_carlo"))
+        assert not mc.exact and abs(mc.value - exact.value) <= 4.0 * mc.std_error
 
     @pytest.mark.parametrize("seed", range(5))
     def test_monotone_under_containment(self, seed):
@@ -207,6 +222,83 @@ class TestFlatBodies:
         for other in (delta_j(b, a, 2, plan), delta_j(b, shuffled, 2, plan)):
             assert other.value == ab.value and other.std_error == ab.std_error
             assert other.per_subspace == ab.per_subspace
+
+
+def tilted_solids(seed: int):
+    """A random 3-polytope and a shrunk copy inside it in one tilted affine
+    3-flat of R^4, with the copy's vertices in the flat's coordinates."""
+    rng = np.random.default_rng(seed)
+    q = gram_schmidt(np.array([[1.0, 0.2, -0.3], [0.3, 1.0, 0.1],
+                               [0.7, -0.4, 1.0], [0.2, 0.5, 0.6]]))
+    offset = np.array([0.3, -1.1, 2.0, 0.5])
+    a3 = rng.uniform(-1.0, 1.0, size=(10, 3))
+    b3 = 0.6 * a3 + 0.4 * a3.mean(axis=0)
+    return VPolytope(offset + a3 @ q.T), VPolytope(offset + b3 @ q.T), q, offset
+
+
+class TestFlatSolids:
+    """Flat bodies at j = 3: one qhull volume per operand, |det(H^T Q)| per
+    sample, and the per-sample MC path only for a pair that is not nested."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nested_difference_of_volumes(self, seed):
+        a, b, _, _ = tilted_solids(seed)
+        plan = SamplingPlan(n_subspaces=300, seed=seed)
+        diff = intrinsic_volume(a, 3, plan).value - intrinsic_volume(b, 3, plan).value
+        est = delta_j(a, b, 3, plan)
+        assert est.value == pytest.approx(diff, rel=1e-12)
+        assert est.std_error > 0.0 and est.n_points_per_subspace == 0
+
+    def test_common_flat_identity(self):
+        # delta_3 of nested bodies in a common 3-flat is vol_3(K) - vol_3(L)
+        a, b, q, offset = tilted_solids(5)
+        exact = (ConvexHull((a.vertices - offset) @ q).volume
+                 - ConvexHull((b.vertices - offset) @ q).volume)
+        est = delta_j(a, b, 3, SamplingPlan(n_subspaces=2000, seed=5))
+        assert abs(est.value - exact) <= 4.0 * est.std_error
+
+    def test_symmetry_bitwise(self):
+        # for this body qhull's volume moves in the last bits with the order
+        # of its input points; the flat path must not
+        a, b, _, _ = tilted_solids(62)
+        plan = SamplingPlan(n_subspaces=100, seed=2)
+        ab = delta_j(a, b, 3, plan)
+        va = intrinsic_volume(a, 3, plan)
+        assert delta_j(b, a, 3, plan) == ab
+        for k in range(20):
+            perm = np.random.default_rng(k).permutation(a.n_vertices)
+            pa, pb = VPolytope(a.vertices[perm]), VPolytope(b.vertices[perm])
+            assert delta_j(pb, pa, 3, plan) == ab
+            assert intrinsic_volume(pa, 3, plan) == va
+
+    def test_overlapping_pair_takes_monte_carlo(self):
+        # neither box holds the other: vol A + vol B - 2 vol(A cap B) = 1
+        q = gram_schmidt(np.array([[1.0, 0.1, 0.2], [0.4, 1.0, -0.3],
+                                   [-0.2, 0.3, 1.0], [0.5, -0.6, 0.4]]))
+        corners = np.array(list(itertools.product((0.0, 1.0), repeat=3)))
+        shift = np.array([0.5, 0.0, 0.0])
+        overlap = corners * np.array([0.5, 1.0, 1.0]) + shift
+        exact = (ConvexHull(corners).volume + ConvexHull(corners + shift).volume
+                 - 2.0 * ConvexHull(overlap).volume)
+        a, b = VPolytope(corners @ q.T), VPolytope((corners + shift) @ q.T)
+        plan = SamplingPlan(n_subspaces=300, n_points=2000, seed=3)
+        est = delta_j(a, b, 3, plan)
+        assert est.n_points_per_subspace == plan.n_points
+        assert abs(est.value - exact) <= 4.0 * est.std_error
+
+    def test_monte_carlo_mode_skips_the_flat_path(self):
+        a, b, _, _ = tilted_solids(1)
+        plan = SamplingPlan(n_subspaces=20, n_points=500, seed=1, mode="monte_carlo")
+        est = delta_j(a, b, 3, plan)
+        loop = _batch_values((plan.seed, 0, plan.n_subspaces, 4, 3, a.vertices, b.vertices,
+                              plan.n_points, False))
+        assert est.n_points_per_subspace == plan.n_points
+        assert [f for _, f in est.per_subspace] == list(loop)
+
+    def test_exact_mode_still_unavailable(self):
+        a, b, _, _ = tilted_solids(0)
+        with pytest.raises(UnsupportedModeError):
+            delta_j(a, b, 3, SamplingPlan(seed=0, mode="exact"))
 
 
 class TestIntrinsicVolume:
