@@ -1,0 +1,61 @@
+#!/usr/bin/env python3
+"""Run thm1, thm2 and thm3 through the CLI at every accepted 2 <= j <= d <= 8.
+
+Each cell runs at --steps 12, 50 subspaces, 500 points and seed 1, with
+RuntimeWarnings turned into errors.  One line per cell gives the exit code
+and the seconds taken; the script exits 1 if any cell did not exit 0.  An
+exception that escapes the CLI is printed with its traceback and reported
+as the cell's exit code "exception".
+
+Usage: PYTHONPATH=src python scripts/envelope_sweep.py
+About two minutes end to end, half of it thm1 at (8, 8); the tables go to a
+temporary directory.
+"""
+
+import pathlib
+import sys
+import tempfile
+import time
+import traceback
+import warnings
+
+from projmetrics.experiments.cli import main as cli_main
+
+
+def cells():
+    """(command, d, j) for every cell the CLI accepts: thm2 and thm3 need j < d."""
+    for d in range(2, 9):
+        for j in range(2, d + 1):
+            for command in ("thm1", "thm2", "thm3"):
+                if command == "thm1" or j < d:
+                    yield command, d, j
+
+
+def run_cell(command: str, d: int, j: int, out: pathlib.Path):
+    argv = [command, "-d", str(d), "-j", str(j), "--steps", "12", "--subspaces", "50",
+            "--points", "500", "--seed", "1", "--out", str(out / f"{command}_d{d}_j{j}.csv")]
+    start = time.perf_counter()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli_main(argv)
+    except Exception:  # the sweep reports every cell, so it records this one and goes on
+        traceback.print_exc()
+        code = "exception"
+    return code, time.perf_counter() - start
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        failed = []
+        for command, d, j in cells():
+            code, seconds = run_cell(command, d, j, pathlib.Path(tmp))
+            print(f"{command} d={d} j={j} exit={code} seconds={seconds:.2f}", flush=True)
+            if code != 0:
+                failed.append(f"{command}({d},{j})")
+    print(f"{len(failed)} failed cell(s)" + (": " + " ".join(failed) if failed else ""))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

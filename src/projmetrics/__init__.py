@@ -40,6 +40,7 @@ from .grassmann import (
     axis_subspace,
     full_space,
     goodness,
+    goodness_stack,
     haar_frames,
     haar_sample,
     project_body,

@@ -44,7 +44,8 @@ class BodyParseError(ValueError):
 
 
 class NonConvergenceError(RuntimeError):
-    """Min-norm-point iteration failed to converge (ill-conditioned input)."""
+    """A numerical routine failed on ill-conditioned input: the min-norm-point
+    iteration did not converge, or qhull could not build a hull."""
 
 
 @dataclass(frozen=True)
@@ -388,12 +389,18 @@ def _qhull(verts: np.ndarray):
     """(A, b, volume) of conv(verts) from one qhull call (Barber, Dobkin &
     Huhdanpaa, ACM TOMS 22(4), 1996), for dimension >= 3: the facet
     inequalities A x + b <= 0 and the hull's volume.  None when the hull is
-    degenerate (volume zero)."""
+    degenerate (volume zero); a qhull failure on a full-rank input raises
+    NonConvergenceError."""
     if _affine_rank(verts) < verts.shape[1]:
         return None
-    from scipy.spatial import ConvexHull  # deferred: importing bodies stays cheap
+    from scipy.spatial import ConvexHull, QhullError  # deferred: importing bodies stays cheap
 
-    hull = ConvexHull(verts)
+    try:
+        hull = ConvexHull(verts)
+    except QhullError as exc:
+        reason = str(exc).strip().partition("\n")[0]
+        raise NonConvergenceError(f"qhull failed on a {verts.shape[0]} x {verts.shape[1]} "
+                                  f"vertex array: {reason}") from exc
     eq = hull.equations
     return eq[:, :-1], eq[:, -1], float(hull.volume)
 

@@ -1,12 +1,13 @@
 """Command-line entry point.
 
-Exit codes: 0 all assertions pass, 2 assertion failure, 3 configuration
-error, 4 I/O error.
+Exit codes: 0 all assertions pass, 2 assertion failure or numerical failure
+(NonConvergenceError), 3 configuration error, 4 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from ..bodies import BodyParseError, NonConvergenceError, load_body
@@ -39,6 +40,7 @@ MODE_HELP = ("auto: exact for a single or nested flat operand at every j, otherw
              "Monte Carlo everywhere (a cross-check); exact: j <= 2 only")
 
 
+@functools.cache  # one tree per process: parse_args leaves the parser unchanged
 def _build_parser() -> _Parser:
     top = _Parser(prog="projmetrics",
                   description="Projection-averaged metrics on convex bodies")

@@ -2,11 +2,16 @@
 
 A subspace is stored as an orthonormal basis; all downstream geometry is
 done in the j coordinates of that basis, never in ambient coordinates, so
-j-dimensional volume is well-defined and the exact 2-D oracles apply."""
+j-dimensional volume is well-defined and the exact 2-D oracles apply.
+
+Frames and good-subspace certificates are computed for a whole (n, d, j)
+frame stack at once (haar_frames, goodness_stack); the one-subspace calls
+haar_sample and goodness are their one-row cases, bit for bit."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,9 +21,7 @@ from .numerics import (
     RngStream,
     ball_volume,
     gaussian_rows,
-    gram_jacobian,
     gram_schmidt_stack,
-    singular_min,
 )
 
 __all__ = [
@@ -33,7 +36,9 @@ __all__ = [
     "project_body",
     "axis_split",
     "complete_to_basis",
+    "CertificateStack",
     "goodness",
+    "goodness_stack",
 ]
 
 DEGENERACY_TOL = 1e-12
@@ -144,24 +149,25 @@ def project_body(h: Subspace, body: VPolytope) -> VPolytope:
 
 def complete_to_basis(v: np.ndarray) -> np.ndarray:
     """Orthonormal completion of a unit vector v in R^j to a j x (j-1) frame
-    of v-perp, via the Householder reflection exchanging v and +-e1.
+    of v-perp, via the Householder reflection exchanging v and +-e1.  A
+    (..., j) stack of vectors gives a (..., j, j-1) stack of frames, each
+    row with the bits of its one-vector call.
 
     Sign convention: each completion column has its first nonzero coordinate
     positive, so results are reproducible across platforms."""
     v = np.asarray(v, dtype=float)
-    j = v.shape[0]
-    if j == 1:
-        return np.zeros((1, 0))
-    alpha = -1.0 if v[0] >= 0 else 1.0
-    w = v - alpha * np.eye(j)[0]
-    ww = float(w @ w)  # = 2 (1 - alpha*v[0]) >= 2, never cancels
-    refl = np.eye(j) - 2.0 * np.outer(w, w) / ww
-    comp = refl[:, 1:].copy()
-    for col in range(comp.shape[1]):
-        lead = comp[:, col][np.abs(comp[:, col]) > 1e-14]
-        if lead.size and lead[0] < 0:
-            comp[:, col] = -comp[:, col]
-    return comp
+    j = v.shape[-1]
+    rows = v.reshape(-1, j)
+    alpha = np.where(rows[:, 0] >= 0, -1.0, 1.0)
+    w = rows - alpha[:, None] * np.eye(j)[0]
+    ww = np.vecdot(w, w)  # = 2 (1 - alpha*v[0]) >= 2, never cancels
+    refl = np.eye(j) - 2.0 * (w[:, :, None] * w[:, None, :]) / ww[:, None, None]
+    comp = refl[:, :, 1:]
+    nonzero = np.abs(comp) > 1e-14
+    lead = np.take_along_axis(comp, np.argmax(nonzero, axis=1)[:, None, :], axis=1)[:, 0]
+    flip = np.any(nonzero, axis=1) & (lead < 0)
+    comp = np.where(flip[:, None, :], -comp, comp)
+    return comp.reshape(v.shape[:-1] + (j, j - 1))
 
 
 def axis_split(h: Subspace, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -196,43 +202,72 @@ class GoodnessCertificate:
     c: float
 
 
-def goodness(h: Subspace, plane: Subspace, u: np.ndarray) -> GoodnessCertificate:
-    """Certificate for subspace h against construction plane `plane` and unit
-    axis u (u must lie in the plane).
+class CertificateStack(NamedTuple):
+    """The fields of GoodnessCertificate for an (n, d, j) frame stack, one
+    row per frame: sigma_min, ell, jacobian, b and c are (n,) arrays, u_h is
+    (n, j), e_h_basis (n, j, j-1) and transverse_map (n, j-1, j-1)."""
 
-    A degenerate projected axis is reported, never resampled: the certificate
-    then carries sigma_min and ell with jacobian = b = c = 0."""
-    if plane.dim != h.dim:
-        raise ValueError(f"plane dimension {plane.dim} != subspace dimension {h.dim}")
+    sigma_min: np.ndarray
+    ell: np.ndarray
+    u_h: np.ndarray
+    e_h_basis: np.ndarray
+    transverse_map: np.ndarray
+    jacobian: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+
+
+def goodness_stack(frames: np.ndarray, plane: Subspace, u: np.ndarray) -> CertificateStack:
+    """Certificates of every frame of an (n, d, j) orthonormal stack against
+    construction plane `plane` and unit axis u (u must lie in the plane):
+    one batched SVD for sigma_min, one stacked Householder completion of the
+    projected axes and one batched SVD of the transverse maps.
+
+    A degenerate projected axis is reported, never resampled: its row
+    carries sigma_min and ell with zero u_h, e_h_basis and transverse map
+    and jacobian = b = c = 0."""
+    f = np.asarray(frames, dtype=float)
+    if f.ndim != 3 or f.shape[1] != plane.ambient_dim:
+        raise ValueError(f"frames must be (n, {plane.ambient_dim}, j), got {f.shape}")
+    j = f.shape[2]
+    if plane.dim != j:
+        raise ValueError(f"plane dimension {plane.dim} != subspace dimension {j}")
     u = np.asarray(u, dtype=float)
     if abs(float(np.linalg.norm(u)) - 1.0) > 1e-10:
         raise ValueError("axis u must be a unit vector")
     if float(np.linalg.norm(plane.basis @ (plane.basis.T @ u) - u)) > 1e-10:
         raise ValueError("axis u must lie in the construction plane")
-    j = h.dim
+    ft = np.swapaxes(f, 1, 2)
+    if f.size and float(np.max(np.abs(ft @ f - np.eye(j)))) >= 1e-10:
+        raise ValueError("basis columns are not orthonormal")
 
-    proj_matrix = h.basis.T @ plane.basis  # map of the restricted projection, j x j
-    sigma = singular_min(proj_matrix)
-    pu = h.basis.T @ u
-    ell = float(np.linalg.norm(pu))
+    # the restricted projection's j x j maps
+    sigma = np.linalg.svd(ft @ plane.basis, compute_uv=False)[:, -1]
+    pu = ft @ u
+    ell = np.sqrt(np.vecdot(pu, pu))
+    live = ell > DEGENERACY_TOL
 
-    if ell <= DEGENERACY_TOL:
-        return GoodnessCertificate(
-            sigma_min=sigma, ell=ell,
-            u_h=np.zeros(j), e_h_basis=np.zeros((j, max(j - 1, 0))),
-            transverse_map=np.zeros((max(j - 1, 0), max(j - 1, 0))),
-            jacobian=0.0, b=0.0, c=0.0,
-        )
-
-    u_h = pu / ell
-    e_h_basis = complete_to_basis(u_h)
+    u_h = np.zeros_like(pu)
+    u_h[live] = pu[live] / ell[live, None]
+    e_h_basis = np.zeros(f.shape[:1] + (j, j - 1))
+    e_h_basis[live] = complete_to_basis(u_h[live])
     # orthonormal frame of the axis complement inside the plane, in ambient coords
     u_plane = plane.basis.T @ u
     plane_comp = plane.basis @ complete_to_basis(u_plane / np.linalg.norm(u_plane))
-    transverse = e_h_basis.T @ (h.basis.T @ plane_comp)  # (j-1) x (j-1)
-    jac = gram_jacobian(transverse)
+    transverse = np.swapaxes(e_h_basis, 1, 2) @ (ft @ plane_comp)  # (n, j-1, j-1)
+    # product of singular values; the empty product 1 is the 0-dimensional Jacobian
+    jac = np.where(live, np.prod(np.linalg.svd(transverse, compute_uv=False), axis=1), 0.0)
     b = jac * ball_volume(j - 1)
+    return CertificateStack(sigma_min=sigma, ell=ell, u_h=u_h, e_h_basis=e_h_basis,
+                            transverse_map=transverse, jacobian=jac, b=b, c=2.0 * ell * b)
+
+
+def goodness(h: Subspace, plane: Subspace, u: np.ndarray) -> GoodnessCertificate:
+    """Certificate for subspace h against construction plane `plane` and unit
+    axis u: the one-frame case of goodness_stack."""
+    row = goodness_stack(h.basis[None], plane, u)
     return GoodnessCertificate(
-        sigma_min=sigma, ell=ell, u_h=u_h, e_h_basis=e_h_basis,
-        transverse_map=transverse, jacobian=jac, b=b, c=2.0 * ell * b,
+        sigma_min=float(row.sigma_min[0]), ell=float(row.ell[0]), u_h=row.u_h[0],
+        e_h_basis=row.e_h_basis[0], transverse_map=row.transverse_map[0],
+        jacobian=float(row.jacobian[0]), b=float(row.b[0]), c=float(row.c[0]),
     )

@@ -25,8 +25,14 @@ from projmetrics.experiments import (
     write_svg,
 )
 from projmetrics.experiments.cli import main
-from projmetrics.experiments.runners import _slope_footer, unit_cube_body
-from projmetrics.grassmann import full_space
+from projmetrics.experiments.runners import (
+    AUX_STREAM_BASE,
+    GOOD_SIGMA,
+    _good_subspace_scan,
+    _slope_footer,
+    unit_cube_body,
+)
+from projmetrics.grassmann import Subspace, full_space, goodness, haar_frames
 
 SMALL = dict(d=3, j=2, seed=42, n_subspaces=150, n_points=2000, steps=3)
 
@@ -232,6 +238,65 @@ class TestLemmaRunner:
         cfg = ExperimentConfig(d=4, j=2, seed=1, n_subspaces=500, n_points=1)
         assert run_lemma(cfg).to_bytes() == run_lemma(cfg).to_bytes()
 
+    @pytest.mark.parametrize("d,j", [(4, 2), (5, 3)])
+    def test_equals_per_frame_loop(self, d, j):
+        cfg = ExperimentConfig(d=d, j=j, seed=7, n_subspaces=1500, n_points=1)
+        _, plane, _, u = unit_cube_body(d, j)
+        e1 = np.zeros(d)
+        e1[0] = 1.0
+        sigma, ell, jac, proj2 = [], [], [], []
+        for basis in haar_frames(d, j, cfg.seed, np.arange(cfg.n_subspaces)):
+            h = Subspace(basis)
+            cert = goodness(h, plane, u)
+            sigma.append(cert.sigma_min)
+            ell.append(cert.ell)
+            jac.append(cert.jacobian)
+            proj2.append(float(np.sum((h.basis.T @ e1) ** 2)))
+        sigma, ell, jac, proj2 = map(np.asarray, (sigma, ell, jac, proj2))
+        ref = CsvTable(header=run_lemma(cfg).header)
+        ref.add_row([cfg.n_subspaces, float(sigma.min()), float(sigma.mean()),
+                     float(ell.min()), float(ell.mean()), float(jac.min()),
+                     float(jac.mean()), int(np.sum(sigma < GOOD_SIGMA)),
+                     float(proj2.mean()), j / d])
+        assert run_lemma(cfg).to_bytes() == ref.to_bytes()
+
+
+class TestGoodSubspaceScan:
+    @pytest.mark.parametrize("d,j", [(3, 2), (4, 3)])
+    def test_equals_per_frame_loop(self, d, j):
+        cfg = ExperimentConfig(d=d, j=j, seed=3, n_subspaces=300, n_points=1)
+        _, plane, _, u = unit_cube_body(d, j)
+        passing = []
+        for basis in haar_frames(d, j, cfg.seed,
+                                 AUX_STREAM_BASE // 2 + np.arange(cfg.n_subspaces)):
+            cert = goodness(Subspace(basis), plane, u)
+            if cert.sigma_min > GOOD_SIGMA and cert.c > 0:
+                passing.append(basis)
+        first = passing[0]
+        fraction, (h, cert) = _good_subspace_scan(cfg, plane, u)
+        assert fraction == len(passing) / cfg.n_subspaces
+        assert np.array_equal(h.basis, first)
+        ref = goodness(Subspace(first), plane, u)
+        for name in ("sigma_min", "ell", "u_h", "e_h_basis", "transverse_map",
+                     "jacobian", "b", "c"):
+            assert np.array_equal(getattr(cert, name), getattr(ref, name))
+
+    def test_skips_frames_that_fail(self, monkeypatch):
+        from projmetrics.experiments import runners
+
+        def first_degenerate(d, j, seed, indices):
+            frames = haar_frames(d, j, seed, indices)
+            frames[:2] = np.eye(d)[:, [1, 2]]  # e1 projects to zero: c = 0
+            return frames
+
+        monkeypatch.setattr(runners, "haar_frames", first_degenerate)
+        cfg = ExperimentConfig(d=3, j=2, seed=3, n_subspaces=50, n_points=1)
+        _, plane, _, u = unit_cube_body(3, 2)
+        fraction, (h, cert) = _good_subspace_scan(cfg, plane, u)
+        assert fraction == 48 / 50
+        assert np.array_equal(h.basis, haar_frames(3, 2, 3, [AUX_STREAM_BASE // 2 + 2])[0])
+        assert cert.c > 0
+
 
 class TestValidationRunner:
     def test_all_checks_pass(self):
@@ -391,6 +456,34 @@ class TestCli:
         assert main(["metric", "--body-a", "missing.body", "--empty",
                      "-d", "2", "-j", "1"]) == 3
         assert main(["nonsense"]) == 3
+
+    def test_consecutive_calls_share_no_state(self, tmp_path):
+        args = ["thm1", "-d", "3", "-j", "2", "--steps", "2", "--seed", "1",
+                "--subspaces", "20", "--out", str(tmp_path / "a.csv")]
+        svg = tmp_path / "a.svg"
+        assert main(args + ["--svg", str(svg)]) == 0
+        svg.unlink()
+        assert main(args) == 0
+        assert not svg.exists()
+        assert main(["thm1", "-d", "3", "--out", str(tmp_path / "b.csv")]) == 3
+        assert main(args) == 0
+        assert not svg.exists()
+
+    def test_qhull_failure_exits_cleanly(self, tmp_path, monkeypatch, capsys):
+        import scipy.spatial
+        from scipy.spatial import QhullError
+
+        def fail(*args, **kwargs):
+            raise QhullError("QH6271 qhull topology error: wide merge\nmore detail")
+
+        body = tmp_path / "cube.body"
+        save_body(VPolytope(np.array([[a, b, c] for a in (0.0, 1.0) for b in (0.0, 1.0)
+                                      for c in (0.0, 1.0)])), body)
+        monkeypatch.setattr(scipy.spatial, "ConvexHull", fail)
+        assert main(["intrinsic", "--body", str(body), "-j", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: qhull failed on a 8 x 3 vertex array")
+        assert "wide merge" in err and "more detail" not in err
 
     def test_io_error_exit_code(self):
         assert main(["thm1", "-d", "3", "-j", "2", "--steps", "2", "--l0", "2",

@@ -13,12 +13,20 @@ from projmetrics.grassmann import (
     complete_to_basis,
     full_space,
     goodness,
+    goodness_stack,
     haar_frames,
     haar_sample,
     project_body,
     project_point,
 )
-from projmetrics.numerics import RankDeficiencyError, RngStream, ball_volume, gaussian_block
+from projmetrics.numerics import (
+    RankDeficiencyError,
+    RngStream,
+    ball_volume,
+    gaussian_block,
+    gram_jacobian,
+    singular_min,
+)
 
 
 class TestSubspace:
@@ -215,3 +223,93 @@ class TestGoodness:
         plane = axis_subspace(3, [0, 1])
         with pytest.raises(ValueError):
             goodness(plane, plane, np.array([0.0, 0.0, 1.0]))
+
+
+def reference_completion(v):
+    """One-vector Householder completion with the sign rule, written as a loop."""
+    j = v.shape[0]
+    if j == 1:
+        return np.zeros((1, 0))
+    alpha = -1.0 if v[0] >= 0 else 1.0
+    w = v - alpha * np.eye(j)[0]
+    refl = np.eye(j) - 2.0 * np.outer(w, w) / float(w @ w)
+    comp = refl[:, 1:].copy()
+    for col in range(comp.shape[1]):
+        lead = comp[:, col][np.abs(comp[:, col]) > 1e-14]
+        if lead.size and lead[0] < 0:
+            comp[:, col] = -comp[:, col]
+    return comp
+
+
+def reference_certificate(basis, plane, u):
+    """(sigma_min, ell, e_h_basis, jacobian, c) of one frame, computed frame by frame."""
+    j = basis.shape[1]
+    sigma = singular_min(basis.T @ plane.basis)
+    pu = basis.T @ u
+    ell = float(np.linalg.norm(pu))
+    if ell <= 1e-12:
+        return sigma, ell, np.zeros((j, j - 1)), 0.0, 0.0
+    e_h_basis = reference_completion(pu / ell)
+    u_plane = plane.basis.T @ u
+    plane_comp = plane.basis @ reference_completion(u_plane / np.linalg.norm(u_plane))
+    jac = gram_jacobian(e_h_basis.T @ (basis.T @ plane_comp))
+    return sigma, ell, e_h_basis, jac, 2.0 * ell * (jac * ball_volume(j - 1))
+
+
+class TestGoodnessStack:
+    @pytest.mark.parametrize("d,j", [(3, 2), (4, 2), (4, 3), (5, 3), (8, 7)])
+    def test_rows_equal_per_frame_certificates(self, d, j):
+        plane = axis_subspace(d, list(range(j)))
+        u = np.zeros(d)
+        u[0] = 1.0
+        frames = haar_frames(d, j, 3, np.arange(400))
+        certs = goodness_stack(frames, plane, u)
+        assert certs.sigma_min.shape == certs.ell.shape == certs.c.shape == (400,)
+        for k, frame in enumerate(frames):
+            sigma, ell, e_h_basis, jac, c = reference_certificate(frame, plane, u)
+            assert certs.sigma_min[k] == sigma
+            assert certs.ell[k] == ell
+            assert np.array_equal(certs.e_h_basis[k], e_h_basis)
+            assert certs.jacobian[k] == jac
+            assert certs.c[k] == c
+            one = goodness(Subspace(frame), plane, u)
+            assert (one.sigma_min, one.ell, one.jacobian, one.c) == (sigma, ell, jac, c)
+
+    def test_degenerate_row_zeroed_alone(self):
+        plane = axis_subspace(3, [0, 1])
+        u = np.array([1.0, 0.0, 0.0])
+        frames = haar_frames(3, 2, 5, np.arange(6))
+        mixed = np.concatenate([frames[:3], axis_subspace(3, [1, 2]).basis[None], frames[3:]])
+        certs = goodness_stack(mixed, plane, u)
+        assert certs.ell[3] == 0.0
+        assert certs.jacobian[3] == certs.b[3] == certs.c[3] == 0.0
+        assert not np.any(certs.e_h_basis[3]) and not np.any(certs.transverse_map[3])
+        rest = np.arange(7) != 3
+        assert np.all(certs.ell[rest] > 0) and np.all(certs.c[rest] > 0)
+        assert np.array_equal(certs.c[rest], goodness_stack(frames, plane, u).c)
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 5, 8])
+    def test_stacked_completion_equals_one_vector_calls(self, j):
+        v = np.stack([gaussian_block(RngStream(29, i), j) for i in range(50)])
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        v[0] = np.eye(j)[0]  # both signs of the first coordinate, and exact axes
+        v[1] = -np.eye(j)[-1]
+        comps = complete_to_basis(v)
+        assert comps.shape == (50, j, j - 1)
+        for row, comp in zip(v, comps):
+            assert complete_to_basis(row).shape == (j, j - 1)
+            assert np.array_equal(comp, complete_to_basis(row))
+            assert np.array_equal(comp, reference_completion(row))
+
+    def test_rejects_non_orthonormal_frames(self):
+        plane = axis_subspace(3, [0, 1])
+        frames = haar_frames(3, 2, 1, np.arange(5))
+        frames[2, :, 1] *= 1.0 + 1e-9
+        with pytest.raises(ValueError, match="orthonormal"):
+            goodness_stack(frames, plane, np.array([1.0, 0.0, 0.0]))
+
+    def test_rejects_off_plane_axis(self):
+        plane = axis_subspace(3, [0, 1])
+        frames = haar_frames(3, 2, 1, np.arange(5))
+        with pytest.raises(ValueError, match="plane"):
+            goodness_stack(frames, plane, np.array([0.0, 0.6, 0.8]))
