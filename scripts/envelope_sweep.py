@@ -8,8 +8,8 @@ exception that escapes the CLI is printed with its traceback and reported
 as the cell's exit code "exception".
 
 Usage: PYTHONPATH=src python scripts/envelope_sweep.py
-About two minutes end to end, half of it thm1 at (8, 8); the tables go to a
-temporary directory.
+About a minute end to end, most of it thm1 at (8, 8), whose 8-D qhull
+volumes take seconds each; the tables go to a temporary directory.
 """
 
 import pathlib

@@ -35,9 +35,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-MODE_HELP = ("auto: exact for a single or nested flat operand at every j, otherwise "
-             "exact per sample for j <= 2 and Monte Carlo for j >= 3; mc: per-sample "
-             "Monte Carlo everywhere (a cross-check); exact: j <= 2 only")
+MODE_HELP = ("auto: the exact in-flat value, with no subspace drawn, for a single or "
+             "nested flat operand at every j, otherwise exact per sample for j <= 2 and "
+             "Monte Carlo for j >= 3; mc: per-sample Monte Carlo everywhere (a "
+             "cross-check); exact: j <= 2 only")
 
 
 @functools.cache  # one tree per process: parse_args leaves the parser unchanged

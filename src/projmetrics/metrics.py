@@ -6,25 +6,24 @@ coefficient.  With one operand absent the same code path yields the
 intrinsic volume V_j; with j = d no subspace averaging happens and the
 metric is exactly the symmetric difference metric.
 
-Per-sample inner volumes are exact for j <= 2 (interval / polygon oracles)
-and Monte Carlo for j >= 3.  Every random draw is addressed by (seed,
-sample index), so estimates are bit-identical for any worker count: sample
-i consumes streams 2i (subspace) and 2i+1 (points), and the reduction runs
-in index order.  The Haar frames of a batch of samples are drawn as one
-(n, d, j) array (grassmann.haar_frames) and the operands projected with one
-batched product; only the inner oracles run once per sample.
+Flat operands draw nothing.  For operands that span an affine j-flat with
+orthonormal frame Q, projection onto H acts on the flat as H^T Q, and
+flag(d, j) E_H |det(H^T Q)| = 1 (Kubota/Cauchy; Schneider, Convex Bodies,
+2nd ed., sec. 5.3).  So unless Monte Carlo is asked for, a single flat
+operand or a nested flat pair gives the in-flat vol_j(K symdiff L) exactly,
+at every j: interval and polygon oracles for j <= 2, one qhull volume per
+operand for j >= 3 (|vol K - vol L| for a nested pair).  At j = d every
+body is flat and keeps its own coordinates.
 
-Flat bodies skip the per-sample oracles.  When the operands together span
-an affine j-flat with orthonormal frame Q, the projection onto H restricted
-to that flat is the linear map H^T Q, so every sample value is
-|det(H^T Q)| * vol_j(K symdiff L), with the in-flat volume computed once.
-Unless Monte Carlo is asked for, delta_j uses that identity (Kubota/Cauchy;
-Schneider, Convex Bodies, 2nd ed., sec. 5.3), so a single flat operand or a
-nested flat pair is exact at every j: interval and polygon oracles for
-j <= 2, one qhull volume per operand for j >= 3, where a nested pair gives
-|vol K - vol L|.  A flat pair that is not nested at j >= 3 keeps the
-per-sample path.  projected_volume under auto likewise takes the qhull
-volume at j >= 3.
+The rest samples subspaces: non-flat bodies, flat pairs at j >= 3 that are
+not nested, and monte_carlo mode.  Per-sample inner volumes are exact for
+j <= 2 and Monte Carlo for j >= 3.  Every draw is addressed by (seed, sample
+index), so estimates are bit-identical for any worker count: sample i
+consumes streams 2i (subspace) and 2i+1 (points), reduced in index order.
+A batch's frames come as one (n, d, j) array (grassmann.haar_frames) and
+the operands are projected with one batched product; only the inner oracles
+run once per sample.  projected_volume under auto takes the qhull volume at
+j >= 3.
 """
 
 from __future__ import annotations
@@ -83,9 +82,9 @@ class SamplingPlan:
     n_subspaces: int = 2000
     n_points: int = 2000
     seed: int = 0
-    # auto: exact for a single or nested flat operand at every j, else exact
-    # per sample for j <= 2 and Monte Carlo for j >= 3; monte_carlo: always
-    # per-sample MC; exact: j <= 2 only
+    # auto: the exact in-flat value for a single or nested flat operand at
+    # every j (no subspace drawn), else exact per sample for j <= 2 and Monte
+    # Carlo for j >= 3; monte_carlo: always per-sample MC; exact: j <= 2 only
     mode: str = "auto"
 
     def __post_init__(self):
@@ -97,7 +96,11 @@ class SamplingPlan:
 
 @dataclass(frozen=True)
 class MetricEstimate:
-    """A metric value with its standard error and sample provenance."""
+    """A metric value with its standard error and sample provenance.
+
+    n_subspaces == 0 means no subspace was drawn (flat operands below j = d,
+    identical or empty operands): the value is exact and per_subspace empty.
+    At j = d the one subspace is the whole space, per_subspace ((0, value),)."""
 
     value: float
     std_error: float
@@ -243,33 +246,36 @@ def _batch_values(task) -> np.ndarray:
         for index, a, b in zip(range(lo, hi), pa, pb)])
 
 
-def _flat_values(seed: int, n: int, d: int, j: int, va, vb) -> np.ndarray | None:
-    """Exact sample values of operands that together span an affine j-flat,
-    None for any other pair and, at j >= 3, for a pair that is not nested.
+def _flat_value(j: int, va, vb) -> float | None:
+    """vol_j(K symdiff L) inside the affine j-flat that the operands span
+    together; None for operands that span no j-flat and, at j >= 3, for a
+    pair that is not nested (neither passes the other's facet test).
 
-    With Q an orthonormal d x j frame of the flat, sample i is the in-flat
-    volume scaled by |det(H_i^T Q)|.  Q and the in-flat coordinates come
-    from the sorted union of the vertices, and at j >= 3 each operand hands
-    qhull its vertices in that sorted order, so no bit depends on operand or
-    vertex order."""
+    Below j = d the in-flat coordinates come from an orthonormal frame of
+    the sorted union of the vertices, and at j >= 3 each operand hands qhull
+    its vertices in that sorted order, so no bit depends on operand or
+    vertex order.  At j = d the operands keep their own coordinates and
+    vertex lists, so at j = d >= 3 the bits depend on vertex order: qhull's
+    volume can move in the last bits with the order of its input, and it
+    fails on the sorted order of thm1's last 6-cube row but not on the
+    given one."""
     ops = [v for v in (va, vb) if v is not None]
-    pts, inverse = np.unique(np.vstack(ops), axis=0, return_inverse=True)
-    centered = pts - pts[0]
-    _, sv, vt = np.linalg.svd(centered, full_matrices=False)
-    if _numerical_rank(sv) != j:
-        return None
-    q = vt[:j].T
-    flat = centered @ q
-    index = np.split(inverse.reshape(-1), [ops[0].shape[0]])[:len(ops)]
-    if j > 2:  # qhull's bits depend on the order of its input points
-        index = [np.unique(i) for i in index]
-    coords = [flat[i] for i in index]
+    coords = ops
+    if ops[0].shape[1] > j:
+        pts, inverse = np.unique(np.vstack(ops), axis=0, return_inverse=True)
+        centered = pts - pts[0]
+        _, sv, vt = np.linalg.svd(centered, full_matrices=False)
+        if _numerical_rank(sv) != j:
+            return None
+        flat = centered @ vt[:j].T
+        index = np.split(inverse.reshape(-1), [ops[0].shape[0]])[:len(ops)]
+        if j > 2:  # qhull's bits depend on the order of its input points
+            index = [np.unique(i) for i in index]
+        coords = [flat[i] for i in index]
     try:
-        inner = _exact_volume(*coords, j) if len(ops) == 1 else _exact_symdiff(*coords, j)
+        return _exact_volume(*coords, j) if len(ops) == 1 else _exact_symdiff(*coords, j)
     except UnsupportedModeError:  # a pair that is not nested, at j >= 3
         return None
-    frames = haar_frames(d, j, seed, np.arange(n))
-    return np.abs(np.linalg.det(np.swapaxes(frames, 1, 2) @ q)) * inner
 
 
 def _collect_values(seed, n, d, j, va, vb, n_points, exact_inner, workers) -> np.ndarray:
@@ -326,7 +332,8 @@ def delta_j(a: VPolytope | None, b: VPolytope | None, j: int, plan: SamplingPlan
     Either operand may be None (the empty set); the projection of the empty
     set is empty, so its per-subspace contribution is the other body's
     projected volume.  delta_j(empty, empty) = 0 exactly, and identical
-    operands short-circuit to 0 with no samples drawn.
+    operands short-circuit to 0 with no samples drawn.  A single or nested
+    flat operand returns its exact in-flat value, also with none drawn.
     """
     if a is None and b is None:
         return MetricEstimate(0.0, 0.0, 0, 0, exact=True, per_subspace=())
@@ -341,36 +348,24 @@ def delta_j(a: VPolytope | None, b: VPolytope | None, j: int, plan: SamplingPlan
     va = a.vertices if a is not None else None
     vb = b.vertices if b is not None else None
     exact_inner = _inner_exact(j, plan.mode)
-    flag = flag_coefficient(d, j)
 
-    if j == d:  # no subspace averaging: the symmetric difference metric
-        f, inner_se = _pair_value(va, vb, j, plan.n_points, exact_inner,
-                                  RngStream(plan.seed, 1))
-        return MetricEstimate(
-            value=flag * f,
-            std_error=flag * inner_se,
-            n_subspaces=1,
-            n_points_per_subspace=0 if exact_inner else plan.n_points,
-            exact=exact_inner,
-            per_subspace=((0, f),),
-        )
+    f = None if plan.mode == "monte_carlo" else _flat_value(j, va, vb)
+    if f is not None:
+        if j == d:
+            return MetricEstimate(f, 0.0, 1, 0, exact=True, per_subspace=((0, f),))
+        return MetricEstimate(f, 0.0, 0, 0, exact=True, per_subspace=())
+    if j == d:  # box MC: monte_carlo mode, or a pair at j >= 3 that is not nested
+        f, inner_se = _pair_value(va, vb, j, plan.n_points, False, RngStream(plan.seed, 1))
+        return MetricEstimate(f, inner_se, 1, plan.n_points, exact=False,
+                              per_subspace=((0, f),))
 
     n = plan.n_subspaces
-    fvals = None if plan.mode == "monte_carlo" else _flat_values(plan.seed, n, d, j, va, vb)
-    sampled = fvals is None and not exact_inner
-    if fvals is None:
-        fvals = _collect_values(plan.seed, n, d, j, va, vb, plan.n_points, exact_inner,
-                                workers)
+    fvals = _collect_values(plan.seed, n, d, j, va, vb, plan.n_points, exact_inner, workers)
+    flag = flag_coefficient(d, j)
     value = flag * float(np.mean(fvals))
     se = flag * float(np.std(fvals, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
-    return MetricEstimate(
-        value=value,
-        std_error=se,
-        n_subspaces=n,
-        n_points_per_subspace=plan.n_points if sampled else 0,
-        exact=False,
-        per_subspace=tuple((i, float(f)) for i, f in enumerate(fvals)),
-    )
+    return MetricEstimate(value, se, n, 0 if exact_inner else plan.n_points, exact=False,
+                          per_subspace=tuple((i, float(f)) for i, f in enumerate(fvals)))
 
 
 def intrinsic_volume(body: VPolytope, j: int, plan: SamplingPlan,

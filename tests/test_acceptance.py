@@ -10,6 +10,7 @@ import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
+from scipy.spatial import ConvexHull
 
 from conftest import unit_cube
 from projmetrics.bodies import VPolytope, hull_2d, polygon_area
@@ -93,15 +94,14 @@ def test_criterion_03_segment_length(capsys):
     with _Timer(budget_s=10) as t:
         seg = VPolytope([[0.0, 0.0, 0.0], [3.0, 4.0, 0.0]])
         est = intrinsic_volume(seg, 1, SamplingPlan(n_subspaces=4000, seed=42))
-        assert abs(est.value - 5.0) <= 3.0 * est.std_error
-        assert abs(est.value - 5.0) < 0.05
+        assert est.exact and abs(est.value - 5.0) <= 1e-12 * 5.0  # flat: no sampling
     _report(capsys, 3, f"V1(segment)={est.value:.4f} se={est.std_error:.4f} vs 5", t)
 
 
 def test_criterion_04_embedding_invariance(capsys):
     with _Timer(budget_s=30) as t:
         est = intrinsic_volume(unit_cube(3, 2), 2, SamplingPlan(n_subspaces=4000, seed=42))
-        assert abs(est.value - 1.0) <= 3.0 * est.std_error
+        assert est.exact and abs(est.value - 1.0) <= 1e-12  # flat: no sampling
     _report(capsys, 4, f"V2(square in R3)={est.value:.4f} se={est.std_error:.4f} vs 1", t)
 
 
@@ -204,12 +204,17 @@ def test_criterion_11_floor_bookkeeping(capsys):
         a0_comment = next(c for c in table.footer_comments if c.startswith("a0="))
         a0 = float(a0_comment.split()[0].split("=")[1])
         a0_se = float(a0_comment.split()[1].split("=")[1])
-        assert abs(a0 - 1.0) <= 3.0 * a0_se
+        assert a0_se == 0.0 and abs(a0 - 1.0) <= 1e-12  # V_2 of the flat unit square
         claimed_sum = sum(float(r[table.header.index("claimed_step")]) for r in table.rows)
         assert claimed_sum <= a0 / 4.0 + 1e-12
-        for row in table.rows:
+        base = unit_cube(3, 2)
+        seq = thm3_sequence(base, axis_subspace(3, [0, 1]), base.vertices.mean(axis=0),
+                            np.array([1.0, 0.0, 0.0]), None, cfg.steps, a0)
+        for row, (_, body) in zip(table.rows, seq):
             record = dict(zip(table.header, row))
-            assert float(record["se"]) <= 0.05 * float(record["delta_to_empty_hat"])
+            assert float(record["se"]) == 0.0
+            in_plane = ConvexHull(body.vertices[:, :2]).volume  # every K_m lies in e1, e2
+            assert abs(float(record["delta_to_empty_hat"]) - in_plane) <= 1e-12 * in_plane
     _report(capsys, 11, f"a0={a0:.4f}+-{a0_se:.4f}, claimed sum {claimed_sum:.4f} <= a0/4", t)
 
 

@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 import warnings
@@ -8,6 +9,7 @@ import pytest
 
 from scipy.spatial import ConvexHull
 
+from projmetrics import metrics
 from projmetrics.bodies import VPolytope, save_body
 from projmetrics.constructions import NeedleSpec, augment, prism_needle, thm1_sequence
 from projmetrics.experiments import (
@@ -35,6 +37,26 @@ from projmetrics.experiments.runners import (
 from projmetrics.grassmann import Subspace, full_space, goodness, haar_frames
 
 SMALL = dict(d=3, j=2, seed=42, n_subspaces=150, n_points=2000, steps=3)
+
+
+def thm1_closed_form(length: float, eps: float, j: int) -> float:
+    """delta_j(K_i, C) for thm1's unit j-cube C and its prism needle, no qhull.
+
+    The needle runs from the centroid along e_1 to x_1 = 1/2 + L, with a
+    cross-polytope cross-section of radius eps <= 1/2, so K_i = C U conv(F U T):
+    F is the facet x_1 = 1 and T the needle's far end, at height h = L - 1/2
+    above F.  The slice of conv(F U T) at fraction s of that height is
+    (1 - s) F + s T.  F is a unit (j-1)-box, so its volume expands over the
+    coordinate projections of T:
+        vol_{j-1}((1 - s) F + s T) = sum_k C(j-1, k) (1-s)^(j-1-k) s^k v_k,
+    where v_k = (2 eps)^k / k! is the volume of T's projection onto any k of
+    the box's axes (a k-dimensional cross-polytope of radius eps).  Since
+    int_0^1 C(j-1, k) (1-s)^(j-1-k) s^k ds = 1/j, integrating over the height
+    gives vol_j(K_i) - vol_j(C) = (h / j) sum_{k<j} (2 eps)^k / k!.  The pair
+    is nested in one j-flat, so that is delta_j, also at j = d, where the
+    flag coefficient is 1.
+    """
+    return (length - 0.5) / j * sum((2.0 * eps) ** k / math.factorial(k) for k in range(j))
 
 
 class TestConfig:
@@ -123,19 +145,27 @@ class TestThm1Runner:
 
     def test_flat_needles_at_j3(self):
         # every K_i lies in the cube's 3-plane, so delta_3(K_i, cube) is
-        # vol_3(K_i) - 1; box MC used to report rows 8 and 9 as 51.0 +- 22.2
-        # and 28.3 +- 13.6 against 170.5 and 341.2
+        # vol_3(K_i) - 1, with no subspace drawn; box MC used to report rows
+        # 8 and 9 as 51.0 +- 22.2 and 28.3 +- 13.6 against 170.5 and 341.2
         cfg = ExperimentConfig(d=4, j=3, seed=1, n_subspaces=200, n_points=2000, steps=12)
         table = run_thm1(cfg)
         base, plane, x0, u = unit_cube_body(4, 3)
         seq = thm1_sequence(base, plane, x0, u, cfg.l0, cfg.steps)
-        for i, exact in ((8, 170.5), (9, 341.2)):
-            body = seq[i][1]
-            assert ConvexHull(body.vertices[:, :3]).volume - 1.0 == pytest.approx(exact,
-                                                                                  abs=0.05)
-            record = dict(zip(table.header, table.rows[i]))
-            value, se = float(record["delta_hat"]), float(record["delta_se"])
-            assert se > 0.0 and abs(value - exact) <= 6.0 * se
+        for row, (_, body) in zip(table.rows, seq):
+            record = dict(zip(table.header, row))
+            in_plane = ConvexHull(body.vertices[:, :3]).volume - 1.0
+            assert float(record["delta_se"]) == 0.0
+            assert float(record["delta_hat"]) == pytest.approx(in_plane, rel=1e-12)
+
+    @pytest.mark.parametrize("d,j", [(3, 2), (4, 3), (5, 4), (6, 5), (5, 5), (6, 6)])
+    def test_closed_form_rows(self, d, j):
+        table = run_thm1(ExperimentConfig(d=d, j=j, seed=1, n_subspaces=50, n_points=500,
+                                          steps=12))
+        for row in table.rows:
+            record = dict(zip(table.header, row))
+            exact = thm1_closed_form(float(record["L_i"]), float(record["eps_i"]), j)
+            assert float(record["delta_se"]) == 0.0
+            assert float(record["delta_hat"]) == pytest.approx(exact, rel=1e-12)
 
     def test_monte_carlo_mode_worker_invariance(self, tmp_path):
         # mode="monte_carlo" keeps the per-sample box MC and the process pool
@@ -219,6 +249,19 @@ class TestThm3Runner:
             m = int(record["m"])
             assert float(record["claimed_step"]) == pytest.approx(
                 0.25 * 2.0 ** -(m + 1), abs=1e-12)
+
+    @pytest.mark.parametrize("d,j", [(3, 2), (4, 3)])
+    def test_flat_runs_draw_no_frames(self, monkeypatch, d, j):
+        def no_frames(*args):
+            raise AssertionError("a flat operand drew Haar frames")
+
+        monkeypatch.setattr(metrics, "haar_frames", no_frames)
+        cfg = ExperimentConfig(d=d, j=j, seed=1, n_subspaces=200, n_points=500, steps=6)
+        thm1, thm3 = run_thm1(cfg), run_thm3(cfg)
+        assert {float(v) for v in thm1.column("delta_se")} == {0.0}
+        assert {float(v) for v in thm3.column("se")} == {0.0}
+        a0_comment = next(c for c in thm3.footer_comments if c.startswith("a0="))
+        assert abs(float(a0_comment.split()[0].split("=")[1]) - 1.0) <= 1e-12
 
     def test_worker_count_invariance(self):
         serial = run_thm3(ExperimentConfig(**{**SMALL, "workers": 1}))

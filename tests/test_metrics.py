@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.spatial import ConvexHull
+from scipy.optimize import linprog
+from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from conftest import random_convex_polygon, unit_cube
 from projmetrics.bodies import VPolytope
 from projmetrics.constructions import NeedleSpec, augment, cross_section, prism_needle
-from projmetrics.grassmann import axis_subspace, full_space, haar_sample
+from projmetrics.grassmann import axis_subspace, full_space, haar_frames, haar_sample
 from projmetrics.metrics import (
     SamplingPlan,
     UnsupportedModeError,
@@ -20,7 +21,7 @@ from projmetrics.metrics import (
     projected_volume,
     symdiff_volume,
 )
-from projmetrics.numerics import RngStream, gram_schmidt
+from projmetrics.numerics import RngStream, flag_coefficient, gram_schmidt
 
 
 def grassmann_line_average_oracle(n: int = 20_001) -> float:
@@ -29,6 +30,28 @@ def grassmann_line_average_oracle(n: int = 20_001) -> float:
     t = np.linspace(0.0, math.pi, n)
     f = np.abs(np.cos(t)) * np.sin(t) / 2.0
     return float(np.trapezoid(f, t))
+
+
+def qhull_symdiff(a: np.ndarray, b: np.ndarray) -> float:
+    """vol A + vol B - 2 vol(A cap B) from scipy alone, for two full-dimensional
+    bodies that overlap: A cap B is the intersection of both hulls'
+    halfspaces, taken around its Chebyshev centre."""
+    ha, hb = ConvexHull(a), ConvexHull(b)
+    eq = np.vstack([ha.equations, hb.equations])  # normal . x + offset <= 0
+    dim = a.shape[1]
+    norms = np.linalg.norm(eq[:, :-1], axis=1)
+    centre = linprog(np.r_[np.zeros(dim), -1.0], A_ub=np.c_[eq[:, :-1], norms],
+                     b_ub=-eq[:, -1], bounds=[(None, None)] * dim + [(0.0, None)]).x
+    assert centre[-1] > 1e-6, "the bodies do not overlap"
+    inter = ConvexHull(HalfspaceIntersection(eq, centre[:-1]).intersections).volume
+    return ha.volume + hb.volume - 2.0 * inter
+
+
+def flag_scaled_mean(values: np.ndarray, d: int, j: int) -> tuple[float, float]:
+    """The sampled delta_j of per-subspace values, with its standard error."""
+    flag = flag_coefficient(d, j)
+    return (flag * float(np.mean(values)),
+            flag * float(np.std(values, ddof=1)) / math.sqrt(len(values)))
 
 
 class TestProjectedVolume:
@@ -119,6 +142,47 @@ class TestDeltaJ:
         assert est.exact and est.n_subspaces == 1
         assert est.value == pytest.approx(1.0, abs=1e-12)
 
+    def test_top_dimension_solids_are_exact(self):
+        # j = d >= 3: one qhull volume per operand in the operands' own
+        # coordinates; only a pair that is not nested keeps box MC
+        rng = np.random.default_rng(7)
+        a = VPolytope(rng.uniform(-1.0, 1.0, size=(10, 3)))
+        shrunk = VPolytope(0.6 * a.vertices + 0.4 * a.vertices.mean(axis=0))
+        subset = VPolytope(a.vertices[::2])
+        plan = SamplingPlan(n_points=20_000, seed=1)
+        for inner in (shrunk, subset):
+            est = delta_j(a, inner, 3, plan)
+            assert est.exact and est.std_error == 0.0 and est.n_points_per_subspace == 0
+            assert est.n_subspaces == 1 and est.per_subspace == ((0, est.value),)
+            exact = ConvexHull(a.vertices).volume - ConvexHull(inner.vertices).volume
+            assert est.value == pytest.approx(exact, rel=1e-12)
+        single = intrinsic_volume(a, 3, plan)
+        assert single.exact and single.value == pytest.approx(ConvexHull(a.vertices).volume,
+                                                             rel=1e-12)
+        shifted = VPolytope(a.vertices + 0.5)
+        est = delta_j(a, shifted, 3, plan)
+        assert not est.exact and est.n_points_per_subspace == plan.n_points
+        exact = qhull_symdiff(a.vertices, shifted.vertices)
+        assert abs(est.value - exact) <= 4.0 * est.std_error
+
+    def test_top_dimension_keeps_vertex_order(self):
+        # j = d >= 3 takes qhull's volume of each operand's vertex list as
+        # given, so the bits follow that order (below j = d the sorted union
+        # makes them order-invariant: TestFlatSolids.test_symmetry_bitwise);
+        # this body's qhull volume takes three values over 20 orders
+        verts = np.random.default_rng(20).uniform(-1.0, 1.0, size=(10, 3))
+        inner = 0.6 * verts + 0.4 * verts.mean(axis=0)
+        plan = SamplingPlan(seed=0)
+        values = []
+        for k in range(20):
+            perm = np.random.default_rng(k).permutation(len(verts))
+            vol_a = ConvexHull(verts[perm]).volume
+            assert intrinsic_volume(VPolytope(verts[perm]), 3, plan).value == vol_a
+            est = delta_j(VPolytope(verts[perm]), VPolytope(inner), 3, plan)
+            assert est.exact and est.value == abs(vol_a - ConvexHull(inner).volume)
+            values.append(vol_a)
+        assert max(values) - min(values) <= 1e-12 * max(values)
+
     def test_empty_operand_is_projection_volume(self, cube3):
         plan = SamplingPlan(n_subspaces=500, seed=9)
         est = delta_j(cube3, None, 2, plan)
@@ -155,33 +219,35 @@ class TestDeltaJ:
             delta_j(cube3, None, 0, SamplingPlan(seed=0))
 
 
+TILT = gram_schmidt(np.array([[1.0, 0.2], [0.3, 1.0], [0.7, -0.4]]))
+
+
 def tilted_pair(seed: int, nested: bool = False):
-    """Two random polygons in one tilted affine 2-flat of R^3, then the same
-    two as 2-D bodies in flat coordinates; `nested` shrinks the second into
-    the first."""
+    """Two random polygons in one tilted affine 2-flat of R^3 (frame TILT),
+    then the same two as 2-D bodies in flat coordinates; `nested` shrinks
+    the second into the first."""
     rng = np.random.default_rng(seed)
-    q = gram_schmidt(np.array([[1.0, 0.2], [0.3, 1.0], [0.7, -0.4]]))
     offset = np.array([0.3, -1.1, 2.0])
     a2 = random_convex_polygon(rng).vertices
     if nested:
         b2 = 0.6 * a2 + 0.4 * a2.mean(axis=0)
     else:
         b2 = random_convex_polygon(rng).vertices
-    return (VPolytope(offset + a2 @ q.T), VPolytope(offset + b2 @ q.T),
+    return (VPolytope(offset + a2 @ TILT.T), VPolytope(offset + b2 @ TILT.T),
             VPolytope(a2), VPolytope(b2))
 
 
 class TestFlatBodies:
-    """Bodies in a common j-flat: delta_j = vol_j(K symdiff L), sampled as
-    |det(H^T Q)| times that volume."""
+    """Bodies in a common j-flat: delta_j = vol_j(K symdiff L), computed in
+    the flat, with no subspace drawn."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_common_plane_identity(self, seed):
         a, b, a2, b2 = tilted_pair(seed)
-        exact = symdiff_volume(a2, b2, SamplingPlan(seed=0)).value
         est = delta_j(a, b, 2, SamplingPlan(n_subspaces=2000, seed=seed))
-        assert est.std_error > 0.0
-        assert abs(est.value - exact) <= 4.0 * est.std_error
+        assert est.exact and est.std_error == 0.0 and est.per_subspace == ()
+        assert est.n_subspaces == 0 and est.n_points_per_subspace == 0
+        assert est.value == pytest.approx(qhull_symdiff(a2.vertices, b2.vertices), rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_nested_difference_of_volumes(self, seed):
@@ -192,27 +258,39 @@ class TestFlatBodies:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_per_sample_oracles(self, seed):
+        # the per-sample oracles see the flat operands through H^T Q, so
+        # sample i is |det(H_i^T Q)| times the in-flat value, and the
+        # flag-scaled sample mean lands within 4 se of it (Kubota)
         a, b, a2, b2 = tilted_pair(seed)
         plan = SamplingPlan(n_subspaces=200, seed=seed)
+        frames = haar_frames(3, 2, plan.seed, np.arange(plan.n_subspaces))
+        dets = np.abs(np.linalg.det(np.swapaxes(frames, 1, 2) @ TILT))
         for ops, ops2 in (((a, b), (a2, b2)), ((a, None), (a2, None)), ((None, b), (None, b2))):
             in_flat = delta_j(*ops2, 2, plan).value
             est = delta_j(*ops, 2, plan)
+            assert est.exact and est.value == pytest.approx(in_flat, rel=1e-12)
             verts = [None if op is None else op.vertices for op in ops]
             loop = _batch_values((plan.seed, 0, plan.n_subspaces, 3, 2, *verts, 0, True))
-            flat = np.array([f for _, f in est.per_subspace])
             # to 1e-12 of the in-flat value, the largest a sample can take
             # (|det| <= 1): the loop's hull and clip of a nearly edge-on
             # projection carry rounding on that scale, not on the sample's
-            assert np.max(np.abs(flat - loop)) <= 1e-12 * in_flat
+            assert np.max(np.abs(dets * in_flat - loop)) <= 1e-12 * in_flat
+            mean, se = flag_scaled_mean(loop, 3, 2)
+            assert abs(mean - in_flat) <= 4.0 * se
 
     def test_segments_on_a_line(self):
         a = VPolytope([[0.0, 0.0, 0.0], [3.0, 4.0, 0.0]])
         b = VPolytope([[1.5, 2.0, 0.0], [4.5, 6.0, 0.0]])
         plan = SamplingPlan(n_subspaces=100, seed=6)
         est = delta_j(a, b, 1, plan)
+        assert est.exact and est.value == pytest.approx(5.0, rel=1e-12)  # 2.5 + 2.5
         loop = _batch_values((plan.seed, 0, plan.n_subspaces, 3, 1, a.vertices, b.vertices,
                               0, True))
-        assert np.max(np.abs([f for _, f in est.per_subspace] - loop)) <= 1e-12 * 5.0
+        frames = haar_frames(3, 1, plan.seed, np.arange(plan.n_subspaces))
+        cosines = np.abs(frames[:, :, 0] @ np.array([0.6, 0.8, 0.0]))
+        assert np.max(np.abs(5.0 * cosines - loop)) <= 1e-12 * 5.0
+        mean, se = flag_scaled_mean(loop, 3, 1)
+        assert abs(mean - 5.0) <= 4.0 * se
 
     def test_symmetry_bitwise(self):
         a, b, _, _ = tilted_pair(7)
@@ -236,26 +314,32 @@ def tilted_solids(seed: int):
     return VPolytope(offset + a3 @ q.T), VPolytope(offset + b3 @ q.T), q, offset
 
 
+def in_flat_volume(body: VPolytope, q: np.ndarray, offset: np.ndarray) -> float:
+    return ConvexHull((body.vertices - offset) @ q).volume
+
+
 class TestFlatSolids:
-    """Flat bodies at j = 3: one qhull volume per operand, |det(H^T Q)| per
-    sample, and the per-sample MC path only for a pair that is not nested."""
+    """Flat bodies at j = 3: one qhull volume per operand, no subspace drawn,
+    and the per-sample MC path only for a pair that is not nested."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_nested_difference_of_volumes(self, seed):
-        a, b, _, _ = tilted_solids(seed)
+        a, b, q, offset = tilted_solids(seed)
         plan = SamplingPlan(n_subspaces=300, seed=seed)
         diff = intrinsic_volume(a, 3, plan).value - intrinsic_volume(b, 3, plan).value
         est = delta_j(a, b, 3, plan)
         assert est.value == pytest.approx(diff, rel=1e-12)
-        assert est.std_error > 0.0 and est.n_points_per_subspace == 0
+        assert est.exact and est.std_error == 0.0
+        assert est.n_subspaces == 0 and est.n_points_per_subspace == 0
+        exact = in_flat_volume(a, q, offset) - in_flat_volume(b, q, offset)
+        assert est.value == pytest.approx(exact, rel=1e-12)
 
     def test_common_flat_identity(self):
         # delta_3 of nested bodies in a common 3-flat is vol_3(K) - vol_3(L)
         a, b, q, offset = tilted_solids(5)
-        exact = (ConvexHull((a.vertices - offset) @ q).volume
-                 - ConvexHull((b.vertices - offset) @ q).volume)
+        exact = in_flat_volume(a, q, offset) - in_flat_volume(b, q, offset)
         est = delta_j(a, b, 3, SamplingPlan(n_subspaces=2000, seed=5))
-        assert abs(est.value - exact) <= 4.0 * est.std_error
+        assert est.exact and est.value == pytest.approx(exact, rel=1e-12)
 
     def test_symmetry_bitwise(self):
         # for this body qhull's volume moves in the last bits with the order
@@ -301,23 +385,57 @@ class TestFlatSolids:
             delta_j(a, b, 3, SamplingPlan(seed=0, mode="exact"))
 
 
+class TestKubotaCrossCheck:
+    """flag(d, j) E_H |det(H^T Q)| = 1 for any orthonormal d x j frame Q: the
+    identity behind the exact flat path, which no longer samples it, and the
+    monte_carlo lane, which still does."""
+
+    @pytest.mark.parametrize("d,j", [(3, 2), (4, 2), (4, 3), (5, 3), (8, 2), (8, 7)])
+    def test_flag_scaled_mean_det_is_one(self, d, j):
+        q = gram_schmidt(np.random.default_rng(10 * d + j).normal(size=(d, j)))
+        frames = haar_frames(d, j, 1, np.arange(20_000))
+        mean, se = flag_scaled_mean(np.abs(np.linalg.det(np.swapaxes(frames, 1, 2) @ q)), d, j)
+        assert abs(mean - 1.0) <= 4.0 * se
+
+    def test_monte_carlo_mode_polygons(self):
+        a, b, _, _ = tilted_pair(3)
+        exact = delta_j(a, b, 2, SamplingPlan(seed=3))
+        mc = delta_j(a, b, 2, SamplingPlan(n_subspaces=400, n_points=2000, seed=3,
+                                           mode="monte_carlo"))
+        assert exact.exact and not mc.exact and mc.n_subspaces == 400
+        assert abs(mc.value - exact.value) <= 4.0 * mc.std_error
+
+    def test_monte_carlo_mode_nested_solids(self):
+        a, b, _, _ = tilted_solids(2)
+        exact = delta_j(a, b, 3, SamplingPlan(seed=2))
+        mc = delta_j(a, b, 3, SamplingPlan(n_subspaces=200, n_points=2000, seed=2,
+                                           mode="monte_carlo"))
+        assert exact.exact and not mc.exact and mc.n_subspaces == 200
+        assert abs(mc.value - exact.value) <= 4.0 * mc.std_error
+
+
 class TestIntrinsicVolume:
     def test_top_volume_cube(self, cube3):
         est = intrinsic_volume(cube3, 3, SamplingPlan(n_points=50_000, seed=0))
         assert est.value == pytest.approx(1.0, abs=1e-6)
 
     def test_segment_length(self):
+        # a segment is flat at j = 1: V_1 is its length, and the Kubota
+        # average it replaces, flag(3, 1) E|cos|, is 1 by quadrature
         seg = VPolytope([[0.0, 0.0, 0.0], [3.0, 4.0, 0.0]])
         plan = SamplingPlan(n_subspaces=4000, seed=42)
         est = intrinsic_volume(seg, 1, plan)
         oracle = 2.0 * 5.0 * grassmann_line_average_oracle()
         assert oracle == pytest.approx(5.0, abs=1e-6)
-        assert abs(est.value - oracle) <= 3.0 * est.std_error
+        assert flag_coefficient(3, 1) == 2.0
+        assert est.exact and est.n_subspaces == 0
+        assert est.value == pytest.approx(5.0, rel=1e-12)
 
     def test_embedding_invariance(self):
         plan = SamplingPlan(n_subspaces=2000, seed=8)
         est = intrinsic_volume(unit_cube(3, 2), 2, plan)
-        assert abs(est.value - 1.0) <= 3.0 * est.std_error
+        assert est.exact and est.std_error == 0.0
+        assert est.value == pytest.approx(1.0, rel=1e-12)
 
     def test_shares_bits_with_empty_distance(self, cube3):
         plan = SamplingPlan(n_subspaces=60, seed=21)
