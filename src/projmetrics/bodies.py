@@ -1,10 +1,11 @@
 """Convex bodies as vertex lists (V-polytopes).
 
-The min-norm-point solver gives point-to-hull distance, membership, and
-(through vertex scans) the Hausdorff metric.  Facet equations A x + b <= 0
-(interval ends, hull_2d edges, qhull) give exact line chords and bulk
-membership; a lower-dimensional hull is first reduced to the frame of its
-affine hull.  The same qhull call also gives the hull's volume.  Exact 2-D
+The min-norm-point solver gives point-to-hull distance and membership;
+metrics.hausdorff runs it only on the vertices whose nearest-vertex bound
+can still set the maximum.  Facet equations A x + b <= 0 (interval ends,
+hull_2d edges, qhull) give exact line chords and bulk membership; a
+lower-dimensional hull is first reduced to the frame of its affine hull.
+The same qhull call also gives the hull's volume.  Exact 2-D
 geometry (monotone-chain hull, shoelace area, convex clipping) provides the
 oracle against which Monte Carlo estimators are checked.
 """

@@ -378,12 +378,51 @@ def intrinsic_volume(body: VPolytope, j: int, plan: SamplingPlan,
 def hausdorff(a: VPolytope, b: VPolytope, tol: float = DEFAULT_TOL) -> float:
     """max of the two directed vertex-to-hull distances; valid for convex
     bodies because the farthest point of a polytope from a convex set is
-    attained at a vertex."""
+    attained at a vertex.
+
+    The scan is a branch-and-bound over both vertex lists.  A query vertex's
+    distance to the nearest vertex of the other body bounds its distance to
+    that body's hull from above; it is also where the Wolfe solve starts.
+    Queries are visited in descending bound order (stable), and the scan
+    stops at the first bound that does not exceed the running maximum:
+    every vertex left has distance <= bound <= maximum, so the value is the
+    exhaustive scan's, bit for bit.  A vertex shared by both bodies has
+    bound 0 and is never solved for.  In floating point a solve can return
+    a few ulps more than its bound (the norms are summed in another order),
+    so the bound is widened by _BOUND_SLACK first; without it a vertex tied
+    with the maximum could be skipped and the value come out an ulp low.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("operands live in different dimensions")
-    d_ab = max(distance_to_hull(v, b, tol) for v in a.vertices)
-    d_ba = max(distance_to_hull(w, a, tol) for w in b.vertices)
-    return max(d_ab, d_ba)
+    m = a.n_vertices
+    bounds = np.concatenate([_nearest_vertex_distances(a.vertices, b.vertices),
+                             _nearest_vertex_distances(b.vertices, a.vertices)])
+    best = 0.0
+    for k in np.argsort(-bounds, kind="stable"):
+        if bounds[k] * (1.0 + _BOUND_SLACK) <= best:
+            break
+        p, body = (a.vertices[k], b) if k < m else (b.vertices[k - m], a)
+        best = max(best, distance_to_hull(p, body, tol))
+    return best
+
+
+_BOUND_SLACK = 1e-12  # relative; rounding excess seen is under 2 eps
+_BOUND_CHUNK = 1 << 15  # elements of the (rows, n, d) difference block
+
+
+def _nearest_vertex_distances(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """Distance from each row of points to its nearest row of vertices, in
+    row chunks of at most _BOUND_CHUNK difference elements (one row at a
+    time when a single row exceeds that)."""
+    n, d = vertices.shape
+    step = max(1, _BOUND_CHUNK // (n * d))
+    out = np.empty(len(points))
+    for s in range(0, len(points), step):
+        diff = points[s:s + step, None, :] - vertices
+        out[s:s + step] = np.einsum("ijk,ijk->ij", diff, diff).min(axis=1)
+    return np.sqrt(out)
 
 
 # ---------------------------------------------------------------------------

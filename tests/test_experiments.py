@@ -125,6 +125,17 @@ class TestThm1Runner:
                 4.0 / float(record["L_i"]), abs=1e-12)
         assert any("loglog slope" in c for c in table.footer_comments)
 
+    @pytest.mark.parametrize("d,j", [(3, 2), (4, 3), (5, 5), (6, 5)])
+    def test_hausdorff_column_is_tip_distance(self, d, j):
+        # the needle tips sit at distance L_i - 1/2 from the unit cube
+        table = run_thm1(ExperimentConfig(d=d, j=j, seed=1, n_subspaces=20,
+                                          n_points=20, steps=8))
+        for row in table.rows:
+            record = dict(zip(table.header, row))
+            dh, tip = float(record["d_hausdorff"]), float(record["L_i"]) - 0.5
+            assert abs(dh - tip) <= 1e-12 * tip
+            assert dh >= float(record["drift_floor"]) - 1e-9
+
     def test_slope_footer_names_non_positive_rows(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no log(0) RuntimeWarning
@@ -413,6 +424,15 @@ class TestCli:
     def test_hausdorff(self, bodies, capsys):
         assert main(["hausdorff", "--body-a", bodies[0], "--body-b", bodies[1]]) == 0
         assert "d_H = 1.4142135623730951" in capsys.readouterr().out
+
+    def test_hausdorff_mixed_dimensions(self, bodies, tmp_path, capsys):
+        cube = tmp_path / "cube.body"
+        save_body(VPolytope([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                             [0.0, 0.0, 1.0]]), cube)
+        assert main(["hausdorff", "--body-a", bodies[0], "--body-b", str(cube)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error:")
+        assert captured.out == ""
 
     def test_metric_exact(self, bodies, capsys):
         code = main(["metric", "--body-a", bodies[0], "--body-b", bodies[1],

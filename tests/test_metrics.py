@@ -7,8 +7,16 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from conftest import random_convex_polygon, unit_cube
-from projmetrics.bodies import VPolytope
-from projmetrics.constructions import NeedleSpec, augment, cross_section, prism_needle
+from projmetrics import metrics
+from projmetrics.bodies import VPolytope, distance_to_hull
+from projmetrics.constructions import (
+    NeedleSpec,
+    augment,
+    cross_section,
+    prism_needle,
+    thm1_sequence,
+)
+from projmetrics.experiments.runners import unit_cube_body
 from projmetrics.grassmann import axis_subspace, full_space, haar_frames, haar_sample
 from projmetrics.metrics import (
     SamplingPlan,
@@ -469,6 +477,69 @@ class TestHausdorff:
         rng = np.random.default_rng(seed)
         a, b, c = (VPolytope(rng.uniform(-1, 1, size=(6, 2))) for _ in range(3))
         assert hausdorff(a, c) <= hausdorff(a, b) + hausdorff(b, c) + 3e-9
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    def test_rejects_nonpositive_tol(self, square2, tol):
+        # identical bodies make no solve, so hausdorff must check tol itself
+        with pytest.raises(ValueError, match="tol"):
+            hausdorff(square2, square2, tol=tol)
+
+    def test_rejects_mixed_dimensions(self, square2, cube3):
+        with pytest.raises(ValueError, match="dimensions"):
+            hausdorff(square2, cube3)
+
+    @staticmethod
+    def exhaustive(a: VPolytope, b: VPolytope) -> float:
+        return max(max(distance_to_hull(v, b) for v in a.vertices),
+                   max(distance_to_hull(w, a) for w in b.vertices))
+
+    @staticmethod
+    def random_pair(rng: np.random.Generator, kind: int) -> tuple[VPolytope, VPolytope]:
+        d = int(rng.integers(2, 7))
+        a = VPolytope(rng.normal(size=(int(rng.integers(3, 12)), d)))
+        if kind == 0:  # independent
+            return a, VPolytope(rng.normal(size=(int(rng.integers(3, 12)), d)))
+        if kind == 1:  # shared vertices
+            return a, VPolytope(np.vstack([a.vertices[:3], rng.normal(size=(4, d))]))
+        if kind == 2:  # nested
+            return a, VPolytope(0.3 * a.vertices + 0.1)
+        if kind == 3:  # identical
+            return a, a
+        if kind == 4:  # translated copy: every vertex distance ties up to rounding
+            return a, a.translate(rng.normal(size=d) * 10.0 ** rng.uniform(-3, 2))
+        if kind == 5:  # lower-dimensional body
+            v = rng.normal(size=(6, d))
+            v[:, int(rng.integers(1, d)):] = 0.0
+            return a, VPolytope(v)
+        if kind == 6:  # far apart
+            return a, VPolytope(rng.normal(size=(8, d)) + 50.0 * rng.normal(size=d))
+        cube = unit_cube(d, d)  # translated cube: ties between symmetric vertices
+        return cube, cube.translate(rng.choice([-1.0, 0.0, 1.0], size=d) * rng.uniform(0.1, 3))
+
+    def test_bitwise_equals_exhaustive_scan(self):
+        rng = np.random.default_rng(2024)
+        for trial in range(240):
+            a, b = self.random_pair(rng, trial % 8)
+            assert hausdorff(a, b) == self.exhaustive(a, b), trial
+
+    def test_tied_vertices_are_still_solved(self, square2):
+        # every vertex lies 0.05 * sqrt(2) from the other square, but the
+        # solves and the bounds round differently in the last bits
+        b = square2.translate([-0.05, 0.05])
+        assert hausdorff(square2, b) == self.exhaustive(square2, b)
+
+    @pytest.mark.parametrize("d,j,solves", [(3, 2, 2), (4, 3, 4)])
+    def test_solves_only_vertices_that_can_set_the_maximum(self, monkeypatch, d, j, solves):
+        calls = []
+        monkeypatch.setattr(metrics, "distance_to_hull",
+                            lambda *args: calls.append(1) or distance_to_hull(*args))
+        base, plane, x0, u = unit_cube_body(d, j)
+        for _, body in thm1_sequence(base, plane, x0, u, 2.0, 6):
+            calls.clear()
+            hausdorff(body, base)
+            assert len(calls) == solves  # the needle tips only
+            calls.clear()
+            assert hausdorff(body, body) == 0.0 and not calls
 
 
 class TestFiberProfile:
