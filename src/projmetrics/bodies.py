@@ -231,12 +231,10 @@ def _min_norm_point(pts: np.ndarray, start: int, max_iter: int) -> np.ndarray | 
     return None
 
 
-def distance_to_hull(p: np.ndarray, body: VPolytope, tol: float = DEFAULT_TOL) -> float:
+def distance_to_hull(p: np.ndarray, body: VPolytope) -> float:
     """Euclidean distance from p to conv(vertices), via the min-norm point
     of the shifted vertex set.  Accuracy is limited by the duality-gap stop,
-    well below tol for desk-scale inputs."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    well below DEFAULT_TOL for desk-scale inputs."""
     p = np.asarray(p, dtype=float)
     if p.shape != (body.ambient_dim,):
         raise ValueError(f"point has dimension {p.shape}, body has {body.ambient_dim}")
@@ -252,7 +250,7 @@ def distance_to_hull(p: np.ndarray, body: VPolytope, tol: float = DEFAULT_TOL) -
 
 
 def membership(p: np.ndarray, body: VPolytope, tol: float = DEFAULT_TOL) -> bool:
-    return distance_to_hull(p, body, tol) <= tol
+    return distance_to_hull(p, body) <= tol
 
 
 def line_fiber(body: VPolytope, base: np.ndarray, direction: np.ndarray,

@@ -8,9 +8,15 @@ from __future__ import annotations
 
 import argparse
 import functools
+import pathlib
 import sys
+import tempfile
 
-from ..bodies import BodyParseError, NonConvergenceError, load_body
+import numpy as np
+
+from ..bodies import BodyParseError, NonConvergenceError, VPolytope, load_body, save_body
+from ..constructions import NeedleSpec, augment, cross_section, prism_needle
+from ..grassmann import full_space
 from ..metrics import SamplingPlan, delta_j, hausdorff, intrinsic_volume
 from .config import ConfigError, ExperimentConfig
 from .runners import (
@@ -38,7 +44,14 @@ class _Parser(argparse.ArgumentParser):
 MODE_HELP = ("auto: the exact in-flat value, with no subspace drawn, for a single or "
              "nested flat operand at every j, otherwise exact per sample for j <= 2 and "
              "Monte Carlo for j >= 3; mc: per-sample Monte Carlo everywhere (a "
-             "cross-check); exact: j <= 2 only")
+             "cross-check)")
+
+# the SVG of each thm table: x column, y columns, log-log axes
+THM_SVG = {
+    "thm1": ("L_i", ["delta_hat", "claimed_bound"], True),
+    "thm2": ("m", ["step_delta_hat", "claimed_step"], False),
+    "thm3": ("m", ["delta_to_empty_hat", "claimed_floor"], False),
+}
 
 
 @functools.cache  # one tree per process: parse_args leaves the parser unchanged
@@ -51,8 +64,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--subspaces", type=int, default=2000)
         p.add_argument("--points", type=int, default=2000)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--mode", choices=["auto", "mc", "exact"], default="auto",
-                       help=MODE_HELP)
+        p.add_argument("--mode", choices=["auto", "mc"], default="auto", help=MODE_HELP)
 
     p = sub.add_parser("metric", help="distance between two bodies (or body vs empty)")
     p.add_argument("--body-a", required=True)
@@ -72,20 +84,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--body-a", required=True)
     p.add_argument("--body-b", required=True)
 
-    def runner_flags(p, svg=True):
+    def runner_flags(p):
         p.add_argument("-d", type=int, required=True)
         p.add_argument("-j", type=int, required=True)
         p.add_argument("--steps", type=int, default=6)
-        p.add_argument("--l0", type=float, default=2.0)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--l0", type=float, default=2.0,
+                       help="first needle length; thm1 only, thm2/thm3 ignore it")
         p.add_argument("--out", required=True)
-        if svg:
-            p.add_argument("--svg")
+        p.add_argument("--svg")
         p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--subspaces", type=int, default=2000)
-        p.add_argument("--points", type=int, default=2000)
-        p.add_argument("--mode", choices=["auto", "mc", "exact"], default="auto",
-                       help=MODE_HELP)
+        sampling_flags(p)
 
     runner_flags(sub.add_parser("thm1", help="drift experiment"))
     runner_flags(sub.add_parser("thm2", help="dyadic-Cauchy experiment"))
@@ -111,6 +119,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--grid", type=int, default=200)
     p.add_argument("--tube", help="needle cross-section body, in ambient coordinates")
     p.add_argument("--out", required=True)
+
+    p = sub.add_parser("reproduce", help="every experiment table at desk scale")
+    p.add_argument("--out-dir", required=True)
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--workers", type=int, default=1)
 
     return top
 
@@ -162,7 +175,7 @@ def _dispatch(args) -> int:
         cfg = ExperimentConfig(d=args.d, j=args.j, seed=args.seed,
                                n_subspaces=args.subspaces, n_points=args.points,
                                steps=args.steps, l0=args.l0, workers=args.workers,
-                               out_csv=args.out, out_svg=args.svg, mode=_mode(args.mode))
+                               mode=_mode(args.mode))
         if args.command == "thm1":
             table = run_thm1(cfg)
         elif args.command == "thm2":
@@ -170,13 +183,10 @@ def _dispatch(args) -> int:
         else:
             a0 = None if args.a0 == "auto" else float(args.a0)
             table = run_thm3(cfg, a0=a0)
-        write_csv(table, cfg.out_csv)
-        if cfg.out_svg:
-            x_col = "L_i" if args.command == "thm1" else "m"
-            y_cols = (["delta_hat", "claimed_bound"] if args.command == "thm1"
-                      else ["step_delta_hat", "claimed_step"] if args.command == "thm2"
-                      else ["delta_to_empty_hat", "claimed_floor"])
-            write_svg(table, x_col, y_cols, cfg.out_svg, log_log=args.command == "thm1")
+        write_csv(table, args.out)
+        if args.svg:
+            x_col, y_cols, log_log = THM_SVG[args.command]
+            write_svg(table, x_col, y_cols, args.svg, log_log=log_log)
         return EXIT_OK
 
     if args.command == "lemma":
@@ -204,7 +214,41 @@ def _dispatch(args) -> int:
         write_csv(table, args.out)
         return EXIT_OK
 
+    if args.command == "reproduce":
+        return _reproduce(pathlib.Path(args.out_dir), args.seed, args.workers)
+
     raise ConfigError(f"unknown command {args.command!r}")
+
+
+def _reproduce(out: pathlib.Path, seed: int, workers: int) -> int:
+    """Every experiment table, each through the same dispatch as its own
+    subcommand: thm1/2/3 at d=3, j=2, lemma at d=4, j=2, the fiber profile
+    of the unit square grown by a thin prism needle, and the validation
+    checks."""
+    out.mkdir(parents=True, exist_ok=True)
+    thm = ["-d", "3", "-j", "2", "--seed", seed, "--workers", workers]
+    with tempfile.TemporaryDirectory() as tmp:
+        square = VPolytope([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        spec = NeedleSpec(x0=np.array([0.5, 0.5]), u=np.array([1.0, 0.0]),
+                          plane=full_space(2), length=8.0, eps=0.01, kind="prism")
+        tube = VPolytope(spec.x0 + cross_section(spec.plane, spec.u, spec.eps).vertices)
+        for name, body in (("square", square), ("tube", tube),
+                           ("grown", augment(square, prism_needle(spec)))):
+            save_body(body, f"{tmp}/{name}.body")
+        runs = {
+            "thm1_d3_j2.csv": ["thm1", *thm, "--svg", out / "thm1_d3_j2.svg"],
+            "thm2_d3_j2.csv": ["thm2", *thm],
+            "thm3_d3_j2.csv": ["thm3", *thm],
+            "lemma_d4_j2.csv": ["lemma", "-d", "4", "-j", "2", "--seed", seed],
+            "fibers_needle.csv": ["fibers", "--body-a", f"{tmp}/grown.body", "--body-b",
+                                  f"{tmp}/square.body", "--grid", "400",
+                                  "--tube", f"{tmp}/tube.body"],
+            "validation.csv": ["validate", "--seed", seed],
+        }
+        for name, argv in runs.items():
+            _dispatch(_build_parser().parse_args([str(a) for a in (*argv, "--out", out / name)]))
+            print(f"{argv[0]} -> {out / name}")
+    return EXIT_OK
 
 
 def main(argv=None) -> int:

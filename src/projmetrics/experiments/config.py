@@ -19,8 +19,6 @@ class ExperimentConfig:
     steps: int = 6
     l0: float = 2.0
     workers: int = 1
-    out_csv: str | None = None
-    out_svg: str | None = None
     mode: str = "auto"
 
     def __post_init__(self):
@@ -36,5 +34,5 @@ class ExperimentConfig:
             raise ConfigError("workers must be >= 1")
         if self.l0 <= 0:
             raise ConfigError("l0 must be positive")
-        if self.mode not in ("auto", "monte_carlo", "exact"):
+        if self.mode not in ("auto", "monte_carlo"):
             raise ConfigError(f"unknown sampling mode {self.mode!r}")

@@ -35,10 +35,6 @@ from ..grassmann import (
 from ..metrics import (
     AUX_STREAM_BASE,
     SamplingPlan,
-    _bulk_inside,
-    _exact_symdiff,
-    _mc_symdiff,
-    _sample_box,
     delta_j,
     fiber_profile,
     hausdorff,
@@ -46,6 +42,7 @@ from ..metrics import (
     projected_volume,
 )
 from ..numerics import RngStream, flag_coefficient, needle_bound_constant, uniform_block
+from ..oracles import exact_symdiff, mc_symdiff, mc_volume
 from .config import ConfigError, ExperimentConfig
 from .tables import CsvTable
 
@@ -166,16 +163,6 @@ def _good_subspace_scan(cfg: ExperimentConfig, plane: Subspace, u: np.ndarray):
     return int(np.count_nonzero(good)) / cfg.n_subspaces, (h, goodness(h, plane, u))
 
 
-def _mass_outside(proj: VPolytope, radius: float, n_points: int,
-                  stream: RngStream) -> tuple[float, float]:
-    """MC estimate of the projected body's volume outside the centered ball."""
-    verts = proj.vertices
-    pts, box_vol = _sample_box(verts, n_points, stream)
-    hit = _bulk_inside(verts, pts) & (np.einsum("ij,ij->i", pts, pts) > radius * radius)
-    phat = float(np.count_nonzero(hit)) / n_points
-    return box_vol * phat, box_vol * math.sqrt(phat * (1.0 - phat) / n_points)
-
-
 def run_thm2(cfg: ExperimentConfig) -> CsvTable:
     """Dyadic-Cauchy experiment: spindle needles with step targets 2^-(m+1).
 
@@ -213,10 +200,10 @@ def run_thm2(cfg: ExperimentConfig) -> CsvTable:
                 f"thm2 row m={row.m}: measured block {measured.value:.6g} below "
                 f"corrected bound {bounds.cone_bound:.6g}")
         est = delta_j(body, prev, cfg.j, plan, workers=cfg.workers)
-        proj_body_h = project_body(h_good, body)
-        out_mass, out_se = _mass_outside(
-            proj_body_h, row.exclusion_radius, plan.n_points,
-            RngStream(cfg.seed, AUX_STREAM_BASE + 4 * cfg.n_subspaces + idx))
+        out_mass, out_se = mc_volume(
+            project_body(h_good, body).vertices, cfg.j, plan.n_points,
+            RngStream(cfg.seed, AUX_STREAM_BASE + 4 * cfg.n_subspaces + idx),
+            exclusion_radius=row.exclusion_radius)
         needle_clear = distance_to_hull(
             np.zeros(cfg.j), project_body(h_good, needle)) > row.exclusion_radius
         if needle_clear and out_mass < bounds.cone_bound - 4.0 * out_se - slack:
@@ -320,8 +307,8 @@ def run_validation(seed: int = 0) -> CsvTable:
     for k in range(20):
         a = _random_polygon(RngStream(seed, AUX_STREAM_BASE + 3 * k))
         b = _random_polygon(RngStream(seed, AUX_STREAM_BASE + 3 * k + 1))
-        exact = _exact_symdiff(a.vertices, b.vertices, 2)
-        mc, se = _mc_symdiff(a.vertices, b.vertices, 2, 100_000,
+        exact = exact_symdiff(a.vertices, b.vertices, 2)
+        mc, se = mc_symdiff(a.vertices, b.vertices, 2, 100_000,
                              RngStream(seed, AUX_STREAM_BASE + 3 * k + 2))
         ok = abs(mc - exact) <= 4.0 * se
         n_ok += ok

@@ -24,6 +24,9 @@ A batch's frames come as one (n, d, j) array (grassmann.haar_frames) and
 the operands are projected with one batched product; only the inner oracles
 run once per sample.  projected_volume under auto takes the qhull volume at
 j >= 3.
+
+The inner oracles themselves, exact and box Monte Carlo, live in
+projmetrics.oracles; this module holds the estimators built on them.
 """
 
 from __future__ import annotations
@@ -36,27 +39,27 @@ import numpy as np
 
 from .bodies import (
     DEFAULT_TOL,
-    Interval,
     VPolytope,
     _affine_rank,
     _numerical_rank,
-    _qhull,
     contains,
     distance_to_hull,
-    hull_2d,
     line_fibers,
     membership,
-    polygon_area,
-    polygon_clip,
-    ring_contains,
 )
 from .grassmann import Subspace, axis_split, haar_frames, project_body
-from .numerics import RngStream, flag_coefficient, uniform_block
+from .numerics import RngStream, flag_coefficient
+from .oracles import (
+    UnsupportedModeError,
+    exact_symdiff,
+    exact_volume,
+    mc_symdiff,
+    mc_volume,
+)
 
 __all__ = [
     "MetricEstimate",
     "SamplingPlan",
-    "UnsupportedModeError",
     "projected_volume",
     "symdiff_volume",
     "delta_j",
@@ -72,11 +75,6 @@ __all__ = [
 AUX_STREAM_BASE = 1 << 32
 
 
-class UnsupportedModeError(ValueError):
-    """No exact inner-volume oracle covers the request: exact mode at j >= 3,
-    or a symmetric difference at j >= 3 of a pair that is not nested."""
-
-
 @dataclass(frozen=True)
 class SamplingPlan:
     n_subspaces: int = 2000
@@ -84,13 +82,13 @@ class SamplingPlan:
     seed: int = 0
     # auto: the exact in-flat value for a single or nested flat operand at
     # every j (no subspace drawn), else exact per sample for j <= 2 and Monte
-    # Carlo for j >= 3; monte_carlo: always per-sample MC; exact: j <= 2 only
+    # Carlo for j >= 3; monte_carlo: always per-sample MC
     mode: str = "auto"
 
     def __post_init__(self):
         if self.n_subspaces < 1 or self.n_points < 1:
             raise ValueError("n_subspaces and n_points must be >= 1")
-        if self.mode not in ("auto", "monte_carlo", "exact"):
+        if self.mode not in ("auto", "monte_carlo"):
             raise ValueError(f"unknown sampling mode {self.mode!r}")
 
 
@@ -115,123 +113,19 @@ class MetricEstimate:
 
 
 # ---------------------------------------------------------------------------
-# Inner volume/symdiff evaluators in fixed dimension j.
-# ---------------------------------------------------------------------------
-
-
-def _facet_inside(hull, verts: np.ndarray, pts: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Points of pts that pass the facet test of hull = _qhull(verts)."""
-    a, b, _ = hull
-    scale = max(1.0, float(np.max(np.abs(verts))))
-    return np.all(pts @ a.T + b <= tol * scale, axis=1)
-
-
-def _bulk_inside(verts: np.ndarray, pts: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    j = verts.shape[1]
-    if j == 1:
-        lo, hi = float(verts.min()), float(verts.max())
-        return (pts[:, 0] >= lo - tol) & (pts[:, 0] <= hi + tol)
-    if j == 2:
-        return ring_contains(hull_2d(verts), pts, tol)
-    hull = _qhull(verts)
-    if hull is None:
-        return np.zeros(pts.shape[0], dtype=bool)
-    return _facet_inside(hull, verts, pts, tol)
-
-
-def _interval_of(verts: np.ndarray) -> Interval:
-    return Interval(float(verts.min()), float(verts.max()))
-
-
-def _exact_volume(verts: np.ndarray, j: int) -> float:
-    if j == 1:
-        return _interval_of(verts).length
-    if j == 2:
-        return polygon_area(hull_2d(verts))
-    hull = _qhull(verts)
-    return 0.0 if hull is None else hull[2]
-
-
-def _ring_key(ring: np.ndarray):
-    return ring.shape[0], tuple(ring.ravel())
-
-
-def _exact_symdiff(va: np.ndarray, vb: np.ndarray, j: int) -> float:
-    if j == 1:
-        ia, ib = _interval_of(va), _interval_of(vb)
-        overlap = max(0.0, min(ia.hi, ib.hi) - max(ia.lo, ib.lo))
-        return max(0.0, ia.length + ib.length - 2.0 * overlap)
-    if j == 2:
-        ra, rb = hull_2d(va), hull_2d(vb)
-        if _ring_key(rb) < _ring_key(ra):  # canonical order: operand-symmetric bits
-            ra, rb = rb, ra
-        inter = polygon_area(polygon_clip(ra, rb))
-        return max(0.0, polygon_area(ra) + polygon_area(rb) - 2.0 * inter)
-    # j >= 3: a nested pair only, |vol A - vol B| with one qhull call per operand
-    ha, hb = _qhull(va), _qhull(vb)
-    vol_a, vol_b = (0.0 if h is None else h[2] for h in (ha, hb))
-    for hull, outer, inner in ((ha, va, vb), (hb, vb, va)):
-        if hull is not None and np.all(_facet_inside(hull, outer, inner)):
-            return abs(vol_a - vol_b)
-    raise UnsupportedModeError(f"no exact symmetric difference oracle in dimension {j} "
-                               "for a pair that is not nested")
-
-
-def _sample_box(verts: np.ndarray, n: int, stream: RngStream):
-    lo = verts.min(axis=0) - 1e-9
-    hi = verts.max(axis=0) + 1e-9
-    u = uniform_block(stream, n * verts.shape[1]).reshape(n, verts.shape[1])
-    vol = float(np.prod(hi - lo))
-    return lo + u * (hi - lo), vol
-
-
-def _mc_volume(verts: np.ndarray, j: int, n: int, stream: RngStream) -> tuple[float, float]:
-    if _affine_rank(verts) < j:
-        return 0.0, 0.0
-    pts, box_vol = _sample_box(verts, n, stream)
-    phat = float(np.count_nonzero(_bulk_inside(verts, pts))) / n
-    return box_vol * phat, box_vol * math.sqrt(phat * (1.0 - phat) / n)
-
-
-def _mc_symdiff(va: np.ndarray, vb: np.ndarray, j: int, n: int,
-                stream: RngStream) -> tuple[float, float]:
-    pts, box_vol = _sample_box(np.vstack([va, vb]), n, stream)
-    hit = _bulk_inside(va, pts) ^ _bulk_inside(vb, pts)
-    phat = float(np.count_nonzero(hit)) / n
-    return box_vol * phat, box_vol * math.sqrt(phat * (1.0 - phat) / n)
-
-
-def _inner_exact(j: int, mode: str) -> bool:
-    if mode == "exact":
-        if j > 2:
-            raise UnsupportedModeError(f"exact mode is unavailable for j={j} (>= 3)")
-        return True
-    if mode == "monte_carlo":
-        return False
-    return j <= 2  # auto
-
-
-# ---------------------------------------------------------------------------
 # Per-sample evaluation: pure in (seed, index), hence worker-independent.
 # ---------------------------------------------------------------------------
 
 
 def _pair_value(pa: np.ndarray | None, pb: np.ndarray | None, j: int, n_points: int,
-                exact_inner: bool, pstream: RngStream | None) -> tuple[float, float]:
+                exact_inner: bool, pstream: RngStream) -> tuple[float, float]:
     """Raw symmetric-difference volume of two projected vertex sets (None =
     empty operand = empty projection), with its inner MC error; pstream
     feeds the MC oracles only."""
+    ops = [v for v in (pa, pb) if v is not None]
     if exact_inner:
-        if pa is None:
-            return _exact_volume(pb, j), 0.0
-        if pb is None:
-            return _exact_volume(pa, j), 0.0
-        return _exact_symdiff(pa, pb, j), 0.0
-    if pa is None:
-        return _mc_volume(pb, j, n_points, pstream)
-    if pb is None:
-        return _mc_volume(pa, j, n_points, pstream)
-    return _mc_symdiff(pa, pb, j, n_points, pstream)
+        return (exact_volume if len(ops) == 1 else exact_symdiff)(*ops, j), 0.0
+    return (mc_volume if len(ops) == 1 else mc_symdiff)(*ops, j, n_points, pstream)
 
 
 def _batch_values(task) -> np.ndarray:
@@ -273,7 +167,7 @@ def _flat_value(j: int, va, vb) -> float | None:
             index = [np.unique(i) for i in index]
         coords = [flat[i] for i in index]
     try:
-        return _exact_volume(*coords, j) if len(ops) == 1 else _exact_symdiff(*coords, j)
+        return (exact_volume if len(ops) == 1 else exact_symdiff)(*coords, j)
     except UnsupportedModeError:  # a pair that is not nested, at j >= 3
         return None
 
@@ -301,12 +195,12 @@ def projected_volume(body: VPolytope, h: Subspace, plan: SamplingPlan,
         raise ValueError("body and subspace ambient dimensions differ")
     j = h.dim
     verts = body.vertices @ h.basis
-    if _inner_exact(j, plan.mode) or plan.mode == "auto":  # qhull volume at j >= 3
-        val = _exact_volume(verts, j)
+    if plan.mode == "auto":  # qhull volume at j >= 3
+        val = exact_volume(verts, j)
         return MetricEstimate(val, 0.0, 1, 0, exact=True, per_subspace=((0, val),))
     stream = RngStream(plan.seed, 2 * sample_index + 1)
-    val, se = _mc_volume(verts, j, plan.n_points, stream)
-    # degenerate bodies short-circuit to an exact zero inside _mc_volume
+    val, se = mc_volume(verts, j, plan.n_points, stream)
+    # degenerate bodies short-circuit to an exact zero inside mc_volume
     exact = _affine_rank(verts) < j
     return MetricEstimate(val, se, 1, plan.n_points, exact=exact, per_subspace=((0, val),))
 
@@ -317,11 +211,11 @@ def symdiff_volume(a: VPolytope, b: VPolytope, plan: SamplingPlan,
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("operands live in different dimensions")
     j = a.ambient_dim
-    if _inner_exact(j, plan.mode):
-        val = _exact_symdiff(a.vertices, b.vertices, j)
+    if plan.mode == "auto" and j <= 2:
+        val = exact_symdiff(a.vertices, b.vertices, j)
         return MetricEstimate(val, 0.0, 1, 0, exact=True)
     stream = RngStream(plan.seed, 2 * sample_index + 1)
-    val, se = _mc_symdiff(a.vertices, b.vertices, j, plan.n_points, stream)
+    val, se = mc_symdiff(a.vertices, b.vertices, j, plan.n_points, stream)
     return MetricEstimate(val, se, 1, plan.n_points, exact=False)
 
 
@@ -347,7 +241,7 @@ def delta_j(a: VPolytope | None, b: VPolytope | None, j: int, plan: SamplingPlan
 
     va = a.vertices if a is not None else None
     vb = b.vertices if b is not None else None
-    exact_inner = _inner_exact(j, plan.mode)
+    exact_inner = plan.mode == "auto" and j <= 2
 
     f = None if plan.mode == "monte_carlo" else _flat_value(j, va, vb)
     if f is not None:
@@ -375,7 +269,7 @@ def intrinsic_volume(body: VPolytope, j: int, plan: SamplingPlan,
     return delta_j(body, None, j, plan, workers=workers)
 
 
-def hausdorff(a: VPolytope, b: VPolytope, tol: float = DEFAULT_TOL) -> float:
+def hausdorff(a: VPolytope, b: VPolytope) -> float:
     """max of the two directed vertex-to-hull distances; valid for convex
     bodies because the farthest point of a polytope from a convex set is
     attained at a vertex.
@@ -392,8 +286,6 @@ def hausdorff(a: VPolytope, b: VPolytope, tol: float = DEFAULT_TOL) -> float:
     so the bound is widened by _BOUND_SLACK first; without it a vertex tied
     with the maximum could be skipped and the value come out an ulp low.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("operands live in different dimensions")
     m = a.n_vertices
@@ -404,7 +296,7 @@ def hausdorff(a: VPolytope, b: VPolytope, tol: float = DEFAULT_TOL) -> float:
         if bounds[k] * (1.0 + _BOUND_SLACK) <= best:
             break
         p, body = (a.vertices[k], b) if k < m else (b.vertices[k - m], a)
-        best = max(best, distance_to_hull(p, body, tol))
+        best = max(best, distance_to_hull(p, body))
     return best
 
 
@@ -505,10 +397,8 @@ def fiber_profile(outer: VPolytope, inner: VPolytope, h: Subspace, u: np.ndarray
 
     if tube_e is None:
         tube_measure = 0.0
-    elif tdim == 1:
-        tube_measure = _interval_of(tube_e.vertices).length
-    elif tdim == 2:
-        tube_measure = polygon_area(hull_2d(tube_e.vertices))
+    elif tdim <= 2:
+        tube_measure = exact_volume(tube_e.vertices, tdim)
     else:
         tube_measure = cell * int(np.count_nonzero(in_tube))
 

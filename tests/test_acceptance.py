@@ -36,8 +36,6 @@ from projmetrics.experiments import (
 from projmetrics.grassmann import axis_subspace, full_space, goodness, project_body
 from projmetrics.metrics import (
     SamplingPlan,
-    _exact_symdiff,
-    _mc_symdiff,
     fiber_profile,
     hausdorff,
     intrinsic_volume,
@@ -48,6 +46,7 @@ from projmetrics.numerics import (
     needle_bound_constant,
     uniform_block,
 )
+from projmetrics.oracles import exact_symdiff, mc_symdiff
 
 
 class _Timer:
@@ -111,8 +110,8 @@ def test_criterion_05_exact_vs_mc_symdiff(capsys):
         for k in range(20):
             a = uniform_block(RngStream(17, 3 * k), 16).reshape(8, 2) * 2.0
             b = uniform_block(RngStream(17, 3 * k + 1), 16).reshape(8, 2) * 2.0
-            exact = _exact_symdiff(a, b, 2)
-            mc, se = _mc_symdiff(a, b, 2, 100_000, RngStream(17, 3 * k + 2))
+            exact = exact_symdiff(a, b, 2)
+            mc, se = mc_symdiff(a, b, 2, 100_000, RngStream(17, 3 * k + 2))
             hits += abs(mc - exact) <= 4.0 * se
         assert hits >= 19
     _report(capsys, 5, f"symdiff MC vs clip oracle: {hits}/20 within 4 se", t)
@@ -137,20 +136,19 @@ def test_criterion_06_hausdorff_identities(capsys):
 
 def test_criterion_07_thm1_harness(capsys, tmp_path):
     with _Timer(budget_s=180) as t:
-        cfg = ExperimentConfig(d=3, j=2, seed=42, steps=6, l0=2.0,
-                               out_csv=str(tmp_path / "thm1.csv"),
-                               out_svg=str(tmp_path / "thm1.svg"))
-        table = run_thm1(cfg)  # drift assertions are hard inside the runner
+        out_csv, out_svg = tmp_path / "thm1.csv", tmp_path / "thm1.svg"
+        # drift assertions are hard inside the runner
+        table = run_thm1(ExperimentConfig(d=3, j=2, seed=42, steps=6, l0=2.0))
         assert len(table.rows) == 6
         for row in table.rows:
             record = dict(zip(table.header, row))
             assert abs(float(record["claimed_bound"]) - 4.0 / float(record["L_i"])) <= 1e-12
             assert float(record["d_hausdorff"]) >= float(record["drift_floor"]) - 1e-9
             assert float(record["delta_se"]) <= 0.05 * float(record["delta_hat"])
-        write_csv(table, cfg.out_csv)
-        write_svg(table, "L_i", ["delta_hat", "claimed_bound"], cfg.out_svg, log_log=True)
-        assert read_csv(cfg.out_csv).rows == table.rows
-        ET.parse(cfg.out_svg)
+        write_csv(table, out_csv)
+        write_svg(table, "L_i", ["delta_hat", "claimed_bound"], out_svg, log_log=True)
+        assert read_csv(out_csv).rows == table.rows
+        ET.parse(out_svg)
     _report(capsys, 7, "drift harness: floor asserted, claimed=4/L, SE<=5%, CSV+SVG", t)
 
 

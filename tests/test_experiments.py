@@ -35,6 +35,7 @@ from projmetrics.experiments.runners import (
     unit_cube_body,
 )
 from projmetrics.grassmann import Subspace, full_space, goodness, haar_frames
+from projmetrics.metrics import SamplingPlan
 
 SMALL = dict(d=3, j=2, seed=42, n_subspaces=150, n_points=2000, steps=3)
 
@@ -230,6 +231,14 @@ class TestThm2Runner:
             assert float(record["step_delta_hat"]) > 0.0
             assert float(record["measured_block"]) > 0.0
 
+
+    @pytest.mark.parametrize("d,j", [(3, 2), (4, 3)])
+    def test_monte_carlo_mode_completes(self, tmp_path, d, j):
+        # a needle block with zero box-MC hits used to report 0 +- 0 and
+        # abort on "measured block 0 below corrected bound"
+        assert main(["thm2", "-d", str(d), "-j", str(j), "--steps", "4", "--subspaces", "20",
+                     "--points", "500", "--seed", "1", "--mode", "mc",
+                     "--out", str(tmp_path / "t2.csv")]) == 0
 
     def test_needle_block_at_j3(self):
         # the projected needle volume is exact at j = 3; box MC used to give
@@ -512,6 +521,34 @@ class TestCli:
         assert out.read_bytes() == ref.read_bytes()
         assert "true" in read_csv(out).column("in_tube")
         assert main(args + ["--tube", str(paths["flat"])]) == 3
+
+    def test_l0_is_ignored_by_thm2(self, tmp_path):
+        outs = []
+        for l0 in ("1", "7"):
+            out = tmp_path / f"l0_{l0}.csv"
+            assert main(["thm2", "-d", "3", "-j", "2", "--steps", "3", "--l0", l0,
+                         "--seed", "4", "--subspaces", "40", "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_exact_mode_is_gone(self, bodies):
+        with pytest.raises(ValueError):
+            SamplingPlan(mode="exact")
+        assert main(["metric", "--body-a", bodies[0], "--body-b", bodies[1],
+                     "-d", "2", "-j", "2", "--mode", "exact"]) == 3
+
+    def test_reproduce_matches_the_subcommands(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["reproduce", "--out-dir", str(out), "--seed", "3"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "fibers_needle.csv", "lemma_d4_j2.csv", "thm1_d3_j2.csv", "thm1_d3_j2.svg",
+            "thm2_d3_j2.csv", "thm3_d3_j2.csv", "validation.csv"]
+        thm1, validation = tmp_path / "thm1.csv", tmp_path / "validation.csv"
+        assert main(["thm1", "-d", "3", "-j", "2", "--seed", "3", "--out", str(thm1)]) == 0
+        assert main(["validate", "--seed", "3", "--out", str(validation)]) == 0
+        assert (out / "thm1_d3_j2.csv").read_bytes() == thm1.read_bytes()
+        assert (out / "validation.csv").read_bytes() == validation.read_bytes()
+        ET.parse(out / "thm1_d3_j2.svg")
 
     def test_config_error_exit_code(self, tmp_path):
         assert main(["thm1", "-d", "9", "-j", "2", "--steps", "2", "--l0", "2",

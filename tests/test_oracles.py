@@ -1,0 +1,70 @@
+import math
+
+import numpy as np
+import pytest
+
+from conftest import random_convex_polygon, unit_cube
+from projmetrics.bodies import bounding_radius
+from projmetrics.numerics import RngStream
+from projmetrics.oracles import (
+    UnsupportedModeError,
+    exact_symdiff,
+    exact_volume,
+    mc_symdiff,
+    mc_volume,
+)
+
+
+class TestExclusionRadius:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_far_polygon_keeps_its_bits(self, seed):
+        # every point of the polygon is farther than r from the origin, so
+        # the mask passes every hit and the estimate keeps its bits
+        verts = random_convex_polygon(np.random.default_rng(seed)).vertices + 5.0
+        r = 7.0  # the polygon lies in [5, 7]^2, at distance >= 5 sqrt(2) > 7
+        plain = mc_volume(verts, 2, 4000, RngStream(seed, 3))
+        masked = mc_volume(verts, 2, 4000, RngStream(seed, 3), exclusion_radius=r)
+        assert plain[0] > 0.0 and masked == plain
+
+    @pytest.mark.parametrize("scale", [1.0, 1.5])
+    def test_body_inside_the_ball_is_exactly_zero(self, scale):
+        body = random_convex_polygon(np.random.default_rng(1))
+        r = scale * bounding_radius(body)
+        assert mc_volume(body.vertices, 2, 4000, RngStream(1, 3), exclusion_radius=r) == (0.0, 0.0)
+
+
+class TestZeroHits:
+    def test_rule_of_three(self, square2):
+        # the part of the unit square outside radius sqrt(2) - 1e-6 has area
+        # ~1e-12: no sample hits it, and se is the rule-of-three bound
+        n = 1000
+        value, se = mc_volume(square2.vertices, 2, n, RngStream(0, 1),
+                              exclusion_radius=math.sqrt(2.0) - 1e-6)
+        assert value == 0.0
+        assert se == pytest.approx(3.0 / n, rel=1e-8)  # box (1 + 2e-9)^2
+
+    def test_hits_keep_the_binomial_error(self, square2):
+        n = 1000
+        value, se = mc_volume(square2.vertices, 2, n, RngStream(0, 1), exclusion_radius=1.0)
+        phat = value / (1.0 + 2e-9) ** 2
+        assert 0.0 < value < 1.0
+        assert se == pytest.approx((1.0 + 2e-9) ** 2 * math.sqrt(phat * (1 - phat) / n),
+                                   rel=1e-9)
+
+
+class TestExactOracles:
+    def test_symdiff_needs_a_nested_pair_at_j3(self):
+        cube = unit_cube(3, 3).vertices
+        assert exact_symdiff(cube, 0.5 * cube, 3) == pytest.approx(1.0 - 0.125, abs=1e-12)
+        with pytest.raises(UnsupportedModeError):
+            exact_symdiff(cube, cube + 0.5, 3)
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_mc_agrees_with_exact(self, j):
+        a = unit_cube(j, j).vertices
+        b = 0.5 * a + 0.25
+        n = 20_000
+        vol, vol_se = mc_volume(a, j, n, RngStream(2, j))
+        assert abs(vol - exact_volume(a, j)) <= 4.0 * vol_se + 1e-6
+        sym, sym_se = mc_symdiff(a, b, j, n, RngStream(3, j))
+        assert abs(sym - exact_symdiff(a, b, j)) <= 4.0 * sym_se
