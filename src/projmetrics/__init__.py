@@ -6,7 +6,6 @@ worker count.
 """
 
 from .bodies import (
-    Interval,
     VPolytope,
     bounding_radius,
     distance_to_hull,
@@ -18,7 +17,6 @@ from .bodies import (
     polygon_area,
     polygon_clip,
     save_body,
-    support,
 )
 from .constructions import (
     NeedleSpec,
@@ -54,18 +52,13 @@ from .metrics import (
     hausdorff,
     intrinsic_volume,
     projected_volume,
-    symdiff_volume,
 )
 from .numerics import (
     RngStream,
     ball_volume,
     flag_coefficient,
-    gram_jacobian,
     gram_schmidt,
     needle_bound_constant,
-    rng_gaussian,
-    rng_uniform,
-    singular_min,
 )
 
 __version__ = "0.1.0"

@@ -18,13 +18,11 @@ import numpy as np
 
 __all__ = [
     "VPolytope",
-    "Interval",
     "BodyParseError",
     "NonConvergenceError",
     "load_body",
     "save_body",
     "bounding_radius",
-    "support",
     "distance_to_hull",
     "membership",
     "line_fiber",
@@ -150,20 +148,13 @@ def save_body(body: VPolytope, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Support and distance oracles.
+# Radius and distance oracles.
 # ---------------------------------------------------------------------------
 
 
 def bounding_radius(body: VPolytope) -> float:
     """max ||v|| over vertices; equals sup over the hull by norm convexity."""
     return float(np.sqrt(np.max(np.einsum("ij,ij->i", body.vertices, body.vertices))))
-
-
-def support(body: VPolytope, u: np.ndarray) -> float:
-    u = np.asarray(u, dtype=float)
-    if u.shape != (body.ambient_dim,):
-        raise ValueError(f"direction has dimension {u.shape}, body has {body.ambient_dim}")
-    return float(np.max(body.vertices @ u))
 
 
 def _min_norm_point(pts: np.ndarray, start: int, max_iter: int) -> np.ndarray | None:

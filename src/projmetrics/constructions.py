@@ -63,10 +63,6 @@ class NeedleSpec:
         if float(np.linalg.norm(b @ (b.T @ u) - u)) > 1e-10:
             raise ValueError("axis u must lie in the construction plane")
 
-    @property
-    def cross_vertices(self) -> int:
-        return 2 * (self.plane.dim - 1)
-
 
 @dataclass(frozen=True)
 class ScheduleRow:
@@ -130,10 +126,6 @@ def needle_exact_volume(spec: NeedleSpec) -> float:
     if spec.kind == "prism":
         return spec.length * base
     return (2.0 * spec.length / j) * base
-
-
-def make_needle(spec: NeedleSpec) -> VPolytope:
-    return prism_needle(spec) if spec.kind == "prism" else spindle_needle(spec)
 
 
 def augment(body: VPolytope, needle: VPolytope) -> VPolytope:
@@ -219,8 +211,8 @@ def thm3_sequence(body: VPolytope, plane: Subspace, x0: np.ndarray, u: np.ndarra
     below a0/4, leaving a claimed floor of (3/4) a0."""
     if plane.dim < 2:
         raise ValueError("sequence needs plane dimension >= 2")
-    if a0 <= 0:
-        raise ValueError(f"a0 must be positive, got {a0}")
+    if not 0 < a0 < math.inf:
+        raise ValueError(f"a0 must be positive and finite, got {a0}")
     return _dyadic_sequence(body, plane, x0, u, lengths, steps,
                             lambda m: (a0 / 4.0) * 2.0 ** -(m + 1))
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -32,7 +33,7 @@ class ExperimentConfig:
             raise ConfigError("n_subspaces * n_points exceeds the 1e8 desk-scale guard")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if self.l0 <= 0:
-            raise ConfigError("l0 must be positive")
+        if not 0 < self.l0 < math.inf:
+            raise ConfigError(f"l0 must be positive and finite, got {self.l0}")
         if self.mode not in ("auto", "monte_carlo"):
             raise ConfigError(f"unknown sampling mode {self.mode!r}")

@@ -36,7 +36,6 @@ __all__ = [
     "project_body",
     "axis_split",
     "complete_to_basis",
-    "CertificateStack",
     "goodness",
     "goodness_stack",
 ]
@@ -182,30 +181,17 @@ def axis_split(h: Subspace, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u_h, complete_to_basis(u_h)
 
 
-@dataclass(frozen=True)
-class GoodnessCertificate:
-    """Per-subspace quantities witnessing that a subspace sees the
-    construction plane with full rank.
+class GoodnessCertificate(NamedTuple):
+    """Quantities witnessing that a subspace sees the construction plane
+    with full rank: one value per field for one subspace (goodness), or
+    arrays with one row per frame for an (n, d, j) stack (goodness_stack).
 
     sigma_min is the smallest singular value of the projection restricted to
     the plane; ell is the length of the projected axis; the transverse map
     acts on the axis-complement inside the plane, and its Jacobian scales
-    the transverse cross-section volume.  c = 2 * ell * b by construction."""
-
-    sigma_min: float
-    ell: float
-    u_h: np.ndarray
-    e_h_basis: np.ndarray
-    transverse_map: np.ndarray
-    jacobian: float
-    b: float
-    c: float
-
-
-class CertificateStack(NamedTuple):
-    """The fields of GoodnessCertificate for an (n, d, j) frame stack, one
-    row per frame: sigma_min, ell, jacobian, b and c are (n,) arrays, u_h is
-    (n, j), e_h_basis (n, j, j-1) and transverse_map (n, j-1, j-1)."""
+    the transverse cross-section volume.  c = 2 * ell * b by construction.
+    Per frame, u_h is (j,), e_h_basis (j, j-1) and transverse_map
+    (j-1, j-1); a stack adds a leading axis of length n to every field."""
 
     sigma_min: np.ndarray
     ell: np.ndarray
@@ -217,7 +203,7 @@ class CertificateStack(NamedTuple):
     c: np.ndarray
 
 
-def goodness_stack(frames: np.ndarray, plane: Subspace, u: np.ndarray) -> CertificateStack:
+def goodness_stack(frames: np.ndarray, plane: Subspace, u: np.ndarray) -> GoodnessCertificate:
     """Certificates of every frame of an (n, d, j) orthonormal stack against
     construction plane `plane` and unit axis u (u must lie in the plane):
     one batched SVD for sigma_min, one stacked Householder completion of the
@@ -258,16 +244,11 @@ def goodness_stack(frames: np.ndarray, plane: Subspace, u: np.ndarray) -> Certif
     # product of singular values; the empty product 1 is the 0-dimensional Jacobian
     jac = np.where(live, np.prod(np.linalg.svd(transverse, compute_uv=False), axis=1), 0.0)
     b = jac * ball_volume(j - 1)
-    return CertificateStack(sigma_min=sigma, ell=ell, u_h=u_h, e_h_basis=e_h_basis,
-                            transverse_map=transverse, jacobian=jac, b=b, c=2.0 * ell * b)
+    return GoodnessCertificate(sigma_min=sigma, ell=ell, u_h=u_h, e_h_basis=e_h_basis,
+                               transverse_map=transverse, jacobian=jac, b=b, c=2.0 * ell * b)
 
 
 def goodness(h: Subspace, plane: Subspace, u: np.ndarray) -> GoodnessCertificate:
     """Certificate for subspace h against construction plane `plane` and unit
-    axis u: the one-frame case of goodness_stack."""
-    row = goodness_stack(h.basis[None], plane, u)
-    return GoodnessCertificate(
-        sigma_min=float(row.sigma_min[0]), ell=float(row.ell[0]), u_h=row.u_h[0],
-        e_h_basis=row.e_h_basis[0], transverse_map=row.transverse_map[0],
-        jacobian=float(row.jacobian[0]), b=float(row.b[0]), c=float(row.c[0]),
-    )
+    axis u: row 0 of goodness_stack on h's one-frame stack."""
+    return GoodnessCertificate._make(f[0] for f in goodness_stack(h.basis[None], plane, u))

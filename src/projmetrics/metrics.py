@@ -61,7 +61,6 @@ __all__ = [
     "MetricEstimate",
     "SamplingPlan",
     "projected_volume",
-    "symdiff_volume",
     "delta_j",
     "intrinsic_volume",
     "hausdorff",
@@ -205,20 +204,6 @@ def projected_volume(body: VPolytope, h: Subspace, plan: SamplingPlan,
     return MetricEstimate(val, se, 1, plan.n_points, exact=exact, per_subspace=((0, val),))
 
 
-def symdiff_volume(a: VPolytope, b: VPolytope, plan: SamplingPlan,
-                   sample_index: int = AUX_STREAM_BASE) -> MetricEstimate:
-    """Volume of the symmetric difference of two bodies in their common R^j."""
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("operands live in different dimensions")
-    j = a.ambient_dim
-    if plan.mode == "auto" and j <= 2:
-        val = exact_symdiff(a.vertices, b.vertices, j)
-        return MetricEstimate(val, 0.0, 1, 0, exact=True)
-    stream = RngStream(plan.seed, 2 * sample_index + 1)
-    val, se = mc_symdiff(a.vertices, b.vertices, j, plan.n_points, stream)
-    return MetricEstimate(val, se, 1, plan.n_points, exact=False)
-
-
 def delta_j(a: VPolytope | None, b: VPolytope | None, j: int, plan: SamplingPlan,
             workers: int = 1) -> MetricEstimate:
     """Flag-scaled average projection discrepancy between two bodies.
@@ -353,8 +338,11 @@ def fiber_profile(outer: VPolytope, inner: VPolytope, h: Subspace, u: np.ndarray
     ambient coordinates, at the needle base); each grid point reports
     whether it lies in the image of that cross-section inside the
     transverse coordinates, tested against the image's facet equations.
-    Differences below 100*tol are clamped to zero.
+    The grid has round(grid_n ** (1/(j-1))) cells per transverse axis, and
+    grid_n must be at least 1.  Differences below 100*tol are clamped to zero.
     """
+    if grid_n < 1:
+        raise ValueError(f"fiber grid size must be >= 1, got {grid_n}")
     if outer.ambient_dim != inner.ambient_dim or outer.ambient_dim != h.ambient_dim:
         raise ValueError("bodies and subspace dimensions differ")
     if h.dim < 2:
@@ -372,9 +360,7 @@ def fiber_profile(outer: VPolytope, inner: VPolytope, h: Subspace, u: np.ndarray
     lo = ys_outer.min(axis=0)
     hi = ys_outer.max(axis=0)
 
-    n_axis = max(1, int(round(grid_n ** (1.0 / tdim))))
-    if tdim == 1:
-        n_axis = max(1, grid_n)
+    n_axis = int(round(grid_n ** (1.0 / tdim)))
     extent = np.maximum(hi - lo, 1e-30)
     cell = float(np.prod(extent / n_axis))
     axes = [lo[k] + (np.arange(n_axis) + 0.5) * (extent[k] / n_axis) for k in range(tdim)]

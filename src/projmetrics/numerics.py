@@ -21,13 +21,8 @@ __all__ = [
     "needle_bound_constant",
     "gram_schmidt",
     "gram_schmidt_stack",
-    "gram_jacobian",
-    "singular_min",
     "RngStream",
-    "rng_uniform",
-    "rng_gaussian",
     "uniform_block",
-    "gaussian_block",
     "gaussian_rows",
 ]
 
@@ -124,22 +119,6 @@ def gram_schmidt_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, residual
 
 
-def gram_jacobian(mat: np.ndarray) -> float:
-    """sqrt(det(M^T M)) = product of singular values; 0 for rank-deficient M."""
-    m = np.asarray(mat, dtype=float)
-    if m.size == 0:
-        return 1.0  # empty product: the 0-dimensional Jacobian
-    sv = np.linalg.svd(m, compute_uv=False)
-    return float(np.prod(sv))
-
-
-def singular_min(mat: np.ndarray) -> float:
-    """Smallest singular value."""
-    m = np.asarray(mat, dtype=float)
-    sv = np.linalg.svd(m, compute_uv=False)
-    return float(sv[-1])
-
-
 # ---------------------------------------------------------------------------
 # Counter-based random stream.
 #
@@ -201,19 +180,7 @@ def _box_muller(u: np.ndarray) -> np.ndarray:
 
 
 def gaussian_rows(seed: int, streams, counter0: int, n: int) -> np.ndarray:
-    """n standard normals per stream key, from 2n counters starting at
-    counter0; a row equals gaussian_block on RngStream(seed, key, counter0)."""
+    """n standard normals per stream key via Box-Muller, from the 2n
+    counters counter0 .. counter0 + 2n - 1 (an (m, n) array; (n,) for one
+    int key)."""
     return _box_muller(_uniform_rows(seed, streams, counter0, 2 * n))
-
-
-def gaussian_block(s: RngStream, n: int) -> np.ndarray:
-    """n standard normals via Box-Muller; advances the counter by 2n."""
-    return _box_muller(uniform_block(s, 2 * n))
-
-
-def rng_uniform(s: RngStream) -> float:
-    return float(uniform_block(s, 1)[0])
-
-
-def rng_gaussian(s: RngStream) -> float:
-    return float(gaussian_block(s, 1)[0])

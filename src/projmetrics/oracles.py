@@ -17,7 +17,6 @@ import math
 import numpy as np
 
 from .bodies import (
-    Interval,
     _affine_rank,
     _qhull,
     hull_2d,
@@ -64,13 +63,9 @@ def inside(verts: np.ndarray, pts: np.ndarray, tol: float = 1e-12) -> np.ndarray
     return facet_inside(hull, verts, pts, tol)
 
 
-def _interval_of(verts: np.ndarray) -> Interval:
-    return Interval(float(verts.min()), float(verts.max()))
-
-
 def exact_volume(verts: np.ndarray, j: int) -> float:
     if j == 1:
-        return _interval_of(verts).length
+        return float(verts.max()) - float(verts.min())
     if j == 2:
         return polygon_area(hull_2d(verts))
     hull = _qhull(verts)
@@ -85,9 +80,10 @@ def exact_symdiff(va: np.ndarray, vb: np.ndarray, j: int) -> float:
     """vol_j(conv va symdiff conv vb); at j >= 3 only for a nested pair, else
     UnsupportedModeError."""
     if j == 1:
-        ia, ib = _interval_of(va), _interval_of(vb)
-        overlap = max(0.0, min(ia.hi, ib.hi) - max(ia.lo, ib.lo))
-        return max(0.0, ia.length + ib.length - 2.0 * overlap)
+        lo_a, hi_a = float(va.min()), float(va.max())
+        lo_b, hi_b = float(vb.min()), float(vb.max())
+        overlap = max(0.0, min(hi_a, hi_b) - max(lo_a, lo_b))
+        return max(0.0, (hi_a - lo_a) + (hi_b - lo_b) - 2.0 * overlap)
     if j == 2:
         ra, rb = hull_2d(va), hull_2d(vb)
         if _ring_key(rb) < _ring_key(ra):  # canonical order: operand-symmetric bits

@@ -1,4 +1,6 @@
 import math
+import os
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -557,6 +559,27 @@ class TestCli:
                      "-d", "2", "-j", "1"]) == 3
         assert main(["nonsense"]) == 3
 
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_fibers_grid_below_one_is_a_config_error(self, tmp_path, bodies, capsys, grid):
+        small, big = bodies
+        out = tmp_path / "f.csv"
+        assert main(["fibers", "--body-a", big, "--body-b", small, "--grid", grid,
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"configuration error: fiber grid size must be >= 1, got {grid}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command,flag", [("thm1", "l0"), ("thm3", "a0")])
+    def test_non_finite_length_or_floor_is_named(self, tmp_path, capsys, command, flag, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            code = main([command, f"--{flag}", value, "-d", "3", "-j", "2", "--steps", "2",
+                         "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"configuration error: {flag} must be positive and finite, got {value}\n")
+
     def test_consecutive_calls_share_no_state(self, tmp_path):
         args = ["thm1", "-d", "3", "-j", "2", "--steps", "2", "--seed", "1",
                 "--subspaces", "20", "--out", str(tmp_path / "a.csv")]
@@ -591,14 +614,18 @@ class TestCli:
                      "--out", "/nonexistent/dir/x.csv"]) == 4
 
     def test_cross_process_determinism(self, tmp_path):
-        # identical bytes from two separate interpreter processes
+        # identical bytes from two separate interpreter processes, each
+        # importing the library under test
+        src = str(pathlib.Path(metrics.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         outs = []
         for k in range(2):
             out = tmp_path / f"proc{k}.csv"
             args = [sys.executable, "-m", "projmetrics", "thm1", "-d", "3", "-j", "2",
                     "--steps", "2", "--l0", "2", "--seed", "9", "--subspaces", "80",
                     "--out", str(out)]
-            proc = subprocess.run(args, capture_output=True, text=True)
+            proc = subprocess.run(args, capture_output=True, text=True, env=env)
             assert proc.returncode == 0, proc.stderr
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]

@@ -23,9 +23,7 @@ from projmetrics.numerics import (
     RankDeficiencyError,
     RngStream,
     ball_volume,
-    gaussian_block,
-    gram_jacobian,
-    singular_min,
+    gaussian_rows,
 )
 
 
@@ -127,7 +125,7 @@ class TestProjection:
     def test_contraction(self, seed):
         s = RngStream(seed, 0)
         h = haar_sample(5, 2, s)
-        x = gaussian_block(s, 5)
+        x = gaussian_rows(seed, 0, s.counter, 5)
         assert np.linalg.norm(project_point(h, x)) <= np.linalg.norm(x) + 1e-12
 
     def test_project_body_cube(self, cube3, plane_e12):
@@ -171,7 +169,7 @@ class TestAxisSplit:
 
     def test_completion_orthonormal(self):
         for i in range(30):
-            v = gaussian_block(RngStream(23, i), 4)
+            v = gaussian_rows(23, i, 0, 4)
             v /= np.linalg.norm(v)
             comp = complete_to_basis(v)
             frame = np.column_stack([v, comp])
@@ -244,7 +242,7 @@ def reference_completion(v):
 def reference_certificate(basis, plane, u):
     """(sigma_min, ell, e_h_basis, jacobian, c) of one frame, computed frame by frame."""
     j = basis.shape[1]
-    sigma = singular_min(basis.T @ plane.basis)
+    sigma = float(np.linalg.svd(basis.T @ plane.basis, compute_uv=False)[-1])
     pu = basis.T @ u
     ell = float(np.linalg.norm(pu))
     if ell <= 1e-12:
@@ -252,7 +250,8 @@ def reference_certificate(basis, plane, u):
     e_h_basis = reference_completion(pu / ell)
     u_plane = plane.basis.T @ u
     plane_comp = plane.basis @ reference_completion(u_plane / np.linalg.norm(u_plane))
-    jac = gram_jacobian(e_h_basis.T @ (basis.T @ plane_comp))
+    # the Gram Jacobian: the product of the transverse map's singular values
+    jac = float(np.prod(np.linalg.svd(e_h_basis.T @ (basis.T @ plane_comp), compute_uv=False)))
     return sigma, ell, e_h_basis, jac, 2.0 * ell * (jac * ball_volume(j - 1))
 
 
@@ -290,7 +289,7 @@ class TestGoodnessStack:
 
     @pytest.mark.parametrize("j", [1, 2, 3, 5, 8])
     def test_stacked_completion_equals_one_vector_calls(self, j):
-        v = np.stack([gaussian_block(RngStream(29, i), j) for i in range(50)])
+        v = gaussian_rows(29, np.arange(50), 0, j)
         v /= np.linalg.norm(v, axis=1)[:, None]
         v[0] = np.eye(j)[0]  # both signs of the first coordinate, and exact axes
         v[1] = -np.eye(j)[-1]

@@ -1,12 +1,23 @@
 """The package's import layering, checked on the source with ast: the
-experiment layer uses only public library names, and scripts reach the
-experiments only through the CLI."""
+experiment layer uses only public library names, scripts reach the
+experiments only through the CLI, and every public library name has a
+caller in the library."""
 
 import ast
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-EXPERIMENTS = ROOT / "src" / "projmetrics" / "experiments"
+LIBRARY = ROOT / "src" / "projmetrics"
+EXPERIMENTS = LIBRARY / "experiments"
+
+# public top-level names that no library code uses, each kept for a reason
+KEPT_WITHOUT_CALLER = {
+    "gram_schmidt": "a layer that perfbench/spans.py traces by name",
+    "line_fiber": "a layer that perfbench/spans.py traces by name",
+    "needle_exact_volume": "the closed-form needle volume that exact thm columns are "
+                           "checked against",
+    "read_csv": "the reader for the CLI's CSV tables",
+}
 
 
 def imports(path: pathlib.Path):
@@ -43,3 +54,19 @@ def test_scripts_reach_experiments_only_through_the_cli():
                     and not f"{target}.".startswith("projmetrics.experiments.cli.")):
                 offenders.append(f"{path.name}: {target}")
     assert offenders == []
+
+
+def test_every_public_library_name_has_a_library_caller():
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(LIBRARY.rglob("*.py"))]
+    # a use is a name or an attribute in code; imports, re-exports and
+    # __all__ strings are not
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    public = {node.name for tree in trees for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    assert sorted(public - used - KEPT_WITHOUT_CALLER.keys()) == []
+    # the allow-list holds only names that exist and still lack a caller
+    assert sorted(KEPT_WITHOUT_CALLER.keys() - (public - used)) == []

@@ -26,9 +26,9 @@ from projmetrics.metrics import (
     hausdorff,
     intrinsic_volume,
     projected_volume,
-    symdiff_volume,
 )
 from projmetrics.numerics import RngStream, flag_coefficient, gram_schmidt
+from projmetrics.oracles import exact_symdiff, mc_symdiff
 
 
 def grassmann_line_average_oracle(n: int = 20_001) -> float:
@@ -103,30 +103,30 @@ class TestProjectedVolume:
 
 
 class TestSymdiffVolume:
+    """Same-space symmetric differences, from the oracles that delta_j's
+    per-sample values and in-flat values call."""
+
     def test_identical_operands(self, square2):
-        assert symdiff_volume(square2, square2, SamplingPlan(seed=0)).value == 0.0
+        assert exact_symdiff(square2.vertices, square2.vertices, 2) == 0.0
 
     def test_nested_squares(self):
-        small = VPolytope([[0, 0], [1, 0], [1, 1], [0, 1.0]])
-        big = VPolytope([[0, 0], [2, 0], [2, 2], [0, 2.0]])
-        est = symdiff_volume(small, big, SamplingPlan(seed=0))
-        assert est.exact and est.value == pytest.approx(3.0, abs=1e-12)
+        small = np.array([[0, 0], [1, 0], [1, 1], [0, 1.0]])
+        big = np.array([[0, 0], [2, 0], [2, 2], [0, 2.0]])
+        assert exact_symdiff(small, big, 2) == pytest.approx(3.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_mc_within_four_se(self, seed):
         rng = np.random.default_rng(seed)
-        a = random_convex_polygon(rng)
-        b = random_convex_polygon(rng)
-        exact = symdiff_volume(a, b, SamplingPlan(seed=2))
-        mc = symdiff_volume(a, b, SamplingPlan(n_points=100_000, seed=2,
-                                               mode="monte_carlo"))
-        assert abs(mc.value - exact.value) <= 4.0 * mc.std_error
+        a = random_convex_polygon(rng).vertices
+        b = random_convex_polygon(rng).vertices
+        exact = exact_symdiff(a, b, 2)
+        mc, se = mc_symdiff(a, b, 2, 100_000, RngStream(2, 1))
+        assert abs(mc - exact) <= 4.0 * se
 
     def test_interval_symdiff(self):
-        a = VPolytope([[0.0], [2.0]])
-        b = VPolytope([[1.0], [4.0]])
-        est = symdiff_volume(a, b, SamplingPlan(seed=0))
-        assert est.value == pytest.approx(3.0, abs=1e-12)  # (2-1) + (4-2)
+        a = np.array([[0.0], [2.0]])
+        b = np.array([[1.0], [4.0]])
+        assert exact_symdiff(a, b, 1) == pytest.approx(3.0, abs=1e-12)  # (2-1) + (4-2)
 
 
 class TestDeltaJ:
@@ -560,6 +560,13 @@ class TestFiberProfile:
         outside = VPolytope([[5.0, 5.0], [6.0, 5.0], [6.0, 6.0]])
         with pytest.raises(ValueError):
             fiber_profile(square2, outside, full_space(2), np.array([1.0, 0.0]), 10)
+
+    @pytest.mark.parametrize("d,grid_n", [(2, 0), (2, -3), (3, -8)])
+    def test_grid_below_one_rejected(self, d, grid_n):
+        # d = 3 has a 2-D transverse grid, where a negative size has a complex root
+        body = unit_cube(d, d)
+        with pytest.raises(ValueError, match=f"fiber grid size must be >= 1, got {grid_n}"):
+            fiber_profile(body, body, full_space(d), np.eye(d)[0], grid_n)
 
     def test_needle_profile_exact(self):
         # grown = conv{(0,0), (1,0), (8.5,.49), (8.5,.51), (1,1), (0,1)}: its

@@ -5,18 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from projmetrics.grassmann import Subspace, axis_subspace, goodness, goodness_stack, haar_sample
 from projmetrics.numerics import (
     RankDeficiencyError,
     RngStream,
     ball_volume,
     flag_coefficient,
-    gaussian_block,
-    gram_jacobian,
+    gaussian_rows,
     gram_schmidt,
     needle_bound_constant,
-    rng_gaussian,
-    rng_uniform,
-    singular_min,
     uniform_block,
 )
 
@@ -97,7 +94,7 @@ class TestGramSchmidt:
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_random_frames(self, seed):
-        g = gaussian_block(RngStream(seed, 0), 15).reshape(5, 3)
+        g = gaussian_rows(seed, 0, 0, 15).reshape(5, 3)
         q = gram_schmidt(g)
         assert np.max(np.abs(q.T @ q - np.eye(3))) < 1e-10
         # span preserved: original columns reconstruct from q
@@ -106,53 +103,94 @@ class TestGramSchmidt:
         assert np.max(np.abs(gram_schmidt(q) - q)) < 1e-12
 
 
+def tilted_plane_certificate(cos_t: float):
+    """Certificate of span{e1, cos_t e2 + sin_t e3} against the plane
+    span{e1, e2} with axis e1: the transverse direction e2 is seen at
+    angle t, so the restricted projection is diag(1, cos_t)."""
+    h = Subspace(np.array([[1.0, 0.0], [0.0, cos_t], [0.0, math.sqrt(1.0 - cos_t**2)]]))
+    return goodness(h, axis_subspace(3, [0, 1]), np.array([1.0, 0.0, 0.0]))
+
+
 class TestGramJacobian:
+    """The certificate's jacobian: the Gram Jacobian sqrt(det(M^T M)), the
+    product of the singular values of the transverse map M."""
+
     def test_orthonormal_columns(self):
-        assert gram_jacobian(np.eye(4)[:, :2]) == pytest.approx(1.0, abs=1e-14)
+        # the axis leaves the plane, the transverse direction e2 does not
+        t = 0.7
+        h = Subspace(np.array([[math.cos(t), 0.0], [0.0, 1.0], [math.sin(t), 0.0]]))
+        cert = goodness(h, axis_subspace(3, [0, 1]), np.array([1.0, 0.0, 0.0]))
+        assert cert.ell == pytest.approx(math.cos(t), abs=1e-14)
+        assert cert.jacobian == pytest.approx(1.0, abs=1e-14)
 
     def test_diagonal(self):
-        assert gram_jacobian(np.array([[1.0, 0.0], [0.0, 0.5], [0.0, 0.0]])) \
-            == pytest.approx(0.5, abs=1e-14)
+        cert = tilted_plane_certificate(0.5)
+        assert cert.ell == pytest.approx(1.0, abs=1e-14)
+        assert cert.jacobian == pytest.approx(0.5, abs=1e-14)
 
     def test_zero_column(self):
-        assert gram_jacobian(np.array([[1.0, 0.0], [0.0, 0.0]])) == pytest.approx(0.0, abs=1e-12)
+        cert = tilted_plane_certificate(0.0)
+        assert cert.ell == pytest.approx(1.0, abs=1e-14)
+        assert cert.jacobian == pytest.approx(0.0, abs=1e-12)
+        assert cert.c == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_left_isometry_invariance(self, seed):
-        s = RngStream(seed, 9)
-        a = gaussian_block(s, 9).reshape(3, 3)
-        q = gram_schmidt(gaussian_block(s, 15).reshape(5, 3))
-        assert gram_jacobian(q @ a) == pytest.approx(gram_jacobian(a), rel=1e-9)
+        # rotating subspace, plane and axis together leaves the certificate
+        q = gram_schmidt(gaussian_rows(seed, 9, 0, 25).reshape(5, 5))
+        h = haar_sample(5, 3, RngStream(seed, 10))
+        plane = axis_subspace(5, [0, 1, 2])
+        u = np.eye(5)[0]
+        cert = goodness(h, plane, u)
+        moved = goodness(Subspace(q @ h.basis), Subspace(q @ plane.basis), q @ u)
+        assert moved.jacobian == pytest.approx(cert.jacobian, rel=1e-9)
+        assert moved.sigma_min == pytest.approx(cert.sigma_min, rel=1e-9, abs=1e-12)
 
 
 class TestSingularMin:
+    """The certificate's sigma_min: the smallest singular value of the
+    projection restricted to the plane."""
+
     def test_identity(self):
-        assert singular_min(np.eye(3)) == pytest.approx(1.0, abs=1e-12)
+        # every frame of the whole space sees the whole space isometrically
+        for i in range(5):
+            h = haar_sample(3, 3, RngStream(4, i))
+            cert = goodness(h, axis_subspace(3, [0, 1, 2]), np.array([1.0, 0.0, 0.0]))
+            assert cert.sigma_min == pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal(self):
-        assert singular_min(np.diag([2.0, 0.1])) == pytest.approx(0.1, abs=1e-12)
+        assert tilted_plane_certificate(0.1).sigma_min == pytest.approx(0.1, abs=1e-12)
 
     def test_restricted_projection_drops_rank(self):
-        # spans {e1,e3} seen from {e1,e2}: the second column collapses
-        h = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-        e = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        assert singular_min(h.T @ e) == pytest.approx(0.0, abs=1e-14)
+        # {e1,e2}, {e1,e3} and {e1,(e2+e3)/sqrt2} seen from {e1,e2}: only the
+        # second frame's second column collapses
+        r = math.sqrt(0.5)
+        frames = np.array([[[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
+                           [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]],
+                           [[1.0, 0.0], [0.0, r], [0.0, r]]])
+        certs = goodness_stack(frames, axis_subspace(3, [0, 1]), np.array([1.0, 0.0, 0.0]))
+        assert certs.sigma_min == pytest.approx([1.0, 0.0, r], abs=1e-14)
 
 
 class TestRng:
     def test_determinism(self):
-        assert rng_uniform(RngStream(3, 5, 7)) == rng_uniform(RngStream(3, 5, 7))
-        assert rng_gaussian(RngStream(3, 5, 7)) == rng_gaussian(RngStream(3, 5, 7))
+        assert np.array_equal(uniform_block(RngStream(3, 5, 7), 4),
+                              uniform_block(RngStream(3, 5, 7), 4))
+        assert np.array_equal(gaussian_rows(3, 5, 7, 4), gaussian_rows(3, 5, 7, 4))
 
     def test_counter_advances(self):
         s = RngStream(1)
-        rng_uniform(s)
+        u = uniform_block(s, 1)
         assert s.counter == 1
-        rng_gaussian(s)
+        u = np.concatenate([u, uniform_block(s, 2)])
         assert s.counter == 3
+        # one Gaussian is the Box-Muller map of the uniforms at two counters
+        g = gaussian_rows(1, 0, 1, 1)[0]
+        assert g == pytest.approx(
+            math.sqrt(-2.0 * math.log1p(-u[1])) * math.cos(2.0 * math.pi * u[2]), rel=1e-14)
 
     def test_stream_separation(self):
-        assert rng_uniform(RngStream(11, 0)) != rng_uniform(RngStream(11, 1))
+        assert uniform_block(RngStream(11, 0), 1)[0] != uniform_block(RngStream(11, 1), 1)[0]
 
     def test_uniform_mean(self):
         u = uniform_block(RngStream(42, 0), 1_000_000)
@@ -160,7 +198,7 @@ class TestRng:
         assert float(u.min()) >= 0.0 and float(u.max()) < 1.0
 
     def test_gaussian_moments(self):
-        g = gaussian_block(RngStream(42, 1), 1_000_000)
+        g = gaussian_rows(42, 1, 0, 1_000_000)
         assert -0.005 <= float(g.mean()) <= 0.005
         assert 0.99 <= float(g.var()) <= 1.01
         assert np.all(np.isfinite(g))
@@ -174,6 +212,6 @@ class TestRng:
     @given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), st.integers(0, 2**32))
     @settings(max_examples=50, deadline=None)
     def test_cell_purity(self, seed, stream, counter):
-        a = rng_uniform(RngStream(seed, stream, counter))
-        b = rng_uniform(RngStream(seed, stream, counter))
+        a = uniform_block(RngStream(seed, stream, counter), 1)[0]
+        b = uniform_block(RngStream(seed, stream, counter), 1)[0]
         assert a == b and 0.0 <= a < 1.0
