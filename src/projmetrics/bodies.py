@@ -2,10 +2,11 @@
 
 The min-norm-point solver gives point-to-hull distance and membership;
 metrics.hausdorff runs it only on the vertices whose nearest-vertex bound
-can still set the maximum.  Facet equations A x + b <= 0 (interval ends,
-hull_2d edges, qhull) give exact line chords and bulk membership; a
-lower-dimensional hull is first reduced to the frame of its affine hull.
-The same qhull call also gives the hull's volume.  Exact 2-D
+can still set the maximum.  Each body keeps one flat chart, built on first
+use: the frame of its affine hull and, only when asked for, the facet
+equations A y + b <= 0 (interval ends, hull_2d edges, qhull) and volume of
+the body inside that flat.  The facets give exact line chords and bulk
+membership; the volumes give metrics its exact in-flat values.  Exact 2-D
 geometry (monotone-chain hull, shoelace area, convex clipping) provides the
 oracle against which Monte Carlo estimators are checked.
 """
@@ -13,6 +14,7 @@ oracle against which Monte Carlo estimators are checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +30,6 @@ __all__ = [
     "line_fiber",
     "line_fibers",
     "contains",
-    "facets",
     "hull_2d",
     "polygon_area",
     "polygon_clip",
@@ -78,6 +79,11 @@ class VPolytope:
 
     def translate(self, t: np.ndarray) -> "VPolytope":
         return VPolytope(self.vertices + np.asarray(t, dtype=float))
+
+    @cached_property
+    def _chart(self) -> "_Chart":
+        # the vertices are read-only, so the chart never goes stale
+        return _Chart(self.vertices)
 
 
 @dataclass(frozen=True)
@@ -283,9 +289,10 @@ def line_fibers(body: VPolytope, bases: np.ndarray, direction: np.ndarray,
     un = float(np.linalg.norm(u))
     if un <= 0.0:
         raise ValueError("direction must be nonzero")
-    origin, frame, normal, a, b = _flat_facets(body.vertices)
-    xo, uo = _rowdot(x - origin, normal), _rowdot(u[None], normal)[0]
-    xf, uf = _rowdot(x - origin, frame), _rowdot(u[None], frame)[0]
+    c = body._chart
+    a, b, _ = c.hull
+    xo, uo = c.off_flat(x), _rowdot(u[None], c.normal)[0]
+    xf, uf = c.to_flat(x), _rowdot(u[None], c.frame)[0]
     if float(np.linalg.norm(uo)) > _PARALLEL * un:
         # the line crosses the flat once, at the t nearest to it
         t = -_rowdot(xo, uo[None])[:, 0] / float(uo @ uo)
@@ -305,9 +312,8 @@ def contains(body: VPolytope, pts: np.ndarray, tol: float = DEFAULT_TOL) -> np.n
     p = np.asarray(pts, dtype=float)
     if p.ndim != 2 or p.shape[1] != body.ambient_dim:
         raise ValueError(f"need an (n, {body.ambient_dim}) point array, got {p.shape}")
-    origin, frame, normal, a, b = _flat_facets(body.vertices)
-    return (_within(_rowdot(p - origin, normal), tol)
-            & _in_facets(_rowdot(p - origin, frame), a, b, tol))
+    c = body._chart
+    return _within(c.off_flat(p), tol) & _in_facets(c.to_flat(p), *c.hull[:2], tol)
 
 
 # |a.u| <= _PARALLEL * |u| counts a facet (or a flat) as parallel to the line:
@@ -356,23 +362,93 @@ def _affine_rank(verts: np.ndarray) -> int:
     return _numerical_rank(np.linalg.svd(verts - verts[0], compute_uv=False))
 
 
-def _flat_facets(verts: np.ndarray):
-    """(origin, frame, normal, a, b): x is in conv(verts) iff
-    normal @ (x - origin) = 0 and a @ frame @ (x - origin) + b <= 0.  The
-    orthonormal rows of frame span the affine hull, those of normal its
-    complement.  A full-dimensional hull gets origin 0, the identity frame
-    and no normal rows, so its facets act on unchanged ambient coordinates."""
-    n, d = verts.shape
-    # vt must be d x d to hold the complement; with n >= d the thin SVD gives
-    # that without an n x n U
-    _, sv, vt = np.linalg.svd(verts - verts[0], full_matrices=n < d)
-    r = _numerical_rank(sv)
-    if r == d:
-        return np.zeros(d), np.eye(d), np.zeros((0, d)), *facets(verts)
-    origin, frame = verts[0], vt[:r]
-    if r == 0:  # a single point: no facets inside its flat
-        return origin, frame, vt, np.zeros((0, 0)), np.zeros(0)
-    return origin, frame, vt[r:], *facets(_rowdot(verts - origin, frame))
+def _distinct_rows(v: np.ndarray) -> np.ndarray:
+    """The distinct rows of v in lexicographic order, as np.unique(v, axis=0)
+    gives them, at a fraction of its cost on small arrays."""
+    v = v[np.lexsort(v.T[::-1])]
+    keep = np.ones(len(v), dtype=bool)
+    keep[1:] = np.any(v[1:] != v[:-1], axis=1)
+    return v[keep]
+
+
+class _Chart:
+    """The affine hull of a vertex set, and inside it, built on first use,
+    the facets and volume of the set's convex hull.
+
+    x lies in the affine hull iff normal @ (x - origin) = 0, and then
+    frame @ (x - origin) are its in-flat coordinates: the orthonormal rows
+    of frame span the hull's directions, those of normal their complement,
+    and dim is the hull's dimension.  Below full rank the frame comes from
+    the sorted distinct vertex rows, and coords holds those rows in frame
+    coordinates, so no bit depends on vertex order.  A full-rank set keeps
+    origin 0, the identity frame, no normal rows and its vertices as given,
+    so qhull, whose bits follow the order of its input, sees the caller's
+    order.
+    """
+
+    def __init__(self, verts: np.ndarray):
+        d = verts.shape[1]
+        self.vertices = verts
+        self.dim = r = _affine_rank(verts)
+        if r == d:
+            self.origin, self.frame, self.normal = np.zeros(d), np.eye(d), np.zeros((0, d))
+            self.coords = verts
+            return
+        pts = _distinct_rows(verts)
+        centered = pts - pts[0]
+        # vt must be d x d to hold the complement; with n >= d the thin SVD
+        # gives that without an n x n U
+        _, _, vt = np.linalg.svd(centered, full_matrices=len(centered) < d)
+        self.origin, self.frame, self.normal = pts[0], vt[:r], vt[r:]
+        self.coords = centered @ self.frame.T
+
+    @cached_property
+    def hull(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(a, b, volume): in-flat points y of the hull have a @ y + b <= 0
+        with unit rows of a (the two ends at dim 1, the hull_2d edges at
+        dim 2, one qhull call at dim >= 3), and volume is its dim-volume."""
+        y, r = self.coords, self.dim
+        if r == 0:  # a single point: no facets inside its flat, 0-volume 1
+            return np.zeros((0, 0)), np.zeros(0), 1.0
+        if r == 1:
+            lo, hi = float(y.min()), float(y.max())
+            return np.array([[-1.0], [1.0]]), np.array([lo, -hi]), hi - lo
+        if r == 2:
+            ring = hull_2d(y)
+            if ring.shape[0] >= 3:
+                edge = np.roll(ring, -1, axis=0) - ring
+                a = np.stack([edge[:, 1], -edge[:, 0]], axis=1)  # outward for a CCW ring
+                a /= np.linalg.norm(a, axis=1)[:, None]
+                return a, -np.sum(a * ring, axis=1), polygon_area(ring)
+        else:
+            hull = _qhull(y)
+            if hull is not None:
+                return hull
+        raise NonConvergenceError(f"the hull of a rank-{r} vertex set is flat in its own frame")
+
+    def to_flat(self, pts: np.ndarray) -> np.ndarray:
+        """In-flat coordinates of the rows of pts, each row's bits on its own."""
+        return _rowdot(pts - self.origin, self.frame)
+
+    def off_flat(self, pts: np.ndarray) -> np.ndarray:
+        """Components of the rows of pts normal to the flat."""
+        return _rowdot(pts - self.origin, self.normal)
+
+    def rank_with(self, pts: np.ndarray) -> int:
+        """Dimension of the affine hull of this vertex set and the rows of pts."""
+        off = self.off_flat(pts)
+        if off.shape[1] == 0:
+            return self.dim
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(self.coords))),
+                          float(np.max(np.abs(pts - self.origin))))
+        if float(np.max(np.abs(off))) <= tol:
+            return self.dim
+        return self.dim + int(np.sum(np.linalg.svd(off, compute_uv=False) > tol))
+
+    def key(self) -> tuple:
+        """A total order on charts that depends only on the distinct vertices."""
+        pts = _distinct_rows(self.vertices)
+        return len(pts), tuple(pts.ravel())
 
 
 def _qhull(verts: np.ndarray):
@@ -393,33 +469,6 @@ def _qhull(verts: np.ndarray):
                                   f"vertex array: {reason}") from exc
     eq = hull.equations
     return eq[:, :-1], eq[:, -1], float(hull.volume)
-
-
-def facets(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-normal facet inequalities A x + b <= 0 of conv(verts), which must
-    be full-dimensional in its own dimension k = verts.shape[1]: the two
-    endpoints for k = 1, the edges of the hull_2d ring for k = 2, qhull for
-    k >= 3."""
-    v = np.asarray(verts, dtype=float)
-    if v.ndim != 2 or v.shape[0] < 1:
-        raise ValueError("expected a nonempty (n, k) vertex array")
-    k = v.shape[1]
-    if k == 1:
-        lo, hi = float(v.min()), float(v.max())
-        if lo < hi:
-            return np.array([[-1.0], [1.0]]), np.array([lo, -hi])
-    elif k == 2:
-        ring = hull_2d(v)
-        if ring.shape[0] >= 3:
-            edge = np.roll(ring, -1, axis=0) - ring
-            a = np.stack([edge[:, 1], -edge[:, 0]], axis=1)  # outward for a CCW ring
-            a /= np.linalg.norm(a, axis=1)[:, None]
-            return a, -np.sum(a * ring, axis=1)
-    else:
-        hull = _qhull(v)
-        if hull is not None:
-            return hull[:2]
-    raise ValueError(f"conv(verts) is not full-dimensional in R^{k}")
 
 
 # ---------------------------------------------------------------------------

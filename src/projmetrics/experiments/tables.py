@@ -12,7 +12,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from xml.sax.saxutils import escape
+from html import escape  # xml.sax.saxutils would import urllib, http.client and ssl
 
 __all__ = ["CsvTable", "fmt_cell", "write_csv", "read_csv", "write_svg"]
 
@@ -129,7 +129,7 @@ def write_svg(table: CsvTable, x_col: str, y_cols: list[str], path,
         'stroke="black"/>',
         f'<line x1="{_MARGIN}" y1="{_MARGIN}" x2="{_MARGIN}" y2="{_H - _MARGIN}" stroke="black"/>',
         f'<text x="{_W // 2}" y="{_H - 20}" text-anchor="middle" font-size="14">'
-        f'{escape(x_col)}{" (log)" if log_log else ""}</text>',
+        f'{escape(x_col, quote=False)}{" (log)" if log_log else ""}</text>',
     ]
     for k, (name, ys) in enumerate(series.items()):
         color = _PALETTE[k % len(_PALETTE)]
@@ -141,7 +141,7 @@ def write_svg(table: CsvTable, x_col: str, y_cols: list[str], path,
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="2"/>')
         parts.append(
             f'<text x="{_W - _MARGIN + 5}" y="{_MARGIN + 18 * k + 10}" font-size="12" '
-            f'fill="{color}" text-anchor="end">{escape(name)}</text>'
+            f'fill="{color}" text-anchor="end">{escape(name, quote=False)}</text>'
         )
     parts.append("</svg>")
     try:

@@ -11,9 +11,14 @@ orthonormal frame Q, projection onto H acts on the flat as H^T Q, and
 flag(d, j) E_H |det(H^T Q)| = 1 (Kubota/Cauchy; Schneider, Convex Bodies,
 2nd ed., sec. 5.3).  So unless Monte Carlo is asked for, a single flat
 operand or a nested flat pair gives the in-flat vol_j(K symdiff L) exactly,
-at every j: interval and polygon oracles for j <= 2, one qhull volume per
-operand for j >= 3 (|vol K - vol L| for a nested pair).  At j = d every
-body is flat and keeps its own coordinates.
+at every j.  The frame belongs to each body: a VPolytope keeps one chart
+(the frame of its affine hull and, built once on demand, its in-flat facets
+and volume), so a table whose rows share a base body builds the base's hull
+once.  A single operand gives its chart volume; a pair whose vertices lie
+in each other's flat and pass one chart's facet test is nested and gives
+|vol K - vol L|; a pair in one flat that is not nested is clipped in one
+chart at j <= 2.  At j = d every body is flat and keeps its own
+coordinates.
 
 The rest samples subspaces: non-flat bodies, flat pairs at j >= 3 that are
 not nested, and monte_carlo mode.  Per-sample inner volumes are exact for
@@ -22,8 +27,9 @@ index), so estimates are bit-identical for any worker count: sample i
 consumes streams 2i (subspace) and 2i+1 (points), reduced in index order.
 A batch's frames come as one (n, d, j) array (grassmann.haar_frames) and
 the operands are projected with one batched product; only the inner oracles
-run once per sample.  projected_volume under auto takes the qhull volume at
-j >= 3.
+run once per sample.  One sample gives no spread to estimate an error from,
+so its standard error is inf.  projected_volume under auto takes the qhull
+volume at j >= 3.
 
 The inner oracles themselves, exact and box Monte Carlo, live in
 projmetrics.oracles; this module holds the estimators built on them.
@@ -41,7 +47,6 @@ from .bodies import (
     DEFAULT_TOL,
     VPolytope,
     _affine_rank,
-    _numerical_rank,
     contains,
     distance_to_hull,
     line_fibers,
@@ -49,13 +54,7 @@ from .bodies import (
 )
 from .grassmann import Subspace, axis_split, haar_frames, project_body
 from .numerics import RngStream, flag_coefficient
-from .oracles import (
-    UnsupportedModeError,
-    exact_symdiff,
-    exact_volume,
-    mc_symdiff,
-    mc_volume,
-)
+from .oracles import exact_symdiff, exact_volume, facet_inside, mc_symdiff, mc_volume
 
 __all__ = [
     "MetricEstimate",
@@ -139,36 +138,49 @@ def _batch_values(task) -> np.ndarray:
         for index, a, b in zip(range(lo, hi), pa, pb)])
 
 
-def _flat_value(j: int, va, vb) -> float | None:
-    """vol_j(K symdiff L) inside the affine j-flat that the operands span
-    together; None for operands that span no j-flat and, at j >= 3, for a
-    pair that is not nested (neither passes the other's facet test).
+def _flat_value(j: int, a: VPolytope | None, b: VPolytope | None) -> float | None:
+    """vol_j(K symdiff L) inside the affine j-flat that holds both operands,
+    from each body's own cached chart; None when no exact in-flat answer
+    applies and the caller samples.
 
-    Below j = d the in-flat coordinates come from an orthonormal frame of
-    the sorted union of the vertices, and at j >= 3 each operand hands qhull
-    its vertices in that sorted order, so no bit depends on operand or
-    vertex order.  At j = d the operands keep their own coordinates and
-    vertex lists, so at j = d >= 3 the bits depend on vertex order: qhull's
-    volume can move in the last bits with the order of its input, and it
-    fails on the sorted order of thm1's last 6-cube row but not on the
-    given one."""
-    ops = [v for v in (va, vb) if v is not None]
-    coords = ops
-    if ops[0].shape[1] > j:
-        pts, inverse = np.unique(np.vstack(ops), axis=0, return_inverse=True)
-        centered = pts - pts[0]
-        _, sv, vt = np.linalg.svd(centered, full_matrices=False)
-        if _numerical_rank(sv) != j:
-            return None
-        flat = centered @ vt[:j].T
-        index = np.split(inverse.reshape(-1), [ops[0].shape[0]])[:len(ops)]
-        if j > 2:  # qhull's bits depend on the order of its input points
-            index = [np.unique(i) for i in index]
-        coords = [flat[i] for i in index]
-    try:
-        return (exact_volume if len(ops) == 1 else exact_symdiff)(*coords, j)
-    except UnsupportedModeError:  # a pair that is not nested, at j >= 3
+    One operand gives its chart volume when it spans a j-flat.  For a pair,
+    each operand's vertices are mapped into the other's chart: when they lie
+    in that j-flat and pass its facet test, the pair is nested and the value
+    is |vol K - vol L|.  A pair in one j-flat that is not nested is clipped
+    at j <= 2 in the chart that key() puts first, and gets None at j >= 3.
+    Two operands that span less than a j-flat each give 0 at j <= 2 when
+    together they span one (or j = d), else None.  An operand that spans
+    more than a j-flat gives None and builds no hull.
+
+    Each chart's frame comes from the sorted distinct vertex rows below
+    full rank, so no bit depends on operand or vertex order there.  At
+    full rank (j = d) the bodies keep their own coordinates and vertex
+    lists, so at j = d >= 3 the bits depend on vertex order: qhull's volume
+    can move in the last bits with the order of its input, and it fails on
+    the sorted order of thm1's last 6-cube row but not on the given one."""
+    ops = [x for x in (a, b) if x is not None]
+    charts = [x._chart for x in ops]
+    if any(c.dim > j for c in charts):
         return None
+    d = ops[0].ambient_dim
+    full = [c for c in charts if c.dim == j]
+    if len(ops) == 1:
+        return full[0].hull[2] if full else (0.0 if j == d else None)
+    if not full:  # both below j: every projection has measure zero
+        if j >= 3 or (j < d and charts[0].rank_with(ops[1].vertices) != j):
+            return None
+        return 0.0
+    k = 0 if charts[0].dim == j else 1
+    if charts[k].rank_with(ops[1 - k].vertices) != j:
+        return None  # not in one j-flat
+    for k, c in enumerate(charts):
+        if c.dim == j and facet_inside(c.hull, c.coords, c.to_flat(ops[1 - k].vertices)).all():
+            vol_a, vol_b = (x.hull[2] if x.dim == j else 0.0 for x in charts)
+            return abs(vol_a - vol_b)
+    if j >= 3:
+        return None
+    c = min(full, key=lambda x: x.key())
+    return exact_symdiff(c.to_flat(a.vertices), c.to_flat(b.vertices), j)
 
 
 def _collect_values(seed, n, d, j, va, vb, n_points, exact_inner, workers) -> np.ndarray:
@@ -228,7 +240,7 @@ def delta_j(a: VPolytope | None, b: VPolytope | None, j: int, plan: SamplingPlan
     vb = b.vertices if b is not None else None
     exact_inner = plan.mode == "auto" and j <= 2
 
-    f = None if plan.mode == "monte_carlo" else _flat_value(j, va, vb)
+    f = None if plan.mode == "monte_carlo" else _flat_value(j, a, b)
     if f is not None:
         if j == d:
             return MetricEstimate(f, 0.0, 1, 0, exact=True, per_subspace=((0, f),))
@@ -242,7 +254,8 @@ def delta_j(a: VPolytope | None, b: VPolytope | None, j: int, plan: SamplingPlan
     fvals = _collect_values(plan.seed, n, d, j, va, vb, plan.n_points, exact_inner, workers)
     flag = flag_coefficient(d, j)
     value = flag * float(np.mean(fvals))
-    se = flag * float(np.std(fvals, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+    # one sample gives no spread to estimate an error from
+    se = flag * float(np.std(fvals, ddof=1)) / math.sqrt(n) if n > 1 else math.inf
     return MetricEstimate(value, se, n, 0 if exact_inner else plan.n_points, exact=False,
                           per_subspace=tuple((i, float(f)) for i, f in enumerate(fvals)))
 

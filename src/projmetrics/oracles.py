@@ -43,7 +43,8 @@ class UnsupportedModeError(ValueError):
 
 
 def facet_inside(hull, verts: np.ndarray, pts: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Points of pts that pass the facet test of hull = _qhull(verts)."""
+    """Points of pts that pass the facet test of hull = (a, b, ...), the
+    facets of conv(verts) (from _qhull(verts) or a body's chart)."""
     a, b, _ = hull
     scale = max(1.0, float(np.max(np.abs(verts))))
     return np.all(pts @ a.T + b <= tol * scale, axis=1)

@@ -12,7 +12,6 @@ from projmetrics.bodies import (
     bounding_radius,
     contains,
     distance_to_hull,
-    facets,
     hull_2d,
     line_fiber,
     line_fibers,
@@ -231,26 +230,42 @@ class TestLineFibers:
 
 
 class TestFacets:
+    """The facets and volume that a body's cached chart holds."""
+
     def test_interval_and_square(self, square2):
-        a, b = facets(np.array([[2.0], [-1.0], [0.5]]))
+        a, b, length = VPolytope(np.array([[2.0], [-1.0], [0.5]]))._chart.hull
         x = np.array([[-1.5], [-1.0], [2.0], [2.5]])
         assert np.all(x @ a.T + b <= 0, axis=1).tolist() == [False, True, True, False]
-        a, b = facets(square2.vertices)
-        assert a.shape == (4, 2)
+        assert length == 3.0
+        a, b, area = square2._chart.hull
+        assert a.shape == (4, 2) and area == 1.0
         assert np.allclose(np.linalg.norm(a, axis=1), 1.0)
         assert np.all(square2.vertices @ a.T + b <= 0.0)
         assert np.all(np.array([0.5, 0.5]) @ a.T + b == -0.5)
 
     def test_qhull_facets_contain_vertices(self, cube3):
-        a, b = facets(cube3.vertices)
+        a, b, volume = cube3._chart.hull
         assert np.all(cube3.vertices @ a.T + b <= 1e-12)
         assert np.all(np.full(3, 0.5) @ a.T + b < 0)
+        assert volume == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("verts", [[[1.0], [1.0]], [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]],
-                                       [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]])
-    def test_lower_dimensional_rejected(self, verts):
-        with pytest.raises(ValueError):
-            facets(np.array(verts))
+    @pytest.mark.parametrize("verts,dim,volume", [
+        ([[1.0], [1.0]], 0, 1.0),
+        ([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], 1, 2.0 * math.sqrt(2.0)),
+        ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], 2, 0.5)],
+        ids=["verts0", "verts1", "verts2"])
+    def test_lower_dimensional_chart(self, verts, dim, volume):
+        # the frame spans the vertices' affine hull, and facets and volume
+        # are taken inside it
+        v = np.array(verts)
+        chart = VPolytope(v)._chart
+        assert chart.dim == dim and chart.frame.shape == (dim, v.shape[1])
+        basis = np.vstack([chart.frame, chart.normal])
+        assert np.allclose(basis @ basis.T, np.eye(v.shape[1]), atol=1e-12)
+        assert np.max(np.abs(chart.off_flat(v))) <= 1e-12
+        a, b, vol = chart.hull
+        assert np.all(chart.to_flat(v) @ a.T + b <= 1e-12)
+        assert vol == pytest.approx(volume, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_contains_matches_membership(self, seed):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape as sax_escape
 
 import numpy as np
 import pytest
@@ -114,6 +115,32 @@ class TestTables:
         root = ET.parse(path).getroot()
         assert root.tag.endswith("svg")
         assert any(child.tag.endswith("polyline") for child in root.iter())
+
+    def test_svg_labels_escape_markup(self, tmp_path):
+        # '&', '<' and '>' in labels give the same bytes as xml.sax.saxutils
+        table = CsvTable(header=["a&b", "x<y>z"])
+        for i in range(1, 4):
+            table.add_row([float(i), float(i + 1)])
+        path = tmp_path / "labels.svg"
+        write_svg(table, "a&b", ["x<y>z"], path)
+        text = path.read_text(encoding="utf-8")
+        for label, escaped in (("a&b", "a&amp;b"), ("x<y>z", "x&lt;y&gt;z")):
+            assert sax_escape(label) == escaped
+            assert f">{escaped}</text>" in text
+        ET.parse(path)
+
+    def test_cli_import_loads_no_network_stack(self):
+        # the CLI's import cost stays free of urllib, http.client and ssl
+        src = str(pathlib.Path(metrics.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import sys, projmetrics.experiments.cli; "
+                "print(sorted(m for m in ('ssl', 'http.client', 'urllib.request') "
+                "if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestThm1Runner:

@@ -7,7 +7,7 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from conftest import random_convex_polygon, unit_cube
-from projmetrics import metrics
+from projmetrics import bodies, metrics, oracles
 from projmetrics.bodies import VPolytope, distance_to_hull
 from projmetrics.constructions import (
     NeedleSpec,
@@ -16,7 +16,8 @@ from projmetrics.constructions import (
     prism_needle,
     thm1_sequence,
 )
-from projmetrics.experiments.runners import unit_cube_body
+from projmetrics.experiments import ExperimentConfig
+from projmetrics.experiments.runners import run_thm1, run_thm3, unit_cube_body
 from projmetrics.grassmann import axis_subspace, full_space, haar_frames, haar_sample
 from projmetrics.metrics import (
     SamplingPlan,
@@ -130,6 +131,13 @@ class TestSymdiffVolume:
 
 
 class TestDeltaJ:
+    def test_one_subspace_reports_no_error_bar(self):
+        # a single sample has no spread: its error is unknown, not zero
+        body = VPolytope(np.random.default_rng(1).uniform(-1.0, 1.0, size=(12, 3)))
+        est = delta_j(body, None, 2, SamplingPlan(n_subspaces=1, seed=1))
+        assert not est.exact and est.n_subspaces == 1
+        assert est.std_error == math.inf
+
     def test_self_distance_draws_nothing(self, cube3):
         est = delta_j(cube3, cube3, 2, SamplingPlan(seed=0))
         assert est.value == 0.0 and est.std_error == 0.0 and est.n_subspaces == 0
@@ -381,6 +389,74 @@ class TestFlatSolids:
                               plan.n_points, False))
         assert est.n_points_per_subspace == plan.n_points
         assert [f for _, f in est.per_subspace] == list(loop)
+
+
+def count_qhull(monkeypatch) -> list:
+    """The shapes of the vertex arrays handed to bodies._qhull from here on."""
+    shapes = []
+    original = bodies._qhull
+
+    def counted(verts):
+        shapes.append(verts.shape)
+        return original(verts)
+
+    for module in (bodies, oracles):
+        monkeypatch.setattr(module, "_qhull", counted)
+    return shapes
+
+
+def segments_on_a_line(seed: int):
+    """Random nested point sets on one tilted line of R^3, as 3-D bodies and
+    as their 1-D line coordinates."""
+    rng = np.random.default_rng(seed)
+    direction = gram_schmidt(rng.normal(size=(3, 1)))[:, 0]
+    offset = rng.normal(size=3)
+    ta = rng.uniform(-2.0, 2.0, size=(5, 1))
+    tb = 0.6 * ta + 0.4 * ta.mean()
+    return (VPolytope(offset + ta * direction), VPolytope(offset + tb * direction),
+            VPolytope(ta), VPolytope(tb))
+
+
+class TestFlatCharts:
+    """Each body keeps one chart: its frame, and on demand its in-flat
+    facets and volume, so a nested flat pair costs no hull that an earlier
+    call already built."""
+
+    @pytest.mark.parametrize("runner,d,j,steps,calls", [
+        (run_thm1, 4, 3, 12, 13), (run_thm3, 4, 3, 12, 13), (run_thm1, 3, 3, 6, 7)])
+    def test_one_qhull_call_per_body(self, monkeypatch, runner, d, j, steps, calls):
+        shapes = count_qhull(monkeypatch)
+        runner(ExperimentConfig(d=d, j=j, steps=steps, n_subspaces=50, n_points=500, seed=1))
+        assert len(shapes) == calls  # the base and one body per row
+
+    def test_no_hull_above_the_subspace_dimension(self, monkeypatch):
+        shapes = count_qhull(monkeypatch)
+        body = VPolytope(np.random.default_rng(0).uniform(-1.0, 1.0, size=(12, 4)))
+        est = intrinsic_volume(body, 3, SamplingPlan(n_subspaces=20, n_points=200, seed=1))
+        assert est.n_subspaces == 20 and not est.exact
+        assert shapes and all(shape[1] == 3 for shape in shapes)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_nested_answer_matches_the_clip(self, seed):
+        for j, (a, b, a_flat, b_flat) in ((1, segments_on_a_line(seed)),
+                                          (2, tilted_pair(seed, nested=True))):
+            nested = delta_j(a, b, j, SamplingPlan(seed=seed))
+            assert nested.exact and nested.n_subspaces == 0
+            chart = a._chart
+            clip = exact_symdiff(chart.to_flat(a.vertices), chart.to_flat(b.vertices), j)
+            assert nested.value == pytest.approx(clip, rel=1e-12)
+            in_flat = exact_symdiff(a_flat.vertices, b_flat.vertices, j)
+            assert nested.value == pytest.approx(in_flat, rel=1e-12)
+
+    def test_charts_are_cached(self):
+        a, b, _, _ = tilted_solids(3)
+        plan = SamplingPlan(seed=3)
+        first = delta_j(a, b, 3, plan)
+        charts = (a._chart, b._chart)
+        hulls = (a._chart.hull, b._chart.hull)
+        assert delta_j(b, a, 3, plan) == first
+        assert a._chart is charts[0] and b._chart is charts[1]
+        assert all(x._chart.hull is h for x, h in zip((a, b), hulls))
 
 
 class TestKubotaCrossCheck:
