@@ -1,14 +1,16 @@
 """Convex bodies as vertex lists (V-polytopes).
 
-The min-norm-point solver gives point-to-hull distance and membership;
-metrics.hausdorff runs it only on the vertices whose nearest-vertex bound
-can still set the maximum.  Each body keeps one flat chart, built on first
-use: the frame of its affine hull and, only when asked for, the facet
-equations A y + b <= 0 (interval ends, hull_2d edges, qhull) and volume of
-the body inside that flat.  The facets give exact line chords and bulk
-membership; the volumes give metrics its exact in-flat values.  Exact 2-D
-geometry (monotone-chain hull, shoelace area, convex clipping) provides the
-oracle against which Monte Carlo estimators are checked.
+Each body keeps one flat chart, built on first use: the frame of its affine
+hull and, only when asked for, the facet equations A y + b <= 0 (interval
+ends, hull_2d edges, qhull) and volume of the body inside that flat.  The
+facets give exact line chords, bulk membership and, for a chart of
+dimension <= 3, exact point-to-hull distances: a point's largest facet
+violation is its distance whenever the foot of the perpendicular on that
+facet passes the facet test.  Points that certificate does not settle, and
+bodies whose chart is of higher dimension, get Wolfe's min-norm point.  The
+volumes give metrics its exact in-flat values.  Exact 2-D geometry
+(monotone-chain hull, shoelace area, convex clipping) provides the oracle
+against which Monte Carlo estimators are checked.
 """
 
 from __future__ import annotations
@@ -229,12 +231,20 @@ def _min_norm_point(pts: np.ndarray, start: int, max_iter: int) -> np.ndarray | 
 
 
 def distance_to_hull(p: np.ndarray, body: VPolytope) -> float:
-    """Euclidean distance from p to conv(vertices), via the min-norm point
-    of the shifted vertex set.  Accuracy is limited by the duality-gap stop,
-    well below DEFAULT_TOL for desk-scale inputs."""
+    """Euclidean distance from p to conv(vertices).
+
+    The facets of the body's chart settle it exactly when they can (see
+    _Chart.certified): at chart dimension <= 3, for a point inside the hull
+    (exactly 0.0) or one whose nearest point lies inside a facet.  Otherwise
+    it is the min-norm point of the shifted vertex set, whose accuracy is
+    limited by the duality-gap stop, well below DEFAULT_TOL for desk-scale
+    inputs."""
     p = np.asarray(p, dtype=float)
     if p.shape != (body.ambient_dim,):
         raise ValueError(f"point has dimension {p.shape}, body has {body.ambient_dim}")
+    dist, ok = body._chart.certified(p[None])
+    if ok[0]:
+        return float(dist[0])
     shifted = body.vertices - p
     norms2 = np.einsum("ij,ij->i", shifted, shifted)
     max_iter = 10 * body.n_vertices + 20
@@ -316,6 +326,9 @@ def contains(body: VPolytope, pts: np.ndarray, tol: float = DEFAULT_TOL) -> np.n
     return _within(c.off_flat(p), tol) & _in_facets(c.to_flat(p), *c.hull[:2], tol)
 
 
+# charts up to this dimension certify distances from their facets
+_CERTIFIED_DIM = 3
+
 # |a.u| <= _PARALLEL * |u| counts a facet (or a flat) as parallel to the line:
 # rounding in unit normals stays far below it, real crossings far above it.
 _PARALLEL = 1e-12
@@ -327,6 +340,14 @@ def _rowdot(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     out = np.zeros((x.shape[0], m.shape[0]))
     for k in range(x.shape[1]):
         out += x[:, k, None] * m[None, :, k]
+    return out
+
+
+def _rowsumsq(x: np.ndarray) -> np.ndarray:
+    """Squared row norms of x, summed coordinate by coordinate like _rowdot."""
+    out = np.zeros(x.shape[0])
+    for k in range(x.shape[1]):
+        out += x[:, k] * x[:, k]
     return out
 
 
@@ -373,7 +394,8 @@ def _distinct_rows(v: np.ndarray) -> np.ndarray:
 
 class _Chart:
     """The affine hull of a vertex set, and inside it, built on first use,
-    the facets and volume of the set's convex hull.
+    the facets and volume of the set's convex hull; up to dimension 3 the
+    facets also give certified point-to-hull distances.
 
     x lies in the affine hull iff normal @ (x - origin) = 0, and then
     frame @ (x - origin) are its in-flat coordinates: the orthonormal rows
@@ -403,6 +425,12 @@ class _Chart:
         self.coords = centered @ self.frame.T
 
     @cached_property
+    def scale(self) -> float:
+        """max(1, largest in-flat vertex coordinate): the unit of the chart's
+        rounding tolerances."""
+        return max(1.0, float(np.max(np.abs(self.coords), initial=0.0)))
+
+    @cached_property
     def hull(self) -> tuple[np.ndarray, np.ndarray, float]:
         """(a, b, volume): in-flat points y of the hull have a @ y + b <= 0
         with unit rows of a (the two ends at dim 1, the hull_2d edges at
@@ -420,11 +448,59 @@ class _Chart:
                 a = np.stack([edge[:, 1], -edge[:, 0]], axis=1)  # outward for a CCW ring
                 a /= np.linalg.norm(a, axis=1)[:, None]
                 return a, -np.sum(a * ring, axis=1), polygon_area(ring)
-        else:
-            hull = _qhull(y)
-            if hull is not None:
-                return hull
+        else:  # the coordinates span the chart: no rank check needed
+            return _qhull(y)
         raise NonConvergenceError(f"the hull of a rank-{r} vertex set is flat in its own frame")
+
+    @cached_property
+    def facets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """(a @ frame, b, a @ a.T) of the hull, for certified distances: its
+        facets acting on offsets from the origin, and their Gram matrix.
+        None above dimension _CERTIFIED_DIM, where a qhull can cost more than
+        the Wolfe solves it would replace, and when the hull cannot be built."""
+        if self.dim > _CERTIFIED_DIM:
+            return None
+        try:
+            a, b, _ = self.hull
+        except NonConvergenceError:
+            return None
+        return a @ self.frame, b, a @ a.T
+
+    def certified(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(dist, ok) over the rows of pts: ok marks the rows whose distance
+        to the hull the facets settle, and dist holds those distances (0.0
+        elsewhere).  Each row's bits do not depend on the other rows.
+
+        With in-flat coordinates y and facet values s_k = a_k.y + b_k, let
+        s = max_k s_k, at facet i.  Every hull point z has a_i.z + b_i <= 0,
+        so |y - z| >= s; if s <= tol, y is inside and its in-flat distance
+        is 0.0, and if the foot y - s a_i passes the facet test, that is
+        s_k - s (a_k.a_i) <= tol for all k, the foot is a hull point at
+        distance s, so the distance is s.  The part normal to the flat adds
+        in quadrature, and below tol counts as 0, so the body's own vertices
+        read exactly 0.0.  tol is 1e-12 times the larger of the chart's
+        scale and the row's largest coordinate offset from the origin."""
+        n = pts.shape[0]
+        dist, ok = np.zeros(n), np.zeros(n, dtype=bool)
+        if self.facets is None:
+            return dist, ok
+        a, b, gram = self.facets
+        rel = pts - self.origin
+        tol = 1e-12 * np.maximum(self.scale, np.max(np.abs(rel), axis=1))
+        off2 = np.zeros(n)
+        if len(self.normal):
+            off2 = _rowsumsq(_rowdot(rel, self.normal))
+            off2[np.sqrt(off2) <= tol] = 0.0
+        if b.size == 0:  # a single point: only the normal part
+            return np.sqrt(off2), np.ones(n, dtype=bool)
+        s = _rowdot(rel, a) + b
+        i = np.argmax(s, axis=1)
+        top = s[np.arange(n), i]
+        inside = top <= tol
+        ok = inside | np.all(s - top[:, None] * gram[i] <= tol[:, None], axis=1)
+        top[inside] = 0.0
+        dist[ok] = np.sqrt(top[ok] * top[ok] + off2[ok])
+        return dist, ok
 
     def to_flat(self, pts: np.ndarray) -> np.ndarray:
         """In-flat coordinates of the rows of pts, each row's bits on its own."""
@@ -439,8 +515,7 @@ class _Chart:
         off = self.off_flat(pts)
         if off.shape[1] == 0:
             return self.dim
-        tol = 1e-12 * max(1.0, float(np.max(np.abs(self.coords))),
-                          float(np.max(np.abs(pts - self.origin))))
+        tol = 1e-12 * max(self.scale, float(np.max(np.abs(pts - self.origin))))
         if float(np.max(np.abs(off))) <= tol:
             return self.dim
         return self.dim + int(np.sum(np.linalg.svd(off, compute_uv=False) > tol))
@@ -451,14 +526,12 @@ class _Chart:
         return len(pts), tuple(pts.ravel())
 
 
-def _qhull(verts: np.ndarray):
+def _qhull(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """(A, b, volume) of conv(verts) from one qhull call (Barber, Dobkin &
-    Huhdanpaa, ACM TOMS 22(4), 1996), for dimension >= 3: the facet
-    inequalities A x + b <= 0 and the hull's volume.  None when the hull is
-    degenerate (volume zero); a qhull failure on a full-rank input raises
+    Huhdanpaa, ACM TOMS 22(4), 1996), for full-rank verts in dimension
+    >= 3: the facet inequalities A x + b <= 0 with unit rows of A, and the
+    hull's volume.  Callers check the rank; a qhull failure raises
     NonConvergenceError."""
-    if _affine_rank(verts) < verts.shape[1]:
-        return None
     from scipy.spatial import ConvexHull, QhullError  # deferred: importing bodies stays cheap
 
     try:

@@ -81,19 +81,26 @@ def cross_section(plane: Subspace, u: np.ndarray, eps: float) -> VPolytope:
     basis {b_i} of the axis complement inside the plane (a linear slice
     through the origin, independent of the base point).  Its (j-1)-volume is
     (2 eps)^(j-1) / (j-1)! and it is inscribed in the eps-ball."""
-    j = plane.dim
-    if j < 2:
-        raise ValueError("cross-section needs a plane of dimension >= 2")
+    frame = _transverse_frame(plane, u)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    u = np.asarray(u, dtype=float)
-    u_plane = plane.basis.T @ u
+    return VPolytope(_section_vertices(frame, eps))
+
+
+def _transverse_frame(plane: Subspace, u: np.ndarray) -> np.ndarray:
+    """The (j-1) x d rows {b_i} of cross_section, in ambient coordinates;
+    a sequence builds it once and scales it by each row's eps."""
+    if plane.dim < 2:
+        raise ValueError("cross-section needs a plane of dimension >= 2")
+    u_plane = plane.basis.T @ np.asarray(u, dtype=float)
     nrm = float(np.linalg.norm(u_plane))
     if nrm <= 1e-12:
         raise ValueError("axis u must have a component in the plane")
-    comp = plane.basis @ complete_to_basis(u_plane / nrm)  # d x (j-1), ambient
-    verts = np.vstack([eps * comp.T, -eps * comp.T])
-    return VPolytope(verts)
+    return (plane.basis @ complete_to_basis(u_plane / nrm)).T
+
+
+def _section_vertices(frame: np.ndarray, eps: float) -> np.ndarray:
+    return np.vstack([eps * frame, -eps * frame])
 
 
 def cross_section_volume(j: int, eps: float) -> float:
@@ -104,16 +111,22 @@ def prism_needle(spec: NeedleSpec) -> VPolytope:
     """Cross-section swept from x0 to x0 + L*u."""
     if spec.kind != "prism":
         raise ValueError("spec.kind must be 'prism'")
-    q = cross_section(spec.plane, spec.u, spec.eps).vertices
-    tip = spec.x0 + spec.length * spec.u
-    return VPolytope(np.vstack([spec.x0 + q, tip + q]))
+    return _needle(spec, _transverse_frame(spec.plane, spec.u))
 
 
 def spindle_needle(spec: NeedleSpec) -> VPolytope:
     """Bipyramid over the cross-section with apexes at x0 +- L*u."""
     if spec.kind != "spindle":
         raise ValueError("spec.kind must be 'spindle'")
-    q = cross_section(spec.plane, spec.u, spec.eps).vertices
+    return _needle(spec, _transverse_frame(spec.plane, spec.u))
+
+
+def _needle(spec: NeedleSpec, frame: np.ndarray) -> VPolytope:
+    """The needle of spec, its cross-section spanned by the rows of frame."""
+    q = _section_vertices(frame, spec.eps)
+    if spec.kind == "prism":
+        tip = spec.x0 + spec.length * spec.u
+        return VPolytope(np.vstack([spec.x0 + q, tip + q]))
     apexes = np.vstack([spec.x0 - spec.length * spec.u, spec.x0 + spec.length * spec.u])
     return VPolytope(np.vstack([apexes, spec.x0 + q]))
 
@@ -148,12 +161,13 @@ def thm1_sequence(body: VPolytope, plane: Subspace, x0: np.ndarray, u: np.ndarra
     discrepancy bound decays like L_i^(3-2j) while the needle tip drifts."""
     d, j = plane.ambient_dim, plane.dim
     c1 = needle_bound_constant(d, j, "one_sided")
+    frame = _transverse_frame(plane, u)
     out = []
     for i in range(steps):
         length = l0 * 2.0**i
         eps = length**-2
         spec = NeedleSpec(x0=x0, u=u, plane=plane, length=length, eps=eps, kind="prism")
-        grown = augment(body, prism_needle(spec))
+        grown = augment(body, _needle(spec, frame))
         rho = bounding_radius(grown)
         out.append((ScheduleRow(
             m=i, length=length, eps=eps, offset=0.0, x_m=np.asarray(x0, dtype=float),
@@ -174,6 +188,7 @@ def _dyadic_sequence(body: VPolytope, plane: Subspace, x0: np.ndarray, u: np.nda
     if len(lengths) < steps:
         raise ValueError(f"need {steps} lengths, got {len(lengths)}")
     offset_unit = max(1.0, _diameter(body))
+    frame = _transverse_frame(plane, u)
     out = []
     current = body
     for m in range(steps):
@@ -184,7 +199,7 @@ def _dyadic_sequence(body: VPolytope, plane: Subspace, x0: np.ndarray, u: np.nda
         x_m = x0 + offset * u
         spec = NeedleSpec(x0=x_m, u=u, plane=plane, length=length, eps=eps, kind="spindle")
         rho = bounding_radius(current)  # radius before this step's needle
-        current = augment(current, spindle_needle(spec))
+        current = augment(current, _needle(spec, frame))
         out.append((ScheduleRow(
             m=m, length=length, eps=eps, offset=offset, x_m=x_m,
             exclusion_radius=rho + 1.0, body_radius=rho,

@@ -18,7 +18,6 @@ from ..bodies import VPolytope, bounding_radius, distance_to_hull
 from ..constructions import (
     NeedleSpec,
     block_bounds,
-    spindle_needle,
     thm1_sequence,
     thm2_sequence,
     thm3_sequence,
@@ -190,7 +189,7 @@ def run_thm2(cfg: ExperimentConfig) -> CsvTable:
                                    f"{abs(ident - 2.0 ** -(row.m + 1)):.3e}")
         spec = NeedleSpec(x0=row.x_m, u=u, plane=plane, length=row.length,
                           eps=row.eps, kind="spindle")
-        needle = spindle_needle(spec)
+        needle = VPolytope(body.vertices[prev.n_vertices:])  # this row's spindle
         bounds = block_bounds(cert, spec)
         measured = projected_volume(needle, h_good, plan,
                                     sample_index=AUX_STREAM_BASE + 2 * cfg.n_subspaces + idx)

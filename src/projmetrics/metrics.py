@@ -272,25 +272,35 @@ def hausdorff(a: VPolytope, b: VPolytope) -> float:
     bodies because the farthest point of a polytope from a convex set is
     attained at a vertex.
 
-    The scan is a branch-and-bound over both vertex lists.  A query vertex's
-    distance to the nearest vertex of the other body bounds its distance to
-    that body's hull from above; it is also where the Wolfe solve starts.
-    Queries are visited in descending bound order (stable), and the scan
-    stops at the first bound that does not exceed the running maximum:
-    every vertex left has distance <= bound <= maximum, so the value is the
-    exhaustive scan's, bit for bit.  A vertex shared by both bodies has
-    bound 0 and is never solved for.  In floating point a solve can return
-    a few ulps more than its bound (the norms are summed in another order),
-    so the bound is widened by _BOUND_SLACK first; without it a vertex tied
-    with the maximum could be skipped and the value come out an ulp low.
+    A query vertex's distance to the nearest vertex of the other body bounds
+    its distance to that body's hull from above.  A vertex shared by both
+    bodies has bound 0 and distance 0.  Every other vertex is first put to
+    the facet certificate of the other body's chart (bodies._Chart.certified,
+    at chart dimension <= 3), in one batched pass per direction whose rows
+    have the bits of one-point distance_to_hull calls.  The vertices left
+    uncertified go to a branch-and-bound Wolfe scan: they are visited in
+    descending bound order (stable), and the scan stops at the first bound
+    that does not exceed the running maximum, since every vertex left has
+    distance <= bound <= maximum.  So the value is the exhaustive scan's,
+    bit for bit.  In floating point a solve can return a few ulps more than
+    its bound (the norms are summed in another order), so the bound is
+    widened by _BOUND_SLACK first; without it a vertex tied with the maximum
+    could be skipped and the value come out an ulp low.
     """
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("operands live in different dimensions")
     m = a.n_vertices
     bounds = np.concatenate([_nearest_vertex_distances(a.vertices, b.vertices),
                              _nearest_vertex_distances(b.vertices, a.vertices)])
+    done = bounds == 0.0
     best = 0.0
-    for k in np.argsort(-bounds, kind="stable"):
+    for lo, p, body in ((0, a.vertices, b), (m, b.vertices, a)):
+        rows = lo + np.flatnonzero(bounds[lo:lo + len(p)] > 0.0)
+        dist, ok = _certified_distances(p[rows - lo], body)
+        done[rows[ok]] = True
+        best = max(best, float(np.max(dist, initial=0.0)))
+    left = np.flatnonzero(~done)
+    for k in left[np.argsort(-bounds[left], kind="stable")]:
         if bounds[k] * (1.0 + _BOUND_SLACK) <= best:
             break
         p, body = (a.vertices[k], b) if k < m else (b.vertices[k - m], a)
@@ -299,7 +309,20 @@ def hausdorff(a: VPolytope, b: VPolytope) -> float:
 
 
 _BOUND_SLACK = 1e-12  # relative; rounding excess seen is under 2 eps
-_BOUND_CHUNK = 1 << 15  # elements of the (rows, n, d) difference block
+_BOUND_CHUNK = 1 << 15  # elements of a batched (rows, n, d) or (rows, facets) block
+
+
+def _certified_distances(points: np.ndarray, body: VPolytope) -> tuple[np.ndarray, np.ndarray]:
+    """body's chart certificate (dist, ok) for the rows of points, in row
+    chunks of at most _BOUND_CHUNK elements per (rows, facets) block."""
+    chart = body._chart
+    dist, ok = np.zeros(len(points)), np.zeros(len(points), dtype=bool)
+    if chart.facets is None:
+        return dist, ok
+    step = max(1, _BOUND_CHUNK // max(body.ambient_dim, len(chart.facets[1])))
+    for s in range(0, len(points), step):
+        dist[s:s + step], ok[s:s + step] = chart.certified(points[s:s + step])
+    return dist, ok
 
 
 def _nearest_vertex_distances(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:

@@ -42,9 +42,14 @@ class UnsupportedModeError(ValueError):
     difference at j >= 3 of a pair that is not nested."""
 
 
+def _solid_hull(verts: np.ndarray):
+    """_qhull(verts), or None when verts span no j-flat (a hull of volume 0)."""
+    return None if _affine_rank(verts) < verts.shape[1] else _qhull(verts)
+
+
 def facet_inside(hull, verts: np.ndarray, pts: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Points of pts that pass the facet test of hull = (a, b, ...), the
-    facets of conv(verts) (from _qhull(verts) or a body's chart)."""
+    facets of conv(verts) (from _solid_hull(verts) or a body's chart)."""
     a, b, _ = hull
     scale = max(1.0, float(np.max(np.abs(verts))))
     return np.all(pts @ a.T + b <= tol * scale, axis=1)
@@ -58,7 +63,7 @@ def inside(verts: np.ndarray, pts: np.ndarray, tol: float = 1e-12) -> np.ndarray
         return (pts[:, 0] >= lo - tol) & (pts[:, 0] <= hi + tol)
     if j == 2:
         return ring_contains(hull_2d(verts), pts, tol)
-    hull = _qhull(verts)
+    hull = _solid_hull(verts)
     if hull is None:
         return np.zeros(pts.shape[0], dtype=bool)
     return facet_inside(hull, verts, pts, tol)
@@ -69,7 +74,7 @@ def exact_volume(verts: np.ndarray, j: int) -> float:
         return float(verts.max()) - float(verts.min())
     if j == 2:
         return polygon_area(hull_2d(verts))
-    hull = _qhull(verts)
+    hull = _solid_hull(verts)
     return 0.0 if hull is None else hull[2]
 
 
@@ -92,7 +97,7 @@ def exact_symdiff(va: np.ndarray, vb: np.ndarray, j: int) -> float:
         inter = polygon_area(polygon_clip(ra, rb))
         return max(0.0, polygon_area(ra) + polygon_area(rb) - 2.0 * inter)
     # j >= 3: a nested pair only, |vol A - vol B| with one qhull call per operand
-    ha, hb = _qhull(va), _qhull(vb)
+    ha, hb = _solid_hull(va), _solid_hull(vb)
     vol_a, vol_b = (0.0 if h is None else h[2] for h in (ha, hb))
     for hull, outer, inner in ((ha, va, vb), (hb, vb, va)):
         if hull is not None and np.all(facet_inside(hull, outer, inner)):

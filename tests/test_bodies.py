@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from conftest import random_convex_polygon
 from projmetrics.bodies import (
     BodyParseError,
+    NonConvergenceError,
     VPolytope,
+    _min_norm_point,
     bounding_radius,
     contains,
     distance_to_hull,
@@ -280,6 +282,77 @@ class TestFacets:
             assert np.array_equal(contains(body, pts)[clear], (dist <= 1e-9)[clear])
         seg = bodies[1].vertices
         assert contains(bodies[1], 0.3 * seg[1:] + 0.7 * seg[:1]).all()
+
+
+def flat_body(rng: np.random.Generator, d: int, r: int) -> VPolytope:
+    """Random vertices spanning an affine r-flat of R^d (all of it at r = d)."""
+    n = int(rng.integers(r + 1, r + 9))
+    frame = np.linalg.qr(rng.normal(size=(d, d)))[0][:r]
+    return VPolytope(rng.normal(size=(n, r)) @ frame + rng.normal(size=d))
+
+
+def wolfe_distance(p: np.ndarray, body: VPolytope) -> float:
+    shifted = body.vertices - p
+    start = int(np.argmin(np.einsum("ij,ij->i", shifted, shifted)))
+    return float(np.linalg.norm(_min_norm_point(shifted, start, 10 * len(shifted) + 20)))
+
+
+class TestCertifiedDistance:
+    """Up to chart dimension 3, distances come from the chart's facets when
+    the largest facet violation's foot passes the facet test."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_wolfe(self, seed):
+        rng = np.random.default_rng(seed)
+        certified = 0
+        for d in range(2, 7):
+            for r in range(min(d, 3) + 1):
+                body = flat_body(rng, d, r)
+                pts = 2.0 * rng.normal(size=(12, d))
+                dist, ok = body._chart.certified(pts)
+                certified += int(ok.sum())
+                for p, x, good in zip(pts, dist, ok):
+                    if good:
+                        assert distance_to_hull(p, body) == x  # the same bits one by one
+                        assert abs(x - wolfe_distance(p, body)) <= 1e-12 * max(1.0, x)
+        assert certified >= 100
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_vertices_and_interior_points_read_zero(self, seed):
+        rng = np.random.default_rng(seed)
+        for d in range(2, 7):
+            for r in range(min(d, 3) + 1):
+                body = flat_body(rng, d, r)
+                weights = rng.dirichlet(np.ones(body.n_vertices), size=5)
+                pts = np.vstack([body.vertices, weights @ body.vertices])
+                dist, ok = body._chart.certified(pts)
+                assert ok.all() and not dist.any()
+                assert all(distance_to_hull(p, body) == 0.0 for p in pts)
+
+    def test_far_points_and_a_single_point(self, cube3):
+        assert distance_to_hull(np.array([0.5, 0.5, 41.0]), cube3) == 40.0
+        point = VPolytope([[1.0, 2.0, 2.0]])
+        assert distance_to_hull(np.zeros(3), point) == 3.0
+
+    @pytest.mark.parametrize("d,r", [(4, 4), (5, 4), (6, 5)])
+    def test_no_hull_above_dimension_three(self, monkeypatch, d, r):
+        def fail(verts):
+            raise AssertionError("qhull called")
+
+        monkeypatch.setattr("projmetrics.bodies._qhull", fail)
+        body = flat_body(np.random.default_rng(d), d, r)
+        p = np.full(d, 5.0)
+        assert distance_to_hull(p, body) == pytest.approx(wolfe_distance(p, body), abs=1e-12)
+        assert body._chart.facets is None and "hull" not in vars(body._chart)
+
+    def test_hull_failure_falls_back_to_wolfe(self, monkeypatch, cube3):
+        def fail(verts):
+            raise NonConvergenceError("qhull failed")
+
+        monkeypatch.setattr("projmetrics.bodies._qhull", fail)
+        p = np.array([2.0, 0.5, 0.5])
+        assert distance_to_hull(p, cube3) == wolfe_distance(p, cube3)
+        assert cube3._chart.facets is None
 
 
 class TestHull2d:

@@ -155,6 +155,24 @@ class TestDyadicSchedules:
     GRID = [(3, 2), (4, 2), (4, 3), (5, 3)]
 
     @pytest.mark.parametrize("d,j", GRID)
+    def test_needles_match_one_needle_builders_bitwise(self, d, j):
+        # the sequences build every row's needle from one transverse frame
+        base = unit_cube(d, j)
+        plane = axis_subspace(d, list(range(j)))
+        u = np.eye(d)[0]
+        x0 = base.vertices.mean(axis=0)
+        prev = base
+        for row, body in thm1_sequence(base, plane, x0, u, 2.0, 5):
+            spec = NeedleSpec(x0=x0, u=u, plane=plane, length=row.length, eps=row.eps,
+                              kind="prism")
+            assert np.array_equal(body.vertices[base.n_vertices:], prism_needle(spec).vertices)
+        for row, body in thm2_sequence(base, plane, x0, u, None, 5):
+            spec = NeedleSpec(x0=row.x_m, u=u, plane=plane, length=row.length, eps=row.eps,
+                              kind="spindle")
+            assert np.array_equal(body.vertices[prev.n_vertices:], spindle_needle(spec).vertices)
+            prev = body
+
+    @pytest.mark.parametrize("d,j", GRID)
     def test_thm2_identity(self, d, j):
         base = unit_cube(d, j)
         plane = axis_subspace(d, list(range(j)))

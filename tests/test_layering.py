@@ -17,6 +17,8 @@ KEPT_WITHOUT_CALLER = {
     "needle_exact_volume": "the closed-form needle volume that exact thm columns are "
                            "checked against",
     "read_csv": "the reader for the CLI's CSV tables",
+    "spindle_needle": "the one-needle builder of the spindle kind; the dyadic sequences "
+                      "build the same vertices from one transverse frame per sequence",
 }
 
 

@@ -303,6 +303,11 @@ class TestFlatBodies:
         mean, se = flag_scaled_mean(loop, 3, 1)
         assert abs(mean - 5.0) <= 4.0 * se
 
+    def test_two_single_points(self):
+        # together they span a line, and every projection has measure zero
+        est = delta_j(VPolytope([[1.0, 2.0]]), VPolytope([[0.0, 0.0]]), 1, SamplingPlan(seed=1))
+        assert est.exact and est.value == 0.0 and est.n_subspaces == 0
+
     def test_symmetry_bitwise(self):
         a, b, _, _ = tilted_pair(7)
         shuffled = VPolytope(a.vertices[::-1])
@@ -588,16 +593,19 @@ class TestHausdorff:
         b = square2.translate([-0.05, 0.05])
         assert hausdorff(square2, b) == self.exhaustive(square2, b)
 
-    @pytest.mark.parametrize("d,j,solves", [(3, 2, 2), (4, 3, 4)])
+    @pytest.mark.parametrize("d,j,solves", [(3, 2, 0), (4, 3, 0), (5, 4, 6), (6, 5, 8)])
     def test_solves_only_vertices_that_can_set_the_maximum(self, monkeypatch, d, j, solves):
+        # up to chart dimension 3 the facets settle every vertex; above it
+        # Wolfe runs for the needle tips only
         calls = []
-        monkeypatch.setattr(metrics, "distance_to_hull",
-                            lambda *args: calls.append(1) or distance_to_hull(*args))
+        original = bodies._min_norm_point
+        monkeypatch.setattr(bodies, "_min_norm_point",
+                            lambda *args: calls.append(1) or original(*args))
         base, plane, x0, u = unit_cube_body(d, j)
         for _, body in thm1_sequence(base, plane, x0, u, 2.0, 6):
             calls.clear()
             hausdorff(body, base)
-            assert len(calls) == solves  # the needle tips only
+            assert len(calls) == solves
             calls.clear()
             assert hausdorff(body, body) == 0.0 and not calls
 
