@@ -82,12 +82,11 @@ def _plan(cfg: ExperimentConfig) -> SamplingPlan:
 
 
 def _ols_loglog(xs, ys) -> tuple[float, float]:
-    """Least-squares slope of log y on log x, with its standard error."""
+    """Least-squares slope of log y on log x, with its standard error; needs
+    at least two rows."""
     lx = np.log(np.asarray(xs, dtype=float))
     ly = np.log(np.asarray(ys, dtype=float))
     n = len(lx)
-    if n < 2:
-        return float("nan"), float("nan")
     mx = lx.mean()
     sxx = float(np.sum((lx - mx) ** 2))
     slope = float(np.sum((lx - mx) * (ly - ly.mean())) / sxx)
@@ -101,10 +100,13 @@ def _ols_loglog(xs, ys) -> tuple[float, float]:
 
 def _slope_footer(labels, xs, ys) -> str:
     """thm1's slope footer line; the log-log slope is undefined, and the
-    line names the rows, when some y is not positive."""
+    line names the rows, when some y is not positive, and it is undefined
+    for a table of one row."""
     bad = [str(m) for m, y in zip(labels, ys) if not y > 0.0]
     if bad:
         return f"loglog slope delta_hat vs L_i: slope undefined: rows {','.join(bad)} non-positive"
+    if len(ys) < 2:
+        return "loglog slope delta_hat vs L_i: slope undefined: one row"
     slope, se = _ols_loglog(xs, ys)
     return f"loglog slope delta_hat vs L_i: slope={slope:.6g} se={se:.6g}"
 

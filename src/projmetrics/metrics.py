@@ -14,14 +14,16 @@ operand or a nested flat pair gives the in-flat vol_j(K symdiff L) exactly,
 at every j.  The frame belongs to each body: a VPolytope keeps one chart
 (the frame of its affine hull and, built once on demand, its in-flat facets
 and volume), so a table whose rows share a base body builds the base's hull
-once.  A single operand gives its chart volume; a pair whose vertices lie
-in each other's flat and pass one chart's facet test is nested and gives
-|vol K - vol L|; a pair in one flat that is not nested is clipped in one
-chart at j <= 2.  At j = d every body is flat and keeps its own
+once.  Operands that span no j-flat give exactly 0, since every projection
+then has j-measure zero.  A single operand gives its chart volume; a pair
+of which one operand's vertices pass bodies.contains on the other is nested
+and gives |vol K - vol L|; a pair in one flat that is not nested is clipped
+in one chart at j <= 2.  At j = d every body is flat and keeps its own
 coordinates.
 
 The rest samples subspaces: non-flat bodies, flat pairs at j >= 3 that are
-not nested, and monte_carlo mode.  Per-sample inner volumes are exact for
+not nested (at j = d one box Monte Carlo estimate in the bodies' own
+coordinates), and monte_carlo mode.  Per-sample inner volumes are exact for
 j <= 2 and Monte Carlo for j >= 3.  Every draw is addressed by (seed, sample
 index), so estimates are bit-identical for any worker count: sample i
 consumes streams 2i (subspace) and 2i+1 (points), reduced in index order.
@@ -54,7 +56,7 @@ from .bodies import (
 )
 from .grassmann import Subspace, axis_split, haar_frames, project_body
 from .numerics import RngStream, flag_coefficient
-from .oracles import exact_symdiff, exact_volume, facet_inside, mc_symdiff, mc_volume
+from .oracles import exact_symdiff, exact_volume, mc_symdiff, mc_volume
 
 __all__ = [
     "MetricEstimate",
@@ -143,14 +145,14 @@ def _flat_value(j: int, a: VPolytope | None, b: VPolytope | None) -> float | Non
     from each body's own cached chart; None when no exact in-flat answer
     applies and the caller samples.
 
-    One operand gives its chart volume when it spans a j-flat.  For a pair,
-    each operand's vertices are mapped into the other's chart: when they lie
-    in that j-flat and pass its facet test, the pair is nested and the value
-    is |vol K - vol L|.  A pair in one j-flat that is not nested is clipped
-    at j <= 2 in the chart that key() puts first, and gets None at j >= 3.
-    Two operands that span less than a j-flat each give 0 at j <= 2 when
-    together they span one (or j = d), else None.  An operand that spans
-    more than a j-flat gives None and builds no hull.
+    An operand that spans more than a j-flat gives None and builds no hull.
+    Operands that span no j-flat give exactly 0.0 at every j: each
+    projection then has j-measure zero.  One operand gives its chart volume.
+    A pair is nested when one operand's vertices pass bodies.contains on the
+    other (in its flat and inside its facets, at 1e-12 times its chart's
+    scale), and then the value is |vol K - vol L|.  A pair in one j-flat
+    that is not nested is clipped at j <= 2 in the chart that key() puts
+    first, and gets None at j >= 3, as does a pair in no common j-flat.
 
     Each chart's frame comes from the sorted distinct vertex rows below
     full rank, so no bit depends on operand or vertex order there.  At
@@ -162,24 +164,21 @@ def _flat_value(j: int, a: VPolytope | None, b: VPolytope | None) -> float | Non
     charts = [x._chart for x in ops]
     if any(c.dim > j for c in charts):
         return None
-    d = ops[0].ambient_dim
     full = [c for c in charts if c.dim == j]
-    if len(ops) == 1:
-        return full[0].hull[2] if full else (0.0 if j == d else None)
-    if not full:  # both below j: every projection has measure zero
-        if j >= 3 or (j < d and charts[0].rank_with(ops[1].vertices) != j):
-            return None
+    if not full:  # every projection has j-measure zero
         return 0.0
-    k = 0 if charts[0].dim == j else 1
-    if charts[k].rank_with(ops[1 - k].vertices) != j:
-        return None  # not in one j-flat
-    for k, c in enumerate(charts):
-        if c.dim == j and facet_inside(c.hull, c.coords, c.to_flat(ops[1 - k].vertices)).all():
+    if len(ops) == 1:
+        return full[0].hull[2]
+    for outer, inner in ((a, b), (b, a)):
+        c = outer._chart
+        if c.dim == j and contains(outer, inner.vertices, 1e-12 * c.scale).all():
             vol_a, vol_b = (x.hull[2] if x.dim == j else 0.0 for x in charts)
             return abs(vol_a - vol_b)
     if j >= 3:
         return None
     c = min(full, key=lambda x: x.key())
+    if c.rank_with((b if c is charts[0] else a).vertices) != j:
+        return None  # not in one j-flat
     return exact_symdiff(c.to_flat(a.vertices), c.to_flat(b.vertices), j)
 
 
@@ -224,7 +223,8 @@ def delta_j(a: VPolytope | None, b: VPolytope | None, j: int, plan: SamplingPlan
     set is empty, so its per-subspace contribution is the other body's
     projected volume.  delta_j(empty, empty) = 0 exactly, and identical
     operands short-circuit to 0 with no samples drawn.  A single or nested
-    flat operand returns its exact in-flat value, also with none drawn.
+    flat operand returns its exact in-flat value, and operands that span no
+    j-flat return exactly 0, also with none drawn.
     """
     if a is None and b is None:
         return MetricEstimate(0.0, 0.0, 0, 0, exact=True, per_subspace=())
@@ -373,9 +373,11 @@ def fiber_profile(outer: VPolytope, inner: VPolytope, h: Subspace, u: np.ndarray
     hull.  `tube`, when given, is the transverse cross-section polytope (in
     ambient coordinates, at the needle base); each grid point reports
     whether it lies in the image of that cross-section inside the
-    transverse coordinates, tested against the image's facet equations.
-    The grid has round(grid_n ** (1/(j-1))) cells per transverse axis, and
-    grid_n must be at least 1.  Differences below 100*tol are clamped to zero.
+    transverse coordinates, tested against the image's facet equations,
+    and tube_measure is the image's exact (j-1)-volume from the same chart
+    (0 when the image spans less).  The grid has round(grid_n ** (1/(j-1)))
+    cells per transverse axis, and grid_n must be at least 1.  Differences
+    below 100*tol are clamped to zero.
     """
     if grid_n < 1:
         raise ValueError(f"fiber grid size must be >= 1, got {grid_n}")
@@ -417,12 +419,9 @@ def fiber_profile(outer: VPolytope, inner: VPolytope, h: Subspace, u: np.ndarray
     rows = tuple(FiberRow(tuple(float(c) for c in y), float(dv), bool(t))
                  for y, dv, t in zip(mesh, diff, in_tube))
 
-    if tube_e is None:
-        tube_measure = 0.0
-    elif tdim <= 2:
-        tube_measure = exact_volume(tube_e.vertices, tdim)
-    else:
-        tube_measure = cell * int(np.count_nonzero(in_tube))
+    tube_measure = 0.0
+    if tube_e is not None and tube_e._chart.dim == tdim:
+        tube_measure = tube_e._chart.hull[2]
 
     positive = diff > 0.0
     return FiberProfile(

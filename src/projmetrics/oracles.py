@@ -1,9 +1,10 @@
 """Inner oracles in a fixed dimension j: containment, volume and symmetric
 difference of vertex sets given in R^j coordinates.
 
-Exact oracles: interval arithmetic at j = 1, hull_2d / shoelace /
-polygon_clip at j = 2, and qhull at j >= 3, where the symmetric difference
-is known only for a nested pair (|vol A - vol B|).  Box Monte Carlo oracles
+Exact oracles: interval arithmetic at j = 1 and hull_2d / shoelace /
+polygon_clip at j = 2 for all three; at j >= 3 containment and volume read
+the facets and volume of the set's chart (bodies._Chart, one qhull call),
+and the symmetric difference has no exact oracle.  Box Monte Carlo oracles
 sample the bounding box of the operands from one RngStream, so their bits
 depend only on the stream.  A box estimate with zero hits reports the rule
 of three, se = box_vol * 3/n (the 95% upper bound on the hit rate is about
@@ -18,7 +19,7 @@ import numpy as np
 
 from .bodies import (
     _affine_rank,
-    _qhull,
+    _Chart,
     hull_2d,
     polygon_area,
     polygon_clip,
@@ -27,8 +28,6 @@ from .bodies import (
 from .numerics import RngStream, uniform_block
 
 __all__ = [
-    "UnsupportedModeError",
-    "facet_inside",
     "inside",
     "exact_volume",
     "exact_symdiff",
@@ -37,36 +36,20 @@ __all__ = [
 ]
 
 
-class UnsupportedModeError(ValueError):
-    """No exact inner-volume oracle covers the request: a symmetric
-    difference at j >= 3 of a pair that is not nested."""
-
-
-def _solid_hull(verts: np.ndarray):
-    """_qhull(verts), or None when verts span no j-flat (a hull of volume 0)."""
-    return None if _affine_rank(verts) < verts.shape[1] else _qhull(verts)
-
-
-def facet_inside(hull, verts: np.ndarray, pts: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Points of pts that pass the facet test of hull = (a, b, ...), the
-    facets of conv(verts) (from _solid_hull(verts) or a body's chart)."""
-    a, b, _ = hull
-    scale = max(1.0, float(np.max(np.abs(verts))))
-    return np.all(pts @ a.T + b <= tol * scale, axis=1)
-
-
 def inside(verts: np.ndarray, pts: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Points of pts in the convex hull of verts (both in R^j)."""
+    """Points of pts in the convex hull of verts (both in R^j); at j >= 3
+    the facet test of the chart's hull, at tol times the chart's scale."""
     j = verts.shape[1]
     if j == 1:
         lo, hi = float(verts.min()), float(verts.max())
         return (pts[:, 0] >= lo - tol) & (pts[:, 0] <= hi + tol)
     if j == 2:
         return ring_contains(hull_2d(verts), pts, tol)
-    hull = _solid_hull(verts)
-    if hull is None:
+    c = _Chart(verts)
+    if c.dim < j:  # no j-flat spanned: a hull of volume 0 holds no sample
         return np.zeros(pts.shape[0], dtype=bool)
-    return facet_inside(hull, verts, pts, tol)
+    a, b, _ = c.hull
+    return np.all(pts @ a.T + b <= tol * c.scale, axis=1)
 
 
 def exact_volume(verts: np.ndarray, j: int) -> float:
@@ -74,8 +57,8 @@ def exact_volume(verts: np.ndarray, j: int) -> float:
         return float(verts.max()) - float(verts.min())
     if j == 2:
         return polygon_area(hull_2d(verts))
-    hull = _solid_hull(verts)
-    return 0.0 if hull is None else hull[2]
+    c = _Chart(verts)
+    return c.hull[2] if c.dim == j else 0.0
 
 
 def _ring_key(ring: np.ndarray):
@@ -83,8 +66,8 @@ def _ring_key(ring: np.ndarray):
 
 
 def exact_symdiff(va: np.ndarray, vb: np.ndarray, j: int) -> float:
-    """vol_j(conv va symdiff conv vb); at j >= 3 only for a nested pair, else
-    UnsupportedModeError."""
+    """vol_j(conv va symdiff conv vb) for j <= 2; no exact oracle covers
+    j >= 3, where a ValueError names j."""
     if j == 1:
         lo_a, hi_a = float(va.min()), float(va.max())
         lo_b, hi_b = float(vb.min()), float(vb.max())
@@ -96,14 +79,7 @@ def exact_symdiff(va: np.ndarray, vb: np.ndarray, j: int) -> float:
             ra, rb = rb, ra
         inter = polygon_area(polygon_clip(ra, rb))
         return max(0.0, polygon_area(ra) + polygon_area(rb) - 2.0 * inter)
-    # j >= 3: a nested pair only, |vol A - vol B| with one qhull call per operand
-    ha, hb = _solid_hull(va), _solid_hull(vb)
-    vol_a, vol_b = (0.0 if h is None else h[2] for h in (ha, hb))
-    for hull, outer, inner in ((ha, va, vb), (hb, vb, va)):
-        if hull is not None and np.all(facet_inside(hull, outer, inner)):
-            return abs(vol_a - vol_b)
-    raise UnsupportedModeError(f"no exact symmetric difference oracle in dimension {j} "
-                               "for a pair that is not nested")
+    raise ValueError(f"no exact symmetric difference oracle at j={j}; it covers j <= 2")
 
 
 def _sample_box(verts: np.ndarray, n: int, stream: RngStream):

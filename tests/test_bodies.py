@@ -10,6 +10,7 @@ from projmetrics.bodies import (
     BodyParseError,
     NonConvergenceError,
     VPolytope,
+    _FACET_BLOCK,
     _min_norm_point,
     bounding_radius,
     contains,
@@ -282,6 +283,18 @@ class TestFacets:
             assert np.array_equal(contains(body, pts)[clear], (dist <= 1e-9)[clear])
         seg = bodies[1].vertices
         assert contains(bodies[1], 0.3 * seg[1:] + 0.7 * seg[:1]).all()
+
+    def test_contains_over_facet_blocks(self):
+        # 500 points against a hull of hundreds of facets take many facet
+        # blocks; one point at a time takes all of them in one block
+        rng = np.random.default_rng(3)
+        v = rng.normal(size=(60, 4))
+        body = VPolytope(v / np.linalg.norm(v, axis=1)[:, None])
+        pts = rng.uniform(-1.0, 1.0, size=(500, 4))
+        assert len(body._chart.hull[1]) * len(pts) > 4 * _FACET_BLOCK
+        inside = contains(body, pts)
+        assert 0 < np.count_nonzero(inside) < len(pts)
+        assert np.array_equal(inside, [contains(body, p[None])[0] for p in pts])
 
 
 def flat_body(rng: np.random.Generator, d: int, r: int) -> VPolytope:

@@ -500,6 +500,16 @@ class TestCli:
         assert read_csv(out).header[0] == "i"
         ET.parse(svg)
 
+    def test_thm1_one_step_footer_has_no_nan(self, tmp_path):
+        # one row has no log-log slope: the footer says so instead of nan
+        out = tmp_path / "t1.csv"
+        assert main(["thm1", "-d", "3", "-j", "2", "--steps", "1", "--seed", "1",
+                     "--subspaces", "20", "--out", str(out)]) == 0
+        table = read_csv(out)
+        assert len(table.rows) == 1
+        assert table.footer_comments[0] == "loglog slope delta_hat vs L_i: slope undefined: one row"
+        assert "nan" not in out.read_text()
+
     def test_thm2_thm3_cli(self, tmp_path):
         out2 = tmp_path / "t2.csv"
         assert main(["thm2", "-d", "3", "-j", "2", "--steps", "3", "--l0", "1",

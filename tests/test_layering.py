@@ -1,7 +1,7 @@
 """The package's import layering, checked on the source with ast: the
 experiment layer uses only public library names, scripts reach the
-experiments only through the CLI, and every public library name has a
-caller in the library."""
+experiments only through the CLI, every public library name has a caller
+in the library, and qhull is called from one place."""
 
 import ast
 import pathlib
@@ -72,3 +72,32 @@ def test_every_public_library_name_has_a_library_caller():
     assert sorted(public - used - KEPT_WITHOUT_CALLER.keys()) == []
     # the allow-list holds only names that exist and still lack a caller
     assert sorted(KEPT_WITHOUT_CALLER.keys() - (public - used)) == []
+
+
+def references(name: str) -> set[tuple[str, str]]:
+    """(file, enclosing class/function path) of every use of name in the
+    library: a name, an attribute or an import of it; a definition is not
+    a use."""
+    found = set()
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, path, scope + (child.name,))
+                continue
+            if ((isinstance(child, ast.Name) and child.id == name)
+                    or (isinstance(child, ast.Attribute) and child.attr == name)
+                    or (isinstance(child, ast.alias) and name in (child.name, child.asname))):
+                found.add((path.name, ".".join(scope)))
+            visit(child, path, scope)
+
+    for path in sorted(LIBRARY.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, ())
+    return found
+
+
+def test_qhull_has_one_call_site():
+    # every hull in dimension >= 3 comes from a chart: bodies._qhull is used
+    # by _Chart.hull alone, and scipy's ConvexHull only inside _qhull
+    assert references("_qhull") == {("bodies.py", "_Chart.hull")}
+    assert references("ConvexHull") == {("bodies.py", "_qhull")}

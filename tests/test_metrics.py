@@ -7,7 +7,7 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from conftest import random_convex_polygon, unit_cube
-from projmetrics import bodies, metrics, oracles
+from projmetrics import bodies
 from projmetrics.bodies import VPolytope, distance_to_hull
 from projmetrics.constructions import (
     NeedleSpec,
@@ -20,6 +20,7 @@ from projmetrics.experiments import ExperimentConfig
 from projmetrics.experiments.runners import run_thm1, run_thm3, unit_cube_body
 from projmetrics.grassmann import axis_subspace, full_space, haar_frames, haar_sample
 from projmetrics.metrics import (
+    MetricEstimate,
     SamplingPlan,
     _batch_values,
     delta_j,
@@ -405,8 +406,7 @@ def count_qhull(monkeypatch) -> list:
         shapes.append(verts.shape)
         return original(verts)
 
-    for module in (bodies, oracles):
-        monkeypatch.setattr(module, "_qhull", counted)
+    monkeypatch.setattr(bodies, "_qhull", counted)
     return shapes
 
 
@@ -462,6 +462,26 @@ class TestFlatCharts:
         assert delta_j(b, a, 3, plan) == first
         assert a._chart is charts[0] and b._chart is charts[1]
         assert all(x._chart.hull is h for x, h in zip((a, b), hulls))
+
+
+class TestDegenerateOperands:
+    """Operands that span no j-flat: every projection has j-measure zero, so
+    the value is an exact 0 at every j, with no subspace drawn below j = d."""
+
+    SEG3 = [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]
+    TRI3 = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    TRI4 = [[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 2.0, 0.0], [0.0, 3.0, 0.0, 1.0]]
+    SEG4A = [[0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]]
+    SEG4B = [[0.0, 1.0, 2.0, 0.0], [0.0, 0.0, 1.0, 3.0]]
+
+    @pytest.mark.parametrize("a,b,j", [(SEG3, None, 2), (TRI4, None, 3), (SEG4A, SEG4B, 3),
+                                       (SEG3, TRI3, 3)])
+    def test_exact_zero(self, a, b, j):
+        est = delta_j(VPolytope(a), None if b is None else VPolytope(b), j,
+                      SamplingPlan(n_subspaces=50, seed=1))
+        drawn = int(j == len(a[0]))  # at j = d the one subspace is the whole space
+        assert est == MetricEstimate(0.0, 0.0, drawn, 0, exact=True,
+                                     per_subspace=((0, 0.0),) * drawn)
 
 
 class TestKubotaCrossCheck:
@@ -666,6 +686,20 @@ class TestFiberProfile:
         assert np.array_equal(in_tube, (y > 0.49) & (y < 0.51))
         assert prof.diff_measure == prof.cell_measure * 400 == 1.0
         assert prof.diff_measure_outside_tube == prof.cell_measure * 392
+
+    def test_three_dim_tube_measure_is_exact(self):
+        # a 3-D transverse grid of 10 cells per axis puts no cell centre in
+        # this tube; its measure is the cross-polytope's volume (2 eps)^3 / 3!
+        cube4 = unit_cube(4, 4)
+        plane = full_space(4)
+        u = np.eye(4)[0]
+        x0 = np.full(4, 0.5)
+        spec = NeedleSpec(x0=x0, u=u, plane=plane, length=5.0, eps=0.05, kind="prism")
+        grown = augment(cube4, prism_needle(spec))
+        tube = VPolytope(x0 + cross_section(plane, u, 0.05).vertices)
+        prof = fiber_profile(grown, cube4, plane, u, grid_n=1000, tube=tube)
+        assert len(prof.rows[0].y) == 3
+        assert prof.tube_measure == pytest.approx(0.1 ** 3 / 6.0, rel=0.0, abs=1e-12)
 
     def test_three_dim_transverse_grid(self, cube3):
         # 2-D transverse grid: the needle's own fibers extend the cube's

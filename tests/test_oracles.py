@@ -7,7 +7,6 @@ from conftest import random_convex_polygon, unit_cube
 from projmetrics.bodies import bounding_radius
 from projmetrics.numerics import RngStream
 from projmetrics.oracles import (
-    UnsupportedModeError,
     exact_symdiff,
     exact_volume,
     mc_symdiff,
@@ -54,17 +53,20 @@ class TestZeroHits:
 
 class TestExactOracles:
     def test_symdiff_needs_a_nested_pair_at_j3(self):
+        # no exact symmetric difference oracle above j = 2, nested or not: a
+        # nested pair's |vol A - vol B| is metrics' in-flat answer
         cube = unit_cube(3, 3).vertices
-        assert exact_symdiff(cube, 0.5 * cube, 3) == pytest.approx(1.0 - 0.125, abs=1e-12)
-        with pytest.raises(UnsupportedModeError):
-            exact_symdiff(cube, cube + 0.5, 3)
+        for other in (0.5 * cube, cube + 0.5):
+            with pytest.raises(ValueError, match="j=3"):
+                exact_symdiff(cube, other, 3)
 
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_mc_agrees_with_exact(self, j):
         a = unit_cube(j, j).vertices
-        b = 0.5 * a + 0.25
+        b = 0.5 * a + 0.25  # nested in a
         n = 20_000
         vol, vol_se = mc_volume(a, j, n, RngStream(2, j))
         assert abs(vol - exact_volume(a, j)) <= 4.0 * vol_se + 1e-6
         sym, sym_se = mc_symdiff(a, b, j, n, RngStream(3, j))
-        assert abs(sym - exact_symdiff(a, b, j)) <= 4.0 * sym_se
+        exact = exact_volume(a, j) - exact_volume(b, j) if j >= 3 else exact_symdiff(a, b, j)
+        assert abs(sym - exact) <= 4.0 * sym_se
