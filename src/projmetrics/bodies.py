@@ -329,13 +329,22 @@ def contains(body: VPolytope, pts: np.ndarray, tol: float = DEFAULT_TOL) -> np.n
 # charts up to this dimension certify distances from their facets
 _CERTIFIED_DIM = 3
 
-# a cache-sized block: the hull of a thm1 row at d = 8 has about 1.5e5 facets,
-# and one (256 points, all facets) block of _rowdot passes takes 3x as long
+# a cache-sized block of a (rows x facets) product: the hull of a thm1 row at
+# d = 8 has about 1.5e5 facets, and one (256 points, all facets) block of
+# _rowdot passes takes 3x as long
 _FACET_BLOCK = 1 << 15
 
 # |a.u| <= _PARALLEL * |u| counts a facet (or a flat) as parallel to the line:
 # rounding in unit normals stays far below it, real crossings far above it.
 _PARALLEL = 1e-12
+
+
+def _row_blocks(n: int, width: int) -> list[slice]:
+    """Slices of range(n) of at most _FACET_BLOCK (rows x width) elements
+    each, and at least one row each: every row-independent product over
+    rows and facets is taken over these blocks."""
+    step = max(1, _FACET_BLOCK // max(1, width))
+    return [slice(s, s + step) for s in range(0, n, step)]
 
 
 def _rowdot(x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -360,27 +369,34 @@ def _within(offsets: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _in_facets(x: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """Rows of x within tol of every facet's half-space, taken over blocks
-    of facets of about _FACET_BLOCK (rows, facets) elements each; every
-    element has the bits of the unblocked product."""
-    ok = np.ones(x.shape[0], dtype=bool)
-    step = max(1, _FACET_BLOCK // max(1, x.shape[0]))
-    for s in range(0, a.shape[0], step):
-        ok &= np.all(_rowdot(x, a[s:s + step]) + b[s:s + step] <= tol, axis=1)
+    """Rows of x within tol of every facet's half-space, over row blocks."""
+    # contiguous facet columns: _rowdot reads column k of a for every block,
+    # and a strided column of a wide hull is read as the whole matrix
+    a = np.asfortranarray(a)
+    ok = np.empty(x.shape[0], dtype=bool)
+    for r in _row_blocks(x.shape[0], a.shape[0]):
+        ok[r] = np.all(_rowdot(x[r], a) + b <= tol, axis=1)
     return ok
 
 
 def _chords(x, u, a, b, tol):
-    """Facet algebra of line_fibers for a full-dimensional hull {a.x + b <= 0}."""
+    """Facet algebra of line_fibers for a full-dimensional hull {a.x + b <= 0},
+    over row blocks."""
+    a = np.asfortranarray(a)  # contiguous facet columns, as in _in_facets
     au = _rowdot(u[None], a)[0]
-    s = _rowdot(x, a) + b
     un = float(np.linalg.norm(u))
     cross = np.abs(au) > _PARALLEL * un
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = -s / au
-    lo = np.max(t, axis=1, initial=-np.inf, where=cross & (au < 0))
-    hi = np.min(t, axis=1, initial=np.inf, where=cross & (au > 0))
-    empty = np.any((s > tol) & ~cross, axis=1) | (lo > hi + tol / un)
+    down, up = cross & (au < 0), cross & (au > 0)
+    n = x.shape[0]
+    lo, hi, empty = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+    for r in _row_blocks(n, a.shape[0]):
+        s = _rowdot(x[r], a) + b
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = -s / au
+        lo[r] = np.max(t, axis=1, initial=-np.inf, where=down)
+        hi[r] = np.min(t, axis=1, initial=np.inf, where=up)
+        empty[r] = np.any((s > tol) & ~cross, axis=1)
+    empty |= lo > hi + tol / un
     hi = np.maximum(hi, lo)
     lo[empty] = hi[empty] = 0.0
     return lo, hi, empty
@@ -416,12 +432,12 @@ class _Chart:
     coordinates, so no bit depends on vertex order.  A full-rank set keeps
     origin 0, the identity frame, no normal rows and its vertices as given,
     so qhull, whose bits follow the order of its input, sees the caller's
-    order.
+    order.  Every product of many points against the facets runs over the
+    row blocks of _row_blocks, so no caller sizes a block.
     """
 
     def __init__(self, verts: np.ndarray):
         d = verts.shape[1]
-        self.vertices = verts
         self.dim = r = _affine_rank(verts)
         if r == d:
             self.origin, self.frame, self.normal = np.zeros(d), np.eye(d), np.zeros((0, d))
@@ -480,7 +496,8 @@ class _Chart:
     def certified(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(dist, ok) over the rows of pts: ok marks the rows whose distance
         to the hull the facets settle, and dist holds those distances (0.0
-        elsewhere).  Each row's bits do not depend on the other rows.
+        elsewhere), taken over row blocks.  Each row's bits do not depend on
+        the other rows.
 
         With in-flat coordinates y and facet values s_k = a_k.y + b_k, let
         s = max_k s_k, at facet i.  Every hull point z has a_i.z + b_i <= 0,
@@ -496,21 +513,24 @@ class _Chart:
         if self.facets is None:
             return dist, ok
         a, b, gram = self.facets
-        rel = pts - self.origin
-        tol = 1e-12 * np.maximum(self.scale, np.max(np.abs(rel), axis=1))
-        off2 = np.zeros(n)
-        if len(self.normal):
-            off2 = _rowsumsq(_rowdot(rel, self.normal))
-            off2[np.sqrt(off2) <= tol] = 0.0
-        if b.size == 0:  # a single point: only the normal part
-            return np.sqrt(off2), np.ones(n, dtype=bool)
-        s = _rowdot(rel, a) + b
-        i = np.argmax(s, axis=1)
-        top = s[np.arange(n), i]
-        inside = top <= tol
-        ok = inside | np.all(s - top[:, None] * gram[i] <= tol[:, None], axis=1)
-        top[inside] = 0.0
-        dist[ok] = np.sqrt(top[ok] * top[ok] + off2[ok])
+        for r in _row_blocks(n, max(pts.shape[1], len(b))):
+            rel = pts[r] - self.origin
+            tol = 1e-12 * np.maximum(self.scale, np.max(np.abs(rel), axis=1))
+            off2 = np.zeros(len(rel))
+            if len(self.normal):
+                off2 = _rowsumsq(_rowdot(rel, self.normal))
+                off2[np.sqrt(off2) <= tol] = 0.0
+            if b.size == 0:  # a single point: only the normal part
+                dist[r], ok[r] = np.sqrt(off2), True
+                continue
+            s = _rowdot(rel, a) + b
+            i = np.argmax(s, axis=1)
+            top = s[np.arange(len(s)), i]
+            inside = top <= tol
+            good = inside | np.all(s - top[:, None] * gram[i] <= tol[:, None], axis=1)
+            top[inside] = 0.0
+            ok[r] = good
+            dist[r][good] = np.sqrt(top[good] * top[good] + off2[good])
         return dist, ok
 
     def to_flat(self, pts: np.ndarray) -> np.ndarray:
@@ -520,21 +540,6 @@ class _Chart:
     def off_flat(self, pts: np.ndarray) -> np.ndarray:
         """Components of the rows of pts normal to the flat."""
         return _rowdot(pts - self.origin, self.normal)
-
-    def rank_with(self, pts: np.ndarray) -> int:
-        """Dimension of the affine hull of this vertex set and the rows of pts."""
-        off = self.off_flat(pts)
-        if off.shape[1] == 0:
-            return self.dim
-        tol = 1e-12 * max(self.scale, float(np.max(np.abs(pts - self.origin))))
-        if float(np.max(np.abs(off))) <= tol:
-            return self.dim
-        return self.dim + int(np.sum(np.linalg.svd(off, compute_uv=False) > tol))
-
-    def key(self) -> tuple:
-        """A total order on charts that depends only on the distinct vertices."""
-        pts = _distinct_rows(self.vertices)
-        return len(pts), tuple(pts.ravel())
 
 
 def _qhull(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:

@@ -81,9 +81,10 @@ def _plan(cfg: ExperimentConfig) -> SamplingPlan:
                         seed=cfg.seed, mode=cfg.mode)
 
 
-def _ols_loglog(xs, ys) -> tuple[float, float]:
+def _ols_loglog(xs, ys) -> tuple[float, float | None]:
     """Least-squares slope of log y on log x, with its standard error; needs
-    at least two rows."""
+    at least two rows.  Two rows leave no residual degrees of freedom, so
+    their error is None: undefined, not zero."""
     lx = np.log(np.asarray(xs, dtype=float))
     ly = np.log(np.asarray(ys, dtype=float))
     n = len(lx)
@@ -91,24 +92,22 @@ def _ols_loglog(xs, ys) -> tuple[float, float]:
     sxx = float(np.sum((lx - mx) ** 2))
     slope = float(np.sum((lx - mx) * (ly - ly.mean())) / sxx)
     resid = ly - (ly.mean() + slope * (lx - mx))
-    if n > 2:
-        se = math.sqrt(float(np.sum(resid**2)) / (n - 2) / sxx)
-    else:
-        se = 0.0
+    se = math.sqrt(float(np.sum(resid**2)) / (n - 2) / sxx) if n > 2 else None
     return slope, se
 
 
 def _slope_footer(labels, xs, ys) -> str:
     """thm1's slope footer line; the log-log slope is undefined, and the
     line names the rows, when some y is not positive, and it is undefined
-    for a table of one row."""
+    for a table of one row; a two-row slope has no standard error."""
     bad = [str(m) for m, y in zip(labels, ys) if not y > 0.0]
     if bad:
         return f"loglog slope delta_hat vs L_i: slope undefined: rows {','.join(bad)} non-positive"
     if len(ys) < 2:
         return "loglog slope delta_hat vs L_i: slope undefined: one row"
     slope, se = _ols_loglog(xs, ys)
-    return f"loglog slope delta_hat vs L_i: slope={slope:.6g} se={se:.6g}"
+    err = "se undefined: two rows" if se is None else f"se={se:.6g}"
+    return f"loglog slope delta_hat vs L_i: slope={slope:.6g} {err}"
 
 
 def run_thm1(cfg: ExperimentConfig) -> CsvTable:
@@ -360,9 +359,10 @@ def run_fibers(body_a: VPolytope, body_b: VPolytope, plane: str, grid_n: int,
 
     profile = fiber_profile(body_a, body_b, h, u, grid_n, tube=tube)
     table = CsvTable(header=["y", "fiber_diff_length", "in_tube"])
-    for row in profile.rows:
-        ylabel = row.y[0] if len(row.y) == 1 else ";".join(format(c, ".17g") for c in row.y)
-        table.add_row([ylabel, row.diff_length, row.in_tube])
+    for y, diff, in_tube in zip(profile.y.tolist(), profile.diff_length.tolist(),
+                                profile.in_tube.tolist()):
+        ylabel = y[0] if len(y) == 1 else ";".join(format(c, ".17g") for c in y)
+        table.add_row([ylabel, diff, in_tube])
     table.footer_comments.append(f"diff_measure: {profile.diff_measure:.17g}")
     table.footer_comments.append(
         f"diff_measure_outside_tube: {profile.diff_measure_outside_tube:.17g}")

@@ -18,8 +18,8 @@ once.  Operands that span no j-flat give exactly 0, since every projection
 then has j-measure zero.  A single operand gives its chart volume; a pair
 of which one operand's vertices pass bodies.contains on the other is nested
 and gives |vol K - vol L|; a pair in one flat that is not nested is clipped
-in one chart at j <= 2.  At j = d every body is flat and keeps its own
-coordinates.
+at j <= 2 in the chart of its union.  At j = d every body is flat and keeps
+its own coordinates.
 
 The rest samples subspaces: non-flat bodies, flat pairs at j >= 3 that are
 not nested (at j = d one box Monte Carlo estimate in the bodies' own
@@ -49,6 +49,8 @@ from .bodies import (
     DEFAULT_TOL,
     VPolytope,
     _affine_rank,
+    _Chart,
+    _row_blocks,
     contains,
     distance_to_hull,
     line_fibers,
@@ -65,7 +67,6 @@ __all__ = [
     "delta_j",
     "intrinsic_volume",
     "hausdorff",
-    "FiberRow",
     "FiberProfile",
     "fiber_profile",
 ]
@@ -150,9 +151,10 @@ def _flat_value(j: int, a: VPolytope | None, b: VPolytope | None) -> float | Non
     projection then has j-measure zero.  One operand gives its chart volume.
     A pair is nested when one operand's vertices pass bodies.contains on the
     other (in its flat and inside its facets, at 1e-12 times its chart's
-    scale), and then the value is |vol K - vol L|.  A pair in one j-flat
-    that is not nested is clipped at j <= 2 in the chart that key() puts
-    first, and gets None at j >= 3, as does a pair in no common j-flat.
+    scale), and then the value is |vol K - vol L|.  A pair that is not
+    nested is clipped at j <= 2 in the chart of its union, which has
+    dimension j exactly when the pair lies in one j-flat; it gets None at
+    j >= 3, as does a pair in no common j-flat.
 
     Each chart's frame comes from the sorted distinct vertex rows below
     full rank, so no bit depends on operand or vertex order there.  At
@@ -176,9 +178,9 @@ def _flat_value(j: int, a: VPolytope | None, b: VPolytope | None) -> float | Non
             return abs(vol_a - vol_b)
     if j >= 3:
         return None
-    c = min(full, key=lambda x: x.key())
-    if c.rank_with((b if c is charts[0] else a).vertices) != j:
-        return None  # not in one j-flat
+    c = _Chart(np.vstack([a.vertices, b.vertices]))
+    if c.dim != j:
+        return None  # no common j-flat
     return exact_symdiff(c.to_flat(a.vertices), c.to_flat(b.vertices), j)
 
 
@@ -276,16 +278,17 @@ def hausdorff(a: VPolytope, b: VPolytope) -> float:
     its distance to that body's hull from above.  A vertex shared by both
     bodies has bound 0 and distance 0.  Every other vertex is first put to
     the facet certificate of the other body's chart (bodies._Chart.certified,
-    at chart dimension <= 3), in one batched pass per direction whose rows
-    have the bits of one-point distance_to_hull calls.  The vertices left
-    uncertified go to a branch-and-bound Wolfe scan: they are visited in
-    descending bound order (stable), and the scan stops at the first bound
-    that does not exceed the running maximum, since every vertex left has
-    distance <= bound <= maximum.  So the value is the exhaustive scan's,
-    bit for bit.  In floating point a solve can return a few ulps more than
-    its bound (the norms are summed in another order), so the bound is
-    widened by _BOUND_SLACK first; without it a vertex tied with the maximum
-    could be skipped and the value come out an ulp low.
+    at chart dimension <= 3), in one batched call per direction (bodies
+    sizes its row blocks), whose rows have the bits of one-point
+    distance_to_hull calls.  The vertices left uncertified go to a
+    branch-and-bound Wolfe scan: they are visited in descending bound order
+    (stable), and the scan stops at the first bound that does not exceed the
+    running maximum, since every vertex left has distance <= bound <=
+    maximum.  So the value is the exhaustive scan's, bit for bit.  In
+    floating point a solve can return a few ulps more than its bound (the
+    norms are summed in another order), so the bound is widened by
+    _BOUND_SLACK first; without it a vertex tied with the maximum could be
+    skipped and the value come out an ulp low.
     """
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("operands live in different dimensions")
@@ -296,7 +299,7 @@ def hausdorff(a: VPolytope, b: VPolytope) -> float:
     best = 0.0
     for lo, p, body in ((0, a.vertices, b), (m, b.vertices, a)):
         rows = lo + np.flatnonzero(bounds[lo:lo + len(p)] > 0.0)
-        dist, ok = _certified_distances(p[rows - lo], body)
+        dist, ok = body._chart.certified(p[rows - lo])
         done[rows[ok]] = True
         best = max(best, float(np.max(dist, initial=0.0)))
     left = np.flatnonzero(~done)
@@ -309,32 +312,15 @@ def hausdorff(a: VPolytope, b: VPolytope) -> float:
 
 
 _BOUND_SLACK = 1e-12  # relative; rounding excess seen is under 2 eps
-_BOUND_CHUNK = 1 << 15  # elements of a batched (rows, n, d) or (rows, facets) block
-
-
-def _certified_distances(points: np.ndarray, body: VPolytope) -> tuple[np.ndarray, np.ndarray]:
-    """body's chart certificate (dist, ok) for the rows of points, in row
-    chunks of at most _BOUND_CHUNK elements per (rows, facets) block."""
-    chart = body._chart
-    dist, ok = np.zeros(len(points)), np.zeros(len(points), dtype=bool)
-    if chart.facets is None:
-        return dist, ok
-    step = max(1, _BOUND_CHUNK // max(body.ambient_dim, len(chart.facets[1])))
-    for s in range(0, len(points), step):
-        dist[s:s + step], ok[s:s + step] = chart.certified(points[s:s + step])
-    return dist, ok
 
 
 def _nearest_vertex_distances(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """Distance from each row of points to its nearest row of vertices, in
-    row chunks of at most _BOUND_CHUNK difference elements (one row at a
-    time when a single row exceeds that)."""
-    n, d = vertices.shape
-    step = max(1, _BOUND_CHUNK // (n * d))
+    """Distance from each row of points to its nearest row of vertices, over
+    the row blocks of bodies, n * d difference elements wide."""
     out = np.empty(len(points))
-    for s in range(0, len(points), step):
-        diff = points[s:s + step, None, :] - vertices
-        out[s:s + step] = np.einsum("ijk,ijk->ij", diff, diff).min(axis=1)
+    for r in _row_blocks(len(points), vertices.size):
+        diff = points[r, None, :] - vertices
+        out[r] = np.einsum("ijk,ijk->ij", diff, diff).min(axis=1)
     return np.sqrt(out)
 
 
@@ -346,15 +332,10 @@ def _nearest_vertex_distances(points: np.ndarray, vertices: np.ndarray) -> np.nd
 
 
 @dataclass(frozen=True)
-class FiberRow:
-    y: tuple[float, ...]
-    diff_length: float
-    in_tube: bool
-
-
-@dataclass(frozen=True)
 class FiberProfile:
-    rows: tuple[FiberRow, ...]
+    y: np.ndarray                # (n, j-1) transverse grid points
+    diff_length: np.ndarray      # (n,) fiber-length differences
+    in_tube: np.ndarray          # (n,) grid points inside the tube image
     cell_measure: float
     diff_measure: float          # transverse measure where fibers lengthened
     diff_measure_outside_tube: float
@@ -416,8 +397,6 @@ def fiber_profile(outer: VPolytope, inner: VPolytope, h: Subspace, u: np.ndarray
     else:
         tube_e = VPolytope((tube.vertices @ h.basis) @ e_basis)
         in_tube = contains(tube_e, mesh, tol)
-    rows = tuple(FiberRow(tuple(float(c) for c in y), float(dv), bool(t))
-                 for y, dv, t in zip(mesh, diff, in_tube))
 
     tube_measure = 0.0
     if tube_e is not None and tube_e._chart.dim == tdim:
@@ -425,7 +404,9 @@ def fiber_profile(outer: VPolytope, inner: VPolytope, h: Subspace, u: np.ndarray
 
     positive = diff > 0.0
     return FiberProfile(
-        rows=rows,
+        y=mesh,
+        diff_length=diff,
+        in_tube=in_tube,
         cell_measure=cell,
         diff_measure=cell * int(np.count_nonzero(positive)),
         diff_measure_outside_tube=cell * int(np.count_nonzero(positive & ~in_tube)),

@@ -239,6 +239,6 @@ def test_criterion_13_fiber_diagnostic(capsys):
         tube = VPolytope(x0 + cross_section(plane, u, 0.01).vertices)
         profile = fiber_profile(grown, square, plane, u, grid_n=200, tube=tube)
         assert profile.diff_measure_outside_tube > 0.0
-        assert max(r.diff_length for r in profile.rows) <= 8.0 + 2e-9
+        assert np.max(profile.diff_length) <= 8.0 + 2e-9
     _report(capsys, 13, f"out-of-tube diff mass {profile.diff_measure_outside_tube:.3f} > 0, "
                 "diffs bounded by the axial extent", t)

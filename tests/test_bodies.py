@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,6 +163,28 @@ class TestLineFibers:
                 f = line_fiber(body, base, direction)
                 assert (f.empty, f.lo, f.hi) == (empty[i], lo[i], hi[i])
 
+    def test_rows_over_row_blocks(self):
+        # 600 points on S^3 have thousands of facets, so 256 lines take many
+        # row blocks: every row keeps its one-row bits, and no (lines, facets)
+        # product is built whole (unblocked, the peak is about 23 MiB)
+        rng = np.random.default_rng(5)
+        v = rng.normal(size=(600, 4))
+        body = VPolytope(v / np.linalg.norm(v, axis=1)[:, None])
+        bases = rng.uniform(-0.8, 0.8, size=(256, 4))
+        direction = rng.normal(size=4)
+        assert len(body._chart.hull[1]) * len(bases) > 16 * _FACET_BLOCK
+        tracemalloc.start()
+        try:
+            lo, hi, empty = line_fibers(body, bases, direction)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert empty.any() and not empty.all()
+        for i, base in enumerate(bases):
+            f = line_fiber(body, base, direction)
+            assert (f.empty, f.lo, f.hi) == (empty[i], lo[i], hi[i])
+
     def test_line_along_edge(self, square2):
         u = np.array([1.0, 0.0])
         for base in ([0.3, 0.0], [0.3, 1.0], [2.0, 1.0]):
@@ -285,8 +308,8 @@ class TestFacets:
         assert contains(bodies[1], 0.3 * seg[1:] + 0.7 * seg[:1]).all()
 
     def test_contains_over_facet_blocks(self):
-        # 500 points against a hull of hundreds of facets take many facet
-        # blocks; one point at a time takes all of them in one block
+        # 500 points against a hull of hundreds of facets take many row
+        # blocks; one point at a time is a block of its own
         rng = np.random.default_rng(3)
         v = rng.normal(size=(60, 4))
         body = VPolytope(v / np.linalg.norm(v, axis=1)[:, None])

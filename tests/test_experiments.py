@@ -510,6 +510,17 @@ class TestCli:
         assert table.footer_comments[0] == "loglog slope delta_hat vs L_i: slope undefined: one row"
         assert "nan" not in out.read_text()
 
+    def test_thm1_two_step_footer_has_no_zero_se(self, tmp_path):
+        # a two-point fit has no residual degrees of freedom: its se is
+        # undefined, not 0
+        out = tmp_path / "t1.csv"
+        assert main(["thm1", "-d", "3", "-j", "2", "--steps", "2", "--seed", "1",
+                     "--subspaces", "20", "--out", str(out)]) == 0
+        footer = read_csv(out).footer_comments[0]
+        assert footer.startswith("loglog slope delta_hat vs L_i: slope=")
+        assert footer.endswith(" se undefined: two rows")
+        assert "se=" not in footer
+
     def test_thm2_thm3_cli(self, tmp_path):
         out2 = tmp_path / "t2.csv"
         assert main(["thm2", "-d", "3", "-j", "2", "--steps", "3", "--l0", "1",

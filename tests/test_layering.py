@@ -1,7 +1,8 @@
 """The package's import layering, checked on the source with ast: the
 experiment layer uses only public library names, scripts reach the
 experiments only through the CLI, every public library name has a caller
-in the library, and qhull is called from one place."""
+in the library, qhull is called from one place, and one helper sizes every
+row block."""
 
 import ast
 import pathlib
@@ -76,8 +77,8 @@ def test_every_public_library_name_has_a_library_caller():
 
 def references(name: str) -> set[tuple[str, str]]:
     """(file, enclosing class/function path) of every use of name in the
-    library: a name, an attribute or an import of it; a definition is not
-    a use."""
+    library: a name, an attribute or an import of it; a definition, or an
+    assignment to the name, is not a use."""
     found = set()
 
     def visit(node, path, scope):
@@ -85,7 +86,8 @@ def references(name: str) -> set[tuple[str, str]]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, path, scope + (child.name,))
                 continue
-            if ((isinstance(child, ast.Name) and child.id == name)
+            if ((isinstance(child, ast.Name) and child.id == name
+                 and not isinstance(child.ctx, ast.Store))
                     or (isinstance(child, ast.Attribute) and child.attr == name)
                     or (isinstance(child, ast.alias) and name in (child.name, child.asname))):
                 found.add((path.name, ".".join(scope)))
@@ -101,3 +103,13 @@ def test_qhull_has_one_call_site():
     # by _Chart.hull alone, and scipy's ConvexHull only inside _qhull
     assert references("_qhull") == {("bodies.py", "_Chart.hull")}
     assert references("ConvexHull") == {("bodies.py", "_qhull")}
+
+
+def test_one_helper_sizes_row_blocks():
+    # every (rows x facets) product is row-blocked by bodies._row_blocks,
+    # the one reader of the block size; metrics keeps no block size of its own
+    assert references("_FACET_BLOCK") == {("bodies.py", "_row_blocks")}
+    tree = ast.parse((LIBRARY / "metrics.py").read_text(encoding="utf-8"))
+    constants = {target.id for node in tree.body if isinstance(node, ast.Assign)
+                 for target in node.targets if isinstance(target, ast.Name)}
+    assert {c for c in constants if "BLOCK" in c or "CHUNK" in c} == set()

@@ -644,21 +644,21 @@ class TestFiberProfile:
     def test_equal_bodies_all_zero(self, square2):
         prof = fiber_profile(square2, square2, full_space(2),
                              np.array([1.0, 0.0]), grid_n=20)
-        assert all(r.diff_length == 0.0 for r in prof.rows)
+        assert np.all(prof.diff_length == 0.0)
         assert prof.diff_measure == 0.0
 
     def test_bridging_mass_escapes_tube(self):
         square, grown, plane, u, tube = self.canonical_instance()
         prof = fiber_profile(grown, square, plane, u, grid_n=100, tube=tube)
-        near = [r for r in prof.rows if 0.88 < r.y[0] < 0.92]
-        assert any(r.diff_length > 0 and not r.in_tube for r in near)
+        near = (0.88 < prof.y[:, 0]) & (prof.y[:, 0] < 0.92)
+        assert np.any(near & (prof.diff_length > 0) & ~prof.in_tube)
         assert prof.diff_measure_outside_tube > 0.0
         assert prof.tube_measure == pytest.approx(0.02, abs=1e-9)
 
     def test_fiber_differences_bounded_by_axial_extent(self):
         square, grown, plane, u, tube = self.canonical_instance()
         prof = fiber_profile(grown, square, plane, u, grid_n=100, tube=tube)
-        assert max(r.diff_length for r in prof.rows) <= 8.0 + 2e-9
+        assert np.max(prof.diff_length) <= 8.0 + 2e-9
 
     def test_containment_enforced(self, square2):
         outside = VPolytope([[5.0, 5.0], [6.0, 5.0], [6.0, 6.0]])
@@ -677,13 +677,11 @@ class TestFiberProfile:
         # chord at height y minus the square's is 7.5 min(y, .49, 1-y) / .49
         square, grown, plane, u, tube = self.canonical_instance()
         prof = fiber_profile(grown, square, plane, u, grid_n=400, tube=tube)
-        y = np.array([r.y[0] for r in prof.rows])
+        y = prof.y[:, 0]
         assert np.allclose(y, (np.arange(400) + 0.5) / 400, rtol=0.0, atol=1e-15)
         exact = 7.5 * np.minimum(np.minimum(y, 1.0 - y), 0.49) / 0.49
-        diff = np.array([r.diff_length for r in prof.rows])
-        assert np.max(np.abs(diff - exact) / exact) <= 1e-12
-        in_tube = np.array([r.in_tube for r in prof.rows])
-        assert np.array_equal(in_tube, (y > 0.49) & (y < 0.51))
+        assert np.max(np.abs(prof.diff_length - exact) / exact) <= 1e-12
+        assert np.array_equal(prof.in_tube, (y > 0.49) & (y < 0.51))
         assert prof.diff_measure == prof.cell_measure * 400 == 1.0
         assert prof.diff_measure_outside_tube == prof.cell_measure * 392
 
@@ -698,7 +696,7 @@ class TestFiberProfile:
         grown = augment(cube4, prism_needle(spec))
         tube = VPolytope(x0 + cross_section(plane, u, 0.05).vertices)
         prof = fiber_profile(grown, cube4, plane, u, grid_n=1000, tube=tube)
-        assert len(prof.rows[0].y) == 3
+        assert prof.y.shape[1] == 3
         assert prof.tube_measure == pytest.approx(0.1 ** 3 / 6.0, rel=0.0, abs=1e-12)
 
     def test_three_dim_transverse_grid(self, cube3):
@@ -710,7 +708,7 @@ class TestFiberProfile:
         grown = augment(cube3, prism_needle(spec))
         tube = VPolytope(x0 + cross_section(plane, u, 0.05).vertices)
         prof = fiber_profile(grown, cube3, plane, u, grid_n=100, tube=tube)
-        assert len(prof.rows[0].y) == 2
+        assert prof.y.shape[1] == 2
         assert prof.diff_measure > 0.0
         assert prof.tube_measure == pytest.approx(2 * 0.05 * 0.05, abs=1e-9)
-        assert max(r.diff_length for r in prof.rows) <= 5.0 + 2e-9
+        assert np.max(prof.diff_length) <= 5.0 + 2e-9
