@@ -13,7 +13,6 @@ from .bodies import (
     line_fiber,
     line_fibers,
     load_body,
-    membership,
     polygon_area,
     polygon_clip,
     save_body,

@@ -28,7 +28,6 @@ __all__ = [
     "save_body",
     "bounding_radius",
     "distance_to_hull",
-    "membership",
     "line_fiber",
     "line_fibers",
     "contains",
@@ -254,10 +253,6 @@ def distance_to_hull(p: np.ndarray, body: VPolytope) -> float:
     if x is None:
         raise NonConvergenceError(f"min-norm point did not converge in {2 * max_iter} iterations")
     return float(np.linalg.norm(x))
-
-
-def membership(p: np.ndarray, body: VPolytope, tol: float = DEFAULT_TOL) -> bool:
-    return distance_to_hull(p, body) <= tol
 
 
 def line_fiber(body: VPolytope, base: np.ndarray, direction: np.ndarray,

@@ -198,8 +198,8 @@ def _dispatch(args) -> int:
     if args.command == "validate":
         table = run_validation(seed=args.seed)
         write_csv(table, args.out)
-        passed_col = table.column("passed")
-        failed = [table.rows[i][1] for i, v in enumerate(passed_col) if v == "false"]
+        failed = [case for case, passed in zip(table.column("case"), table.column("passed"))
+                  if passed == "false"]
         if failed:
             raise AssertionFailure("validation checks failed: " + ", ".join(failed))
         return EXIT_OK

@@ -358,11 +358,8 @@ def run_fibers(body_a: VPolytope, body_b: VPolytope, plane: str, grid_n: int,
         raise ValueError("no canonical axis has a usable projection in the plane")
 
     profile = fiber_profile(body_a, body_b, h, u, grid_n, tube=tube)
-    table = CsvTable(header=["y", "fiber_diff_length", "in_tube"])
-    for y, diff, in_tube in zip(profile.y.tolist(), profile.diff_length.tolist(),
-                                profile.in_tube.tolist()):
-        ylabel = y[0] if len(y) == 1 else ";".join(format(c, ".17g") for c in y)
-        table.add_row([ylabel, diff, in_tube])
+    table = CsvTable(header=["y", "fiber_diff_length", "in_tube"],
+                     columns=[profile.y, profile.diff_length, profile.in_tube])
     table.footer_comments.append(f"diff_measure: {profile.diff_measure:.17g}")
     table.footer_comments.append(
         f"diff_measure_outside_tube: {profile.diff_measure_outside_tube:.17g}")

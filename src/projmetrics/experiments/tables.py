@@ -1,9 +1,15 @@
 """CSV (RFC-4180) and single-chart SVG emission.
 
-Numeric cells are written with '.' decimal separator and 17 significant
-digits, enough for bit-exact float round-trips.  Footer comments (slope
-fits, low-precision flags) are written after the data rows as lines
-starting with '# ' and skipped by the reader.
+A table keeps its cells column by column, as lists or whole arrays, and
+formats each column in one pass when it is written or read through column()
+and rows: floats with format(x, '.17g') ('.' decimal separator, bit-exact
+round trips), bools as true/false, the rows of a 2-D float array as
+';'-joined floats; a column of other or mixed kinds cell by cell, by the
+same rules, ints and anything else with str.  Lines are joined directly and
+end in CRLF.  A text cell is quoted where csv.writer's QUOTE_MINIMAL quotes
+it, and also when it is a row's first cell and starts with '# '.  Footer
+comments (slope fits, low-precision flags) follow the data rows as lines
+starting with '# ', which the reader skips outside quoted fields.
 """
 
 from __future__ import annotations
@@ -13,44 +19,89 @@ import io
 import math
 from dataclasses import dataclass, field
 from html import escape  # xml.sax.saxutils would import urllib, http.client and ssl
+from itertools import repeat
 
-__all__ = ["CsvTable", "fmt_cell", "write_csv", "read_csv", "write_svg"]
+__all__ = ["CsvTable", "write_csv", "read_csv", "write_svg"]
+
+_FLOAT = ".17g"
+_QUOTED = frozenset(',"\r\n')
 
 
-def fmt_cell(x) -> str:
+def _cell(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, int):
         return str(x)
     if isinstance(x, float):
-        return format(x, ".17g")
+        return format(x, _FLOAT)
     return str(x)
+
+
+def _cells(column) -> tuple[list[str], bool]:
+    """The text of a column's cells, formatted in one pass, and whether it
+    may hold text that needs quoting (formatted numbers never do)."""
+    if getattr(column, "ndim", 1) == 2:  # one ';'-joined row of floats per cell
+        k = column.shape[1]
+        flat = list(map(format, column.ravel().tolist(), repeat(_FLOAT)))
+        return (flat if k == 1 else
+                [";".join(flat[i:i + k]) for i in range(0, len(flat), k)]), False
+    values = column.tolist() if hasattr(column, "tolist") else column
+    kinds = set(map(type, values))
+    if kinds <= {float}:
+        return list(map(format, values, repeat(_FLOAT))), False
+    if kinds <= {bool}:
+        return list(map(("false", "true").__getitem__, values)), False
+    return list(map(_cell, values)), True
+
+
+def _field(cell: str, first: bool, alone: bool) -> str:
+    """A text cell as written: quoted, inner quotes doubled, when it holds a
+    comma, a double quote, CR or LF, or is the empty only cell of its row
+    (as csv.writer's QUOTE_MINIMAL does), or would read back as a footer."""
+    if (not _QUOTED.isdisjoint(cell) or (alone and not cell)
+            or (first and cell.startswith("# "))):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 @dataclass
 class CsvTable:
+    """Header names, one column of cells per name (a list that add_row
+    appends to, or a whole array handed over), and footer comments."""
+
     header: list[str]
-    rows: list[list[str]] = field(default_factory=list)
+    columns: list | None = None
     footer_comments: list[str] = field(default_factory=list)
 
+    def __post_init__(self):
+        if self.columns is None:
+            self.columns = [[] for _ in self.header]
+        if len(self.columns) != len(self.header) or len(set(map(len, self.columns))) > 1:
+            raise ValueError("need one column per header name, all of one length")
+
     def add_row(self, values) -> None:
-        cells = [fmt_cell(v) for v in values]
-        if len(cells) != len(self.header):
-            raise ValueError(f"row has {len(cells)} cells, header has {len(self.header)}")
-        self.rows.append(cells)
+        if len(values) != len(self.header):
+            raise ValueError(f"row has {len(values)} cells, header has {len(self.header)}")
+        for column, value in zip(self.columns, values):
+            column.append(value)
 
     def column(self, name: str) -> list[str]:
-        idx = self.header.index(name)
-        return [row[idx] for row in self.rows]
+        return _cells(self.columns[self.header.index(name)])[0]
+
+    @property
+    def rows(self) -> list[list[str]]:
+        return [list(row) for row in zip(*(_cells(c)[0] for c in self.columns))]
 
     def to_bytes(self) -> bytes:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerow(self.header)
-        writer.writerows(self.rows)
-        for comment in self.footer_comments:
-            buf.write(f"# {comment}\r\n")
-        return buf.getvalue().encode("utf-8")
+        alone = len(self.header) == 1
+        fields = []
+        for k, column in enumerate(self.columns):
+            cells, text = _cells(column)
+            fields.append([_field(c, k == 0, alone) for c in cells] if text else cells)
+        lines = [",".join(_field(h, k == 0, alone) for k, h in enumerate(self.header)),
+                 *map(",".join, zip(*fields)),
+                 *(f"# {comment}" for comment in self.footer_comments)]
+        return ("\r\n".join(lines) + "\r\n").encode("utf-8")
 
 
 def write_csv(table: CsvTable, path) -> None:
@@ -67,18 +118,24 @@ def read_csv(path) -> CsvTable:
             content = fh.read()
     except OSError as exc:
         raise OSError(f"cannot read CSV from {path}: {exc}") from exc
-    data_lines: list[str] = []
     comments: list[str] = []
-    for line in content.splitlines():
-        if line.startswith("# "):
-            comments.append(line[2:])
-        elif line:
-            data_lines.append(line)
-    reader = csv.reader(data_lines)
-    records = list(reader)
+
+    def data_lines():
+        quoted = False  # the line starts inside a quoted field
+        for line in io.StringIO(content, newline=""):
+            if not quoted and line.startswith("# "):
+                comments.append(line[2:].rstrip("\r\n"))
+            else:
+                quoted ^= line.count('"') % 2 == 1
+                yield line
+
+    records = [r for r in csv.reader(data_lines()) if r]
     if not records:
         raise ValueError(f"{path}: empty CSV")
-    return CsvTable(header=records[0], rows=records[1:], footer_comments=comments)
+    table = CsvTable(header=records[0], footer_comments=comments)
+    for row in records[1:]:
+        table.add_row(row)
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,10 @@ at every j.  The frame belongs to each body: a VPolytope keeps one chart
 and volume), so a table whose rows share a base body builds the base's hull
 once.  Operands that span no j-flat give exactly 0, since every projection
 then has j-measure zero.  A single operand gives its chart volume; a pair
-of which one operand's vertices pass bodies.contains on the other is nested
-and gives |vol K - vol L|; a pair in one flat that is not nested is clipped
-at j <= 2 in the chart of its union.  At j = d every body is flat and keeps
-its own coordinates.
+of which one operand's vertex rows lead the other's, or pass bodies.contains
+on it, is nested and gives |vol K - vol L|; a pair in one flat that is not
+nested is clipped at j <= 2 in the chart of its union.  At j = d every body
+is flat and keeps its own coordinates.
 
 The rest samples subspaces: non-flat bodies, flat pairs at j >= 3 that are
 not nested (at j = d one box Monte Carlo estimate in the bodies' own
@@ -54,7 +54,6 @@ from .bodies import (
     contains,
     distance_to_hull,
     line_fibers,
-    membership,
 )
 from .grassmann import Subspace, axis_split, haar_frames, project_body
 from .numerics import RngStream, flag_coefficient
@@ -149,12 +148,13 @@ def _flat_value(j: int, a: VPolytope | None, b: VPolytope | None) -> float | Non
     An operand that spans more than a j-flat gives None and builds no hull.
     Operands that span no j-flat give exactly 0.0 at every j: each
     projection then has j-measure zero.  One operand gives its chart volume.
-    A pair is nested when one operand's vertices pass bodies.contains on the
-    other (in its flat and inside its facets, at 1e-12 times its chart's
-    scale), and then the value is |vol K - vol L|.  A pair that is not
-    nested is clipped at j <= 2 in the chart of its union, which has
-    dimension j exactly when the pair lies in one j-flat; it gets None at
-    j >= 3, as does a pair in no common j-flat.
+    A pair is nested when one operand's vertex rows are the first rows of
+    the other's (_leads: no facet is tested), or when they pass
+    bodies.contains on the other (in its flat and inside its facets, at
+    1e-12 times its chart's scale), and then the value is |vol K - vol L|.
+    A pair that is not nested is clipped at j <= 2 in the chart of its
+    union, which has dimension j exactly when the pair lies in one j-flat;
+    it gets None at j >= 3, as does a pair in no common j-flat.
 
     Each chart's frame comes from the sorted distinct vertex rows below
     full rank, so no bit depends on operand or vertex order there.  At
@@ -172,8 +172,8 @@ def _flat_value(j: int, a: VPolytope | None, b: VPolytope | None) -> float | Non
     if len(ops) == 1:
         return full[0].hull[2]
     for outer, inner in ((a, b), (b, a)):
-        c = outer._chart
-        if c.dim == j and contains(outer, inner.vertices, 1e-12 * c.scale).all():
+        c, v = outer._chart, inner.vertices
+        if c.dim == j and (_leads(v, outer) or contains(outer, v, 1e-12 * c.scale).all()):
             vol_a, vol_b = (x.hull[2] if x.dim == j else 0.0 for x in charts)
             return abs(vol_a - vol_b)
     if j >= 3:
@@ -182,6 +182,11 @@ def _flat_value(j: int, a: VPolytope | None, b: VPolytope | None) -> float | Non
     if c.dim != j:
         return None  # no common j-flat
     return exact_symdiff(c.to_flat(a.vertices), c.to_flat(b.vertices), j)
+
+
+def _leads(rows: np.ndarray, body: VPolytope) -> bool:
+    """Whether rows are the first vertex rows of body, and so lie in its hull."""
+    return np.array_equal(body.vertices[:len(rows)], rows)
 
 
 def _collect_values(seed, n, d, j, va, vb, n_points, exact_inner, workers) -> np.ndarray:
@@ -274,38 +279,42 @@ def hausdorff(a: VPolytope, b: VPolytope) -> float:
     bodies because the farthest point of a polytope from a convex set is
     attained at a vertex.
 
-    A query vertex's distance to the nearest vertex of the other body bounds
-    its distance to that body's hull from above.  A vertex shared by both
-    bodies has bound 0 and distance 0.  Every other vertex is first put to
-    the facet certificate of the other body's chart (bodies._Chart.certified,
-    at chart dimension <= 3), in one batched call per direction (bodies
-    sizes its row blocks), whose rows have the bits of one-point
-    distance_to_hull calls.  The vertices left uncertified go to a
-    branch-and-bound Wolfe scan: they are visited in descending bound order
-    (stable), and the scan stops at the first bound that does not exceed the
-    running maximum, since every vertex left has distance <= bound <=
-    maximum.  So the value is the exhaustive scan's, bit for bit.  In
-    floating point a solve can return a few ulps more than its bound (the
-    norms are summed in another order), so the bound is widened by
+    Every vertex is first put to the facet certificate of the other body's
+    chart (bodies._Chart.certified, at chart dimension <= 3), in one batched
+    call per direction (bodies sizes its row blocks), whose rows have the
+    bits of one-point distance_to_hull calls; a vertex shared by both bodies
+    certifies to exactly 0.0, and a vertex list that leads the other body's
+    (as each thm row's previous body does) needs no certificate.  Only the
+    vertices left uncertified get a bound, their distance to the nearest
+    vertex of the other body, which bounds their distance to its hull from
+    above (0 for a shared vertex).  They go to a branch-and-bound Wolfe
+    scan: they are visited in descending bound order (stable), and the scan
+    stops at the first bound that does not exceed the running maximum, since
+    every vertex left has distance <= bound <= maximum.  So the value is the
+    exhaustive scan's, bit for bit.  In floating point a solve can return a
+    few ulps more than its bound (the norms are summed in another order), so
+    the bound is widened by
     _BOUND_SLACK first; without it a vertex tied with the maximum could be
     skipped and the value come out an ulp low.
     """
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("operands live in different dimensions")
     m = a.n_vertices
-    bounds = np.concatenate([_nearest_vertex_distances(a.vertices, b.vertices),
-                             _nearest_vertex_distances(b.vertices, a.vertices)])
-    done = bounds == 0.0
     best = 0.0
+    keys, bounds = [np.zeros(0, int)], [np.zeros(0)]  # rows the certificate leaves
     for lo, p, body in ((0, a.vertices, b), (m, b.vertices, a)):
-        rows = lo + np.flatnonzero(bounds[lo:lo + len(p)] > 0.0)
-        dist, ok = body._chart.certified(p[rows - lo])
-        done[rows[ok]] = True
+        if _leads(p, body):  # every row a vertex of body: distance 0
+            continue
+        dist, ok = body._chart.certified(p)
         best = max(best, float(np.max(dist, initial=0.0)))
-    left = np.flatnonzero(~done)
-    for k in left[np.argsort(-bounds[left], kind="stable")]:
-        if bounds[k] * (1.0 + _BOUND_SLACK) <= best:
+        rows = np.flatnonzero(~ok)
+        keys.append(lo + rows)
+        bounds.append(_nearest_vertex_distances(p[rows], body.vertices))
+    keys, bounds = np.concatenate(keys), np.concatenate(bounds)
+    for i in np.argsort(-bounds, kind="stable"):
+        if bounds[i] * (1.0 + _BOUND_SLACK) <= best:
             break
+        k = keys[i]
         p, body = (a.vertices[k], b) if k < m else (b.vertices[k - m], a)
         best = max(best, distance_to_hull(p, body))
     return best
@@ -366,8 +375,11 @@ def fiber_profile(outer: VPolytope, inner: VPolytope, h: Subspace, u: np.ndarray
         raise ValueError("bodies and subspace dimensions differ")
     if h.dim < 2:
         raise ValueError("fiber profiling needs a subspace of dimension >= 2")
-    for v in inner.vertices:
-        if not membership(v, outer, max(tol, 1e-9)):
+    if not _leads(inner.vertices, outer):  # one certificate, Wolfe for the rows it leaves
+        dist, ok = outer._chart.certified(inner.vertices)
+        slack = max(tol, 1e-9)
+        if np.any(dist > slack) or any(distance_to_hull(v, outer) > slack
+                                       for v in inner.vertices[~ok]):
             raise ValueError("inner body is not contained in the outer body")
     u_h, e_basis = axis_split(h, u)
     j = h.dim

@@ -5,8 +5,8 @@ from conftest import unit_cube
 from projmetrics.bodies import (
     VPolytope,
     bounding_radius,
+    distance_to_hull,
     hull_2d,
-    membership,
     polygon_area,
 )
 from projmetrics.constructions import (
@@ -64,7 +64,7 @@ class TestNeedles:
         assert needle.n_vertices == 4
         assert shoelace_volume(needle, E3) == pytest.approx(0.8, abs=1e-12)
         assert shoelace_volume(needle, E3) == pytest.approx(needle_exact_volume(spec), abs=1e-12)
-        assert membership(4.0 * U3, needle)  # tip edge midpoint
+        assert distance_to_hull(4.0 * U3, needle) <= 1e-9  # tip edge midpoint
 
     def test_spindle_rhombus(self):
         spec = NeedleSpec(x0=np.zeros(3), u=U3, plane=E3, length=3.0, eps=0.5, kind="spindle")
@@ -82,7 +82,7 @@ class TestNeedles:
         rng = np.random.default_rng(0)
         for _ in range(100):
             w = rng.dirichlet(np.ones(spindle.n_vertices))
-            assert membership(w @ spindle.vertices, prism, 1e-9)
+            assert distance_to_hull(w @ spindle.vertices, prism) <= 1e-9
 
     def test_needle_stays_in_plane(self):
         for (d, j) in [(3, 2), (4, 3), (5, 3)]:

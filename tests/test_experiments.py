@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import os
 import pathlib
@@ -26,6 +28,7 @@ from projmetrics.experiments import (
     run_thm2,
     run_thm3,
     run_validation,
+    runners,
     write_csv,
     write_svg,
 )
@@ -79,11 +82,56 @@ class TestConfig:
             ExperimentConfig(d=3, j=2, steps=13)
 
 
+def reference_cell(x) -> str:
+    """The cell text the tables have always been written with."""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return str(x)
+    if isinstance(x, float):
+        return format(x, ".17g")
+    return str(x)
+
+
+def reference_bytes(table: CsvTable) -> bytes:
+    """A table rendered row by row through csv.writer (QUOTE_MINIMAL, CRLF),
+    with run_fibers' former y labels for the rows of a 2-D array."""
+    def cells(column):
+        if isinstance(column, np.ndarray) and column.ndim == 2:
+            return [y[0] if len(y) == 1 else ";".join(format(c, ".17g") for c in y)
+                    for y in column.tolist()]
+        return column.tolist() if isinstance(column, np.ndarray) else column
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
+    writer.writerow(table.header)
+    writer.writerows(zip(*([reference_cell(v) for v in cells(c)] for c in table.columns)))
+    for comment in table.footer_comments:
+        buf.write(f"# {comment}\r\n")
+    return buf.getvalue().encode("utf-8")
+
+
+def reproduce_tables():
+    """Every table of `projmetrics reproduce` at its default seed and sizes."""
+    thm = ExperimentConfig(d=3, j=2, seed=42, n_subspaces=2000, n_points=2000, steps=6)
+    grown, square = TestFibersRunner().make_bodies()
+    tube = VPolytope([[0.5, 0.49], [0.5, 0.51]])
+    return {
+        "thm1": run_thm1(thm), "thm2": run_thm2(thm), "thm3": run_thm3(thm),
+        "lemma": run_lemma(ExperimentConfig(d=4, j=2, seed=42, n_subspaces=10000,
+                                            n_points=1)),
+        "fibers": run_fibers(grown, square, "e1e2", 400, tube=tube),
+        "validation": run_validation(seed=42),
+    }
+
+
 class TestTables:
     def test_round_trip(self, tmp_path):
         table = CsvTable(header=["a", "b"])
         table.add_row([1, 2.5])
         table.add_row(["x,y", 'quo"te'])
+        table.add_row(["a\nb", "c\r\nd\re"])  # line breaks inside quoted cells
+        table.add_row(["# not a footer", "# nor this"])
         table.footer_comments.append("slope=1")
         path = tmp_path / "t.csv"
         write_csv(table, path)
@@ -97,6 +145,40 @@ class TestTables:
         write_csv(CsvTable(header=["only"]), path)
         again = read_csv(path)
         assert again.header == ["only"] and again.rows == []
+
+    def test_bytes_match_csv_writer_on_reproduce_tables(self):
+        for name, table in reproduce_tables().items():
+            assert table.to_bytes() == reference_bytes(table), name
+
+    @pytest.mark.parametrize("transverse", [1, 2])
+    def test_bytes_match_csv_writer_on_fibers(self, monkeypatch, transverse):
+        rng = np.random.default_rng(2)
+        small = VPolytope(rng.uniform(-1, 1, size=(6, 3)))
+        big = VPolytope(np.vstack([small.vertices, rng.uniform(-2, 2, size=(4, 3))]))
+        if transverse == 2:  # profile over all of R^3: (y1, y2) points, ';'-joined
+            monkeypatch.setattr(runners, "fiber_profile",
+                                lambda a, b, h, u, n, tube=None:
+                                metrics.fiber_profile(a, b, full_space(3), u, n, tube=tube))
+        table = run_fibers(big, small, "random:7", 30)
+        assert table.columns[0].shape[1] == transverse
+        assert (";" in table.rows[0][0]) == (transverse == 2)
+        assert table.to_bytes() == reference_bytes(table)
+
+    @pytest.mark.parametrize("header,rows", [
+        (["a", "b"], [["x,y", 'say "hi"'], ["cr\rhere", "lf\nhere"], ["", ""]]),
+        (["a", "b"], [[",", '"'], ["\r", "\n"], ["\r\n", '""']]),
+        (["only"], [[""], ["x"], [""]]),
+        (["only"], []),
+        (["a", "b,c"], []),
+    ])
+    def test_bytes_match_csv_writer_on_edge_cells(self, tmp_path, header, rows):
+        table = CsvTable(header=header)
+        for row in rows:
+            table.add_row(row)
+        assert table.to_bytes() == reference_bytes(table)
+        write_csv(table, tmp_path / "edge.csv")
+        again = read_csv(tmp_path / "edge.csv")
+        assert again.header == header and again.rows == rows
 
     def test_seventeen_digit_cells(self, tmp_path):
         table = CsvTable(header=["v"])

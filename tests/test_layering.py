@@ -1,8 +1,8 @@
 """The package's import layering, checked on the source with ast: the
 experiment layer uses only public library names, scripts reach the
 experiments only through the CLI, every public library name has a caller
-in the library, qhull is called from one place, and one helper sizes every
-row block."""
+in the library, qhull is called from one place, one helper sizes every
+row block, and one module formats table cells."""
 
 import ast
 import pathlib
@@ -113,3 +113,17 @@ def test_one_helper_sizes_row_blocks():
     constants = {target.id for node in tree.body if isinstance(node, ast.Assign)
                  for target in node.targets if isinstance(target, ast.Name)}
     assert {c for c in constants if "BLOCK" in c or "CHUNK" in c} == set()
+
+
+def test_one_module_formats_table_cells():
+    # experiments/tables.py alone imports csv, and within the experiment
+    # layer it alone calls format(): the runners hand values over, so no
+    # second emission path can grow there
+    csv_users = {path.name for path in sorted(LIBRARY.rglob("*.py"))
+                 for module, _ in imports(path) if module == "csv"}
+    assert csv_users == {"tables.py"}
+    formatters = {path.name for path in sorted(EXPERIMENTS.glob("*.py"))
+                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "format"}
+    assert formatters == {"tables.py"}

@@ -7,7 +7,7 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from conftest import random_convex_polygon, unit_cube
-from projmetrics import bodies
+from projmetrics import bodies, metrics
 from projmetrics.bodies import VPolytope, distance_to_hull
 from projmetrics.constructions import (
     NeedleSpec,
@@ -17,7 +17,7 @@ from projmetrics.constructions import (
     thm1_sequence,
 )
 from projmetrics.experiments import ExperimentConfig
-from projmetrics.experiments.runners import run_thm1, run_thm3, unit_cube_body
+from projmetrics.experiments.runners import run_thm1, run_thm2, run_thm3, unit_cube_body
 from projmetrics.grassmann import axis_subspace, full_space, haar_frames, haar_sample
 from projmetrics.metrics import (
     MetricEstimate,
@@ -453,6 +453,18 @@ class TestFlatCharts:
             in_flat = exact_symdiff(a_flat.vertices, b_flat.vertices, j)
             assert nested.value == pytest.approx(in_flat, rel=1e-12)
 
+    @pytest.mark.parametrize("runner", [run_thm1, run_thm2])
+    @pytest.mark.parametrize("d,j", [(3, 2), (4, 3)])
+    def test_leading_vertex_rows_nest_without_a_facet_test(self, monkeypatch, runner, d, j):
+        # each row's body lists the previous body's vertices first, and a
+        # vertex row lies in its own hull
+        calls = []
+        original = bodies._in_facets
+        monkeypatch.setattr(bodies, "_in_facets",
+                            lambda *args: calls.append(1) or original(*args))
+        runner(ExperimentConfig(d=d, j=j, steps=6, n_subspaces=50, n_points=500, seed=1))
+        assert calls == []
+
     def test_charts_are_cached(self):
         a, b, _, _ = tilted_solids(3)
         plan = SamplingPlan(seed=3)
@@ -613,6 +625,23 @@ class TestHausdorff:
         b = square2.translate([-0.05, 0.05])
         assert hausdorff(square2, b) == self.exhaustive(square2, b)
 
+    def test_bounds_only_for_uncertified_vertices(self, monkeypatch):
+        rows = []
+        original = metrics._nearest_vertex_distances
+        monkeypatch.setattr(metrics, "_nearest_vertex_distances",
+                            lambda p, v: rows.append(len(p)) or original(p, v))
+        rng = np.random.default_rng(5)
+        a, b = VPolytope(rng.normal(size=(300, 3))), VPolytope(rng.normal(size=(200, 3)))
+        left = sum(int(np.count_nonzero(~y._chart.certified(x.vertices)[1]))
+                   for x, y in ((a, b), (b, a)))
+        assert hausdorff(a, b) == self.exhaustive(a, b)
+        assert sum(rows) == left < a.n_vertices + b.n_vertices
+        rows.clear()
+        base, plane, x0, u = unit_cube_body(3, 2)  # flat bodies: every vertex certified
+        for _, body in thm1_sequence(base, plane, x0, u, 2.0, 4):
+            hausdorff(body, base)
+        assert sum(rows) == 0
+
     @pytest.mark.parametrize("d,j,solves", [(3, 2, 0), (4, 3, 0), (5, 4, 6), (6, 5, 8)])
     def test_solves_only_vertices_that_can_set_the_maximum(self, monkeypatch, d, j, solves):
         # up to chart dimension 3 the facets settle every vertex; above it
@@ -664,6 +693,23 @@ class TestFiberProfile:
         outside = VPolytope([[5.0, 5.0], [6.0, 5.0], [6.0, 6.0]])
         with pytest.raises(ValueError):
             fiber_profile(square2, outside, full_space(2), np.array([1.0, 0.0]), 10)
+
+    def test_containment_solves_only_uncertified_vertices(self, monkeypatch):
+        calls = []
+        original = bodies._min_norm_point
+        monkeypatch.setattr(bodies, "_min_norm_point",
+                            lambda *args: calls.append(1) or original(*args))
+        u = np.array([1.0, 0.0, 0.0, 0.0])
+        for d, solves in ((3, 0), (4, 16)):  # the 4-cube's chart certifies nothing
+            cube = unit_cube(d, d)
+            calls.clear()
+            fiber_profile(cube, VPolytope(0.5 * cube.vertices + 0.25), full_space(d), u[:d], 8)
+            assert len(calls) == solves
+            calls.clear()
+            fiber_profile(cube, cube, full_space(d), u[:d], 8)  # leading rows: no check
+            assert calls == []
+            with pytest.raises(ValueError):
+                fiber_profile(cube, cube.translate(np.full(d, 0.1)), full_space(d), u[:d], 8)
 
     @pytest.mark.parametrize("d,grid_n", [(2, 0), (2, -3), (3, -8)])
     def test_grid_below_one_rejected(self, d, grid_n):
