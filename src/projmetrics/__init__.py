@@ -47,8 +47,10 @@ from .metrics import (
     MetricEstimate,
     SamplingPlan,
     delta_j,
+    delta_j_stack,
     fiber_profile,
     hausdorff,
+    hausdorff_stack,
     intrinsic_volume,
     projected_volume,
 )

@@ -8,9 +8,11 @@ dimension <= 3, exact point-to-hull distances: a point's largest facet
 violation is its distance whenever the foot of the perpendicular on that
 facet passes the facet test.  Points that certificate does not settle, and
 bodies whose chart is of higher dimension, get Wolfe's min-norm point.  The
-volumes give metrics its exact in-flat values.  Exact 2-D geometry
-(monotone-chain hull, shoelace area, convex clipping) provides the oracle
-against which Monte Carlo estimators are checked.
+volumes give metrics its exact in-flat values.  Many bodies' charts can be
+built in one pass (_fill_charts), with the SVDs of equal-shape vertex sets
+stacked.  Exact 2-D geometry (monotone-chain hull, shoelace area, convex
+clipping, at tolerances scaled by the point set's own extent) provides the
+oracle against which Monte Carlo estimators are checked.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ class VPolytope:
             v = v.reshape(1, -1)
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise ValueError("vertices must form a nonempty (n, d) array")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("vertex coordinates must be finite")
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
@@ -84,7 +86,15 @@ class VPolytope:
     @cached_property
     def _chart(self) -> "_Chart":
         # the vertices are read-only, so the chart never goes stale
-        return _Chart(self.vertices)
+        return _charts([self.vertices])[0]
+
+
+def _fill_charts(bodies) -> None:
+    """Build the charts of the bodies that have none yet in one _charts
+    pass, and cache each in its body's _chart slot."""
+    todo = list({id(b): b for b in bodies if "_chart" not in vars(b)}.values())
+    for body, chart in zip(todo, _charts([b.vertices for b in todo])):
+        vars(body)["_chart"] = chart  # the slot that cached_property fills
 
 
 @dataclass(frozen=True)
@@ -397,21 +407,49 @@ def _chords(x, u, a, b, tol):
     return lo, hi, empty
 
 
-def _numerical_rank(sv: np.ndarray) -> int:
-    return int(np.sum(sv > 1e-12 * max(1.0, float(sv[0]))))
-
-
 def _affine_rank(verts: np.ndarray) -> int:
-    return _numerical_rank(np.linalg.svd(verts - verts[0], compute_uv=False))
+    return _affine_ranks([verts])[0]
 
 
-def _distinct_rows(v: np.ndarray) -> np.ndarray:
-    """The distinct rows of v in lexicographic order, as np.unique(v, axis=0)
-    gives them, at a fraction of its cost on small arrays."""
-    v = v[np.lexsort(v.T[::-1])]
-    keep = np.ones(len(v), dtype=bool)
-    keep[1:] = np.any(v[1:] != v[:-1], axis=1)
-    return v[keep]
+def _affine_ranks(vertex_sets: list[np.ndarray]) -> list[int]:
+    return _by_shape(_numerical_ranks, [v - v[0] for v in vertex_sets])
+
+
+def _numerical_ranks(stack: np.ndarray) -> list[int]:
+    """The number of singular values of each matrix of an (m, n, d) stack
+    above 1e-12 times the larger of 1 and its largest one."""
+    sv = np.linalg.svd(stack, compute_uv=False)
+    return (sv > 1e-12 * np.maximum(1.0, sv[:, :1])).sum(axis=1).tolist()
+
+
+def _by_shape(fn, arrays: list[np.ndarray]) -> list:
+    """fn over a stack of arrays, one call per distinct shape, split back
+    into one result per array in input order.  np.linalg factors, and
+    np.lexsort sorts, each matrix of a stack on its own, so every result has
+    the bits its array gives alone."""
+    if len(arrays) == 1:
+        return list(fn(arrays[0][None]))
+    groups: dict[tuple, list[int]] = {}
+    for k, x in enumerate(arrays):
+        groups.setdefault(x.shape, []).append(k)
+    out = [None] * len(arrays)
+    for ks in groups.values():
+        stack = np.stack([arrays[k] for k in ks]) if len(ks) > 1 else arrays[ks[0]][None]
+        for k, r in zip(ks, fn(stack)):
+            out[k] = r
+    return out
+
+
+def _distinct_rows(stack: np.ndarray) -> list[np.ndarray]:
+    """The distinct rows of each matrix of an (m, n, d) stack in
+    lexicographic order, as np.unique(v, axis=0) gives them, at a fraction
+    of its cost on small arrays."""
+    order = np.lexsort(stack.transpose(2, 0, 1)[::-1], axis=-1)
+    v = stack[np.arange(len(stack))[:, None], order]
+    keep = np.empty(order.shape, dtype=bool)
+    keep[:, 0] = True
+    keep[:, 1:] = (v[:, 1:] != v[:, :-1]).any(axis=2)
+    return [x[k] for x, k in zip(v, keep)]
 
 
 class _Chart:
@@ -428,22 +466,19 @@ class _Chart:
     origin 0, the identity frame, no normal rows and its vertices as given,
     so qhull, whose bits follow the order of its input, sees the caller's
     order.  Every product of many points against the facets runs over the
-    row blocks of _row_blocks, so no caller sizes a block.
+    row blocks of _row_blocks, so no caller sizes a block.  Charts come
+    from _charts, which builds many at once.
     """
 
-    def __init__(self, verts: np.ndarray):
+    def __init__(self, verts: np.ndarray, dim: int, origin: np.ndarray | None = None,
+                 centered: np.ndarray | None = None, vt: np.ndarray | None = None):
         d = verts.shape[1]
-        self.dim = r = _affine_rank(verts)
+        self.dim = r = dim
         if r == d:
             self.origin, self.frame, self.normal = np.zeros(d), np.eye(d), np.zeros((0, d))
             self.coords = verts
             return
-        pts = _distinct_rows(verts)
-        centered = pts - pts[0]
-        # vt must be d x d to hold the complement; with n >= d the thin SVD
-        # gives that without an n x n U
-        _, _, vt = np.linalg.svd(centered, full_matrices=len(centered) < d)
-        self.origin, self.frame, self.normal = pts[0], vt[:r], vt[r:]
+        self.origin, self.frame, self.normal = origin, vt[:r], vt[r:]
         self.coords = centered @ self.frame.T
 
     @cached_property
@@ -537,6 +572,28 @@ class _Chart:
         return _rowdot(pts - self.origin, self.normal)
 
 
+def _charts(vertex_sets: list[np.ndarray]) -> list[_Chart]:
+    """The chart of each vertex set, with the bits it has on its own: the
+    rank SVDs of equal-shape sets run as one stacked np.linalg.svd, and so
+    do the frame SVDs of equal-shape distinct-row sets below full rank."""
+    ranks = _affine_ranks(vertex_sets)
+    low = [k for k, (v, r) in enumerate(zip(vertex_sets, ranks)) if r < v.shape[1]]
+    parts = {}
+    if low:
+        pts = _by_shape(_distinct_rows, [vertex_sets[k] for k in low])
+        centered = [p - p[0] for p in pts]
+        vts = _by_shape(_frames, centered)
+        parts = {k: (p[0], c, vt) for k, p, c, vt in zip(low, pts, centered, vts)}
+    return [_Chart(v, r, *parts.get(k, ())) for k, (v, r) in enumerate(zip(vertex_sets, ranks))]
+
+
+def _frames(stack: np.ndarray) -> np.ndarray:
+    """The right singular vectors (m, d, d) of an (m, n, d) stack; vt must be
+    d x d to hold the complement, and with n >= d the thin SVD gives that
+    without an n x n U."""
+    return np.linalg.svd(stack, full_matrices=stack.shape[1] < stack.shape[2])[2]
+
+
 def _qhull(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """(A, b, volume) of conv(verts) from one qhull call (Barber, Dobkin &
     Huhdanpaa, ACM TOMS 22(4), 1996), for full-rank verts in dimension
@@ -560,21 +617,28 @@ def _qhull(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 # ---------------------------------------------------------------------------
 
 
+def _extent(points: list[tuple[float, float]]) -> float:
+    """The longest side of the bounding box of the points."""
+    xs, ys = zip(*points)
+    return max(max(xs) - min(xs), max(ys) - min(ys))
+
+
 def _cross(o, a, b) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def hull_2d(points: np.ndarray) -> np.ndarray:
     """Counter-clockwise convex hull (monotone chain); collinear interior
-    points dropped at cross-product tolerance 1e-12 on unit-scale data."""
+    points dropped at cross-product tolerance 1e-12 times the square of the
+    point set's extent (its bounding box's longest side), so a set keeps its
+    hull at every scale and position."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("expected an (n, 2) point array")
-    scale = max(1.0, float(np.max(np.abs(pts))))
-    eps = 1e-12 * scale * scale
-    uniq = sorted({(float(x), float(y)) for x, y in pts})
+    uniq = sorted(set(map(tuple, pts.tolist())))
     if len(uniq) == 1:
         return np.array(uniq)
+    eps = 1e-12 * _extent(uniq) ** 2
     lower: list[tuple[float, float]] = []
     for p in uniq:
         while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= eps:
@@ -603,13 +667,14 @@ def polygon_area(ring: np.ndarray) -> float:
 
 
 def polygon_clip(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
-    """Intersection of two CCW convex rings by successive half-plane clipping."""
-    sub = [tuple(p) for p in np.asarray(subject, dtype=float)]
-    clp = [tuple(p) for p in np.asarray(clip, dtype=float)]
+    """Intersection of two CCW convex rings by successive half-plane
+    clipping, at cross-product tolerance 1e-12 times the square of the
+    extent of both rings together, as in hull_2d."""
+    sub = list(map(tuple, np.asarray(subject, dtype=float).tolist()))
+    clp = list(map(tuple, np.asarray(clip, dtype=float).tolist()))
     if len(sub) < 3 or len(clp) < 3:
         return np.zeros((0, 2))
-    scale = max(1.0, max(abs(c) for p in sub + clp for c in p))
-    eps = 1e-12 * scale * scale
+    eps = 1e-12 * _extent(sub + clp) ** 2
     output = sub
     a = clp[-1]
     for b in clp:

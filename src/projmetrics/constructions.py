@@ -6,6 +6,12 @@ transverse cross-section).  Ball cross-sections are replaced by inscribed
 cross-polytopes: their volume is exact in closed form, they stay inside the
 ball so upper-bound constants remain valid, and lower bounds use their own
 volume, keeping every verification self-consistent.
+
+A schedule builds all of its rows at once: the needle vertices of every
+row come from one broadcast array over the row parameters, the needles are
+validated once per sequence, and every row's vertex list, radius and
+schedule fields have the bits of a row-by-row construction from _needle
+and augment.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import VPolytope, bounding_radius
+from .bodies import VPolytope
 from .grassmann import GoodnessCertificate, Subspace, complete_to_basis
 from .numerics import needle_bound_constant
 
@@ -84,7 +90,7 @@ def cross_section(plane: Subspace, u: np.ndarray, eps: float) -> VPolytope:
     frame = _transverse_frame(plane, u)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    return VPolytope(_section_vertices(frame, eps))
+    return VPolytope(_sections(frame, [eps])[0])
 
 
 def _transverse_frame(plane: Subspace, u: np.ndarray) -> np.ndarray:
@@ -99,8 +105,11 @@ def _transverse_frame(plane: Subspace, u: np.ndarray) -> np.ndarray:
     return (plane.basis @ complete_to_basis(u_plane / nrm)).T
 
 
-def _section_vertices(frame: np.ndarray, eps: float) -> np.ndarray:
-    return np.vstack([eps * frame, -eps * frame])
+def _sections(frame: np.ndarray, eps) -> np.ndarray:
+    """The cross-section vertices +-eps*b_i for each eps, one row of the
+    (len(eps), 2(j-1), d) stack per eps."""
+    scaled = np.array(eps)[:, None, None] * frame
+    return np.concatenate([scaled, -scaled], axis=1)
 
 
 def cross_section_volume(j: int, eps: float) -> float:
@@ -122,13 +131,25 @@ def spindle_needle(spec: NeedleSpec) -> VPolytope:
 
 
 def _needle(spec: NeedleSpec, frame: np.ndarray) -> VPolytope:
-    """The needle of spec, its cross-section spanned by the rows of frame."""
-    q = _section_vertices(frame, spec.eps)
-    if spec.kind == "prism":
-        tip = spec.x0 + spec.length * spec.u
-        return VPolytope(np.vstack([spec.x0 + q, tip + q]))
-    apexes = np.vstack([spec.x0 - spec.length * spec.u, spec.x0 + spec.length * spec.u])
-    return VPolytope(np.vstack([apexes, spec.x0 + q]))
+    """The needle of spec, its cross-section spanned by the rows of frame:
+    the one-row case of _needles."""
+    return VPolytope(_needles(spec.kind, spec.x0, spec.u, [spec.length], [spec.eps], frame)[0])
+
+
+def _needles(kind: str, x0: np.ndarray, u: np.ndarray, lengths, eps,
+             frame: np.ndarray) -> np.ndarray:
+    """The vertices of one needle per row, as a (rows, k, d) stack: row i
+    has base point x0[i] (or the one point x0), length lengths[i] and
+    cross-section radius eps[i], and the bits of its one-row build.  A prism
+    lists its base section, then its tip section x0 + L*u; a spindle its
+    apexes x0 -+ L*u, then its section."""
+    q = _sections(frame, eps)
+    axial = np.array(lengths)[:, None] * u
+    x0 = np.broadcast_to(x0, axial.shape)
+    if kind == "prism":
+        return np.concatenate([x0[:, None] + q, (x0 + axial)[:, None] + q], axis=1)
+    return np.concatenate([(x0 - axial)[:, None], (x0 + axial)[:, None], x0[:, None] + q],
+                          axis=1)
 
 
 def needle_exact_volume(spec: NeedleSpec) -> float:
@@ -158,54 +179,65 @@ def _diameter(body: VPolytope) -> float:
 def thm1_sequence(body: VPolytope, plane: Subspace, x0: np.ndarray, u: np.ndarray,
                   l0: float, steps: int) -> list[tuple[ScheduleRow, VPolytope]]:
     """Doubling prism needles with eps_i = L_i^(-2): the claimed per-step
-    discrepancy bound decays like L_i^(3-2j) while the needle tip drifts."""
+    discrepancy bound decays like L_i^(3-2j) while the needle tip drifts.
+    Every row's vertices (the base's, then its needle's) come from one
+    broadcast array, and the radii from one einsum over that stack."""
     d, j = plane.ambient_dim, plane.dim
     c1 = needle_bound_constant(d, j, "one_sided")
+    lengths = [l0 * 2.0**i for i in range(steps)]
+    eps = [length**-2 for length in lengths]
+    x0, u, frame = _check_needles("prism", x0, u, plane, lengths, eps)
+    needles = _needles("prism", x0, u, lengths, eps, frame)
+    verts = np.concatenate(
+        [np.broadcast_to(body.vertices, (steps, *body.vertices.shape)), needles], axis=1)
+    radii = np.sqrt(np.max(np.einsum("sij,sij->si", verts, verts), axis=1)).tolist()
+    return [(ScheduleRow(
+        m=i, length=length, eps=e, offset=0.0, x_m=x0,
+        exclusion_radius=rho + 1.0, body_radius=rho,
+        claimed_step_bound=c1 * length * e ** (j - 1),
+    ), VPolytope(v)) for i, (length, e, rho, v) in enumerate(zip(lengths, eps, radii, verts))]
+
+
+def _check_needles(kind: str, x0, u, plane: Subspace, lengths, eps):
+    """Validate a sequence's needles at once: they share their axis and
+    plane, so one NeedleSpec with the smallest length and eps checks every
+    row.  Returns x0 and u as arrays and the transverse frame."""
     frame = _transverse_frame(plane, u)
-    out = []
-    for i in range(steps):
-        length = l0 * 2.0**i
-        eps = length**-2
-        spec = NeedleSpec(x0=x0, u=u, plane=plane, length=length, eps=eps, kind="prism")
-        grown = augment(body, _needle(spec, frame))
-        rho = bounding_radius(grown)
-        out.append((ScheduleRow(
-            m=i, length=length, eps=eps, offset=0.0, x_m=np.asarray(x0, dtype=float),
-            exclusion_radius=rho + 1.0, body_radius=rho,
-            claimed_step_bound=c1 * length * eps ** (j - 1),
-        ), grown))
-    return out
+    spec = NeedleSpec(x0=x0, u=u, plane=plane, length=min(lengths, default=1.0),
+                      eps=min(eps, default=1.0), kind=kind)
+    return spec.x0, spec.u, frame
 
 
 def _dyadic_sequence(body: VPolytope, plane: Subspace, x0: np.ndarray, u: np.ndarray,
                      lengths, steps: int, step_targets) -> list[tuple[ScheduleRow, VPolytope]]:
+    """Spindle needles at offsets m * max(1, diameter) along u, each row's
+    body the previous one's vertices followed by its needle's: every body is
+    a prefix of one vertex array, built by broadcasting, and each row's
+    radius (that of the body before its needle) is a running maximum over
+    the prefix of squared vertex norms."""
     d, j = plane.ambient_dim, plane.dim
     c2 = needle_bound_constant(d, j, "two_sided")
-    x0 = np.asarray(x0, dtype=float)
-    u = np.asarray(u, dtype=float)
     if lengths is None:
         lengths = [2.0**m for m in range(steps)]
     if len(lengths) < steps:
         raise ValueError(f"need {steps} lengths, got {len(lengths)}")
+    lengths = [float(length) for length in lengths[:steps]]
+    targets = [step_targets(m) for m in range(steps)]
+    eps = [(t / (c2 * length)) ** (1.0 / (j - 1)) for t, length in zip(targets, lengths)]
     offset_unit = max(1.0, _diameter(body))
-    frame = _transverse_frame(plane, u)
-    out = []
-    current = body
-    for m in range(steps):
-        length = float(lengths[m])
-        target = step_targets(m)
-        eps = (target / (c2 * length)) ** (1.0 / (j - 1))
-        offset = m * offset_unit
-        x_m = x0 + offset * u
-        spec = NeedleSpec(x0=x_m, u=u, plane=plane, length=length, eps=eps, kind="spindle")
-        rho = bounding_radius(current)  # radius before this step's needle
-        current = augment(current, _needle(spec, frame))
-        out.append((ScheduleRow(
-            m=m, length=length, eps=eps, offset=offset, x_m=x_m,
-            exclusion_radius=rho + 1.0, body_radius=rho,
-            claimed_step_bound=target,
-        ), current))
-    return out
+    offsets = [m * offset_unit for m in range(steps)]
+    x0, u, frame = _check_needles("spindle", x0, u, plane, lengths, eps)
+    x_m = x0 + np.array(offsets)[:, None] * u
+    needles = _needles("spindle", x_m, u, lengths, eps, frame)
+    verts = np.concatenate([body.vertices, needles.reshape(-1, d)])
+    ends = body.n_vertices + needles.shape[1] * np.arange(steps + 1)
+    peak = np.maximum.accumulate(np.einsum("ij,ij->i", verts, verts))
+    radii = np.sqrt(peak[ends[:-1] - 1]).tolist()
+    return [(ScheduleRow(
+        m=m, length=lengths[m], eps=eps[m], offset=offsets[m], x_m=x_m[m],
+        exclusion_radius=radii[m] + 1.0, body_radius=radii[m],
+        claimed_step_bound=targets[m],
+    ), VPolytope(verts[:ends[m + 1]])) for m in range(steps)]
 
 
 def thm2_sequence(body: VPolytope, plane: Subspace, x0: np.ndarray, u: np.ndarray,

@@ -35,8 +35,9 @@ from ..metrics import (
     AUX_STREAM_BASE,
     SamplingPlan,
     delta_j,
+    delta_j_stack,
     fiber_profile,
-    hausdorff,
+    hausdorff_stack,
     intrinsic_volume,
     projected_volume,
 )
@@ -122,13 +123,14 @@ def run_thm1(cfg: ExperimentConfig) -> CsvTable:
     r_base = bounding_radius(base)
     x0n = float(np.linalg.norm(x0))
     seq = thm1_sequence(base, plane, x0, u, cfg.l0, cfg.steps)
+    bodies = [body for _, body in seq]
+    ests = delta_j_stack([(body, base) for body in bodies], cfg.j, plan, workers=cfg.workers)
+    dhs = hausdorff_stack(bodies, base)
 
     table = CsvTable(header=["i", "L_i", "eps_i", "claimed_bound", "delta_hat", "delta_se",
                              "d_hausdorff", "drift_floor", "bound_ratio"])
     low_precision = []
-    for row, body in seq:
-        est = delta_j(body, base, cfg.j, plan, workers=cfg.workers)
-        dh = hausdorff(body, base)
+    for (row, _), est, dh in zip(seq, ests, dhs):
         floor = row.length - x0n - r_base
         if dh < floor - 1e-9:
             raise AssertionFailure(
@@ -141,8 +143,7 @@ def run_thm1(cfg: ExperimentConfig) -> CsvTable:
                        est.value / row.claimed_step_bound])
 
     table.footer_comments.append(_slope_footer(
-        table.column("i"), [float(v) for v in table.column("L_i")],
-        [float(v) for v in table.column("delta_hat")]))
+        [row.m for row, _ in seq], [row.length for row, _ in seq], [est.value for est in ests]))
     if low_precision:
         table.footer_comments.append(
             "low-precision rows (relative se > 5%): " + ",".join(map(str, low_precision)))
@@ -177,13 +178,15 @@ def run_thm2(cfg: ExperimentConfig) -> CsvTable:
     c2 = needle_bound_constant(cfg.d, cfg.j, "two_sided")
     seq = thm2_sequence(base, plane, x0, u, None, cfg.steps)
     good_fraction, (h_good, cert) = _good_subspace_scan(cfg, plane, u)
+    bodies = [body for _, body in seq]
+    ests = delta_j_stack(zip(bodies, [base, *bodies[:-1]]), cfg.j, plan, workers=cfg.workers)
 
     table = CsvTable(header=["m", "L_m", "eps_m", "T_m", "R_m", "claimed_step",
                              "step_delta_hat", "step_se", "good_H_fraction",
                              "paper_block", "corrected_block", "measured_block",
                              "outside_mass_hat"])
     prev = base
-    for idx, (row, body) in enumerate(seq):
+    for idx, ((row, body), est) in enumerate(zip(seq, ests)):
         ident = c2 * row.eps ** (cfg.j - 1) * row.length
         if abs(ident - 2.0 ** -(row.m + 1)) > SCHEDULE_TOL:
             raise AssertionFailure(f"thm2 row m={row.m}: schedule identity off by "
@@ -199,7 +202,6 @@ def run_thm2(cfg: ExperimentConfig) -> CsvTable:
             raise AssertionFailure(
                 f"thm2 row m={row.m}: measured block {measured.value:.6g} below "
                 f"corrected bound {bounds.cone_bound:.6g}")
-        est = delta_j(body, prev, cfg.j, plan, workers=cfg.workers)
         out_mass, out_se = mc_volume(
             project_body(h_good, body).vertices, cfg.j, plan.n_points,
             RngStream(cfg.seed, AUX_STREAM_BASE + 4 * cfg.n_subspaces + idx),
@@ -241,13 +243,13 @@ def run_thm3(cfg: ExperimentConfig, a0: float | None = None) -> CsvTable:
                              "se", "claimed_floor"])
     floor = 0.75 * a0_used
     low_precision = []
-    for row, body in seq:
+    ests = delta_j_stack([(body, None) for _, body in seq], cfg.j, plan, workers=cfg.workers)
+    for (row, _), est in zip(seq, ests):
         ident = c2 * row.eps ** (cfg.j - 1) * row.length
         target = (a0_used / 4.0) * 2.0 ** -(row.m + 1)
         if abs(ident - target) > SCHEDULE_TOL * max(1.0, a0_used):
             raise AssertionFailure(f"thm3 row m={row.m}: schedule identity off by "
                                    f"{abs(ident - target):.3e}")
-        est = delta_j(body, None, cfg.j, plan, workers=cfg.workers)
         rel = est.std_error / est.value if est.value > 0 else 0.0
         if rel > LOW_PRECISION_REL_SE:
             low_precision.append(row.m)

@@ -21,6 +21,14 @@ on it, is nested and gives |vol K - vol L|; a pair in one flat that is not
 nested is clipped at j <= 2 in the chart of its union.  At j = d every body
 is flat and keeps its own coordinates.
 
+A table evaluates all of its rows in one pass through the stacked forms,
+of which delta_j and hausdorff are the one-row case, bit for bit:
+delta_j_stack builds the charts of all its operands at once
+(bodies._charts stacks the SVDs of equal-shape vertex sets), then every
+hull the pairs read, back to back, then answers each pair; hausdorff_stack
+puts the vertices of many bodies to one shared body's facet certificate in
+one call.
+
 The rest samples subspaces: non-flat bodies, flat pairs at j >= 3 that are
 not nested (at j = d one box Monte Carlo estimate in the bodies' own
 coordinates), and monte_carlo mode.  Per-sample inner volumes are exact for
@@ -49,7 +57,8 @@ from .bodies import (
     DEFAULT_TOL,
     VPolytope,
     _affine_rank,
-    _Chart,
+    _charts,
+    _fill_charts,
     _row_blocks,
     contains,
     distance_to_hull,
@@ -64,8 +73,10 @@ __all__ = [
     "SamplingPlan",
     "projected_volume",
     "delta_j",
+    "delta_j_stack",
     "intrinsic_volume",
     "hausdorff",
+    "hausdorff_stack",
     "FiberProfile",
     "fiber_profile",
 ]
@@ -178,7 +189,7 @@ def _flat_value(j: int, a: VPolytope | None, b: VPolytope | None) -> float | Non
             return abs(vol_a - vol_b)
     if j >= 3:
         return None
-    c = _Chart(np.vstack([a.vertices, b.vertices]))
+    c = _charts([np.vstack([a.vertices, b.vertices])])[0]
     if c.dim != j:
         return None  # no common j-flat
     return exact_symdiff(c.to_flat(a.vertices), c.to_flat(b.vertices), j)
@@ -186,7 +197,8 @@ def _flat_value(j: int, a: VPolytope | None, b: VPolytope | None) -> float | Non
 
 def _leads(rows: np.ndarray, body: VPolytope) -> bool:
     """Whether rows are the first vertex rows of body, and so lie in its hull."""
-    return np.array_equal(body.vertices[:len(rows)], rows)
+    head = body.vertices[:len(rows)]
+    return head.shape == rows.shape and bool((head == rows).all())
 
 
 def _collect_values(seed, n, d, j, va, vb, n_points, exact_inner, workers) -> np.ndarray:
@@ -231,18 +243,59 @@ def delta_j(a: VPolytope | None, b: VPolytope | None, j: int, plan: SamplingPlan
     projected volume.  delta_j(empty, empty) = 0 exactly, and identical
     operands short-circuit to 0 with no samples drawn.  A single or nested
     flat operand returns its exact in-flat value, and operands that span no
-    j-flat return exactly 0, also with none drawn.
+    j-flat return exactly 0, also with none drawn.  The one-pair case of
+    delta_j_stack.
     """
+    return delta_j_stack([(a, b)], j, plan, workers=workers)[0]
+
+
+def delta_j_stack(pairs, j: int, plan: SamplingPlan,
+                  workers: int = 1) -> list[MetricEstimate]:
+    """delta_j of each (a, b) pair, in order, with the bits delta_j gives
+    the pair on its own, the exact work of all pairs done in passes: every
+    operand's chart is built in one bodies._charts pass (stacked SVDs), then
+    every hull that _flat_value reads in one pass, so that a table's qhull
+    calls run back to back, and only then is each pair answered, from the
+    cached charts or by the sampler."""
+    pairs = list(pairs)
+    for a, b in pairs:
+        _check_operands(a, b, j)
+    # both operands empty, or identical vertex lists: 0 with nothing drawn
+    trivial = [_empty_difference(a, b) for a, b in pairs]
+    if plan.mode != "monte_carlo":
+        flat = [[x for x in pair if x is not None] for pair, t in zip(pairs, trivial) if not t]
+        _fill_charts([x for ops in flat for x in ops])
+        for ops in flat:  # _flat_value reads the hull of each operand of dimension j
+            charts = [x._chart for x in ops]
+            if all(c.dim <= j for c in charts):
+                for c in charts:
+                    if c.dim == j:
+                        c.hull
+    zero = MetricEstimate(0.0, 0.0, 0, 0, exact=True, per_subspace=())
+    return [zero if t else _delta_pair(a, b, j, plan, workers)
+            for (a, b), t in zip(pairs, trivial)]
+
+
+def _check_operands(a: VPolytope | None, b: VPolytope | None, j: int) -> None:
     if a is None and b is None:
-        return MetricEstimate(0.0, 0.0, 0, 0, exact=True, per_subspace=())
+        return
     d = a.ambient_dim if a is not None else b.ambient_dim
     if a is not None and b is not None and a.ambient_dim != b.ambient_dim:
         raise ValueError("operands live in different dimensions")
     if not 1 <= j <= d:
         raise ValueError(f"need 1 <= j <= d, got (j={j}, d={d})")
-    if a is not None and b is not None and np.array_equal(a.vertices, b.vertices):
-        return MetricEstimate(0.0, 0.0, 0, 0, exact=True, per_subspace=())
 
+
+def _empty_difference(a: VPolytope | None, b: VPolytope | None) -> bool:
+    if a is None or b is None:
+        return a is None and b is None
+    return np.array_equal(a.vertices, b.vertices)
+
+
+def _delta_pair(a: VPolytope | None, b: VPolytope | None, j: int, plan: SamplingPlan,
+                workers: int) -> MetricEstimate:
+    """delta_j of a pair whose vertex lists differ, one of them maybe None."""
+    d = a.ambient_dim if a is not None else b.ambient_dim
     va = a.vertices if a is not None else None
     vb = b.vertices if b is not None else None
     exact_inner = plan.mode == "auto" and j <= 2
@@ -277,7 +330,7 @@ def intrinsic_volume(body: VPolytope, j: int, plan: SamplingPlan,
 def hausdorff(a: VPolytope, b: VPolytope) -> float:
     """max of the two directed vertex-to-hull distances; valid for convex
     bodies because the farthest point of a polytope from a convex set is
-    attained at a vertex.
+    attained at a vertex.  The one-body case of hausdorff_stack.
 
     Every vertex is first put to the facet certificate of the other body's
     chart (bodies._Chart.certified, at chart dimension <= 3), in one batched
@@ -293,23 +346,55 @@ def hausdorff(a: VPolytope, b: VPolytope) -> float:
     every vertex left has distance <= bound <= maximum.  So the value is the
     exhaustive scan's, bit for bit.  In floating point a solve can return a
     few ulps more than its bound (the norms are summed in another order), so
-    the bound is widened by
-    _BOUND_SLACK first; without it a vertex tied with the maximum could be
-    skipped and the value come out an ulp low.
+    the bound is widened by _BOUND_SLACK first; without it a vertex tied
+    with the maximum could be skipped and the value come out an ulp low.
     """
-    if a.ambient_dim != b.ambient_dim:
+    return hausdorff_stack([a], b)[0]
+
+
+def hausdorff_stack(bodies, shared: VPolytope) -> list[float]:
+    """hausdorff(a, shared) for each body a, in order and bit for bit: the
+    vertices of every body go to the certificate of the shared body's chart
+    in one call (each row's bits do not depend on the other rows), and then
+    each body gets its certificate towards its own vertices and its Wolfe
+    scan, as hausdorff describes."""
+    bodies = list(bodies)
+    if any(a.ambient_dim != shared.ambient_dim for a in bodies):
         raise ValueError("operands live in different dimensions")
+    # a body whose vertex list leads the shared one's needs no certificate
+    lead = [_leads(a.vertices, shared) for a in bodies]
+    far = [a.vertices for a, led in zip(bodies, lead) if not led]
+    split = iter(())
+    if far:
+        dist, ok = shared._chart.certified(np.concatenate(far))
+        cuts = np.cumsum([len(v) for v in far])[:-1]
+        split = zip(np.split(dist, cuts), np.split(ok, cuts))
+    out = []
+    for a, led in zip(bodies, lead):
+        there = None if led else next(split)
+        back = None if _leads(shared.vertices, a) else a._chart.certified(shared.vertices)
+        out.append(_hausdorff_scan(a, shared, there, back))
+    return out
+
+
+def _hausdorff_scan(a: VPolytope, b: VPolytope, there, back) -> float:
+    """hausdorff(a, b) from the certificates (dist, ok) of a's vertices
+    against b and of b's against a; None for a direction whose vertex list
+    leads the other body's, every row a vertex of it at distance 0."""
     m = a.n_vertices
     best = 0.0
-    keys, bounds = [np.zeros(0, int)], [np.zeros(0)]  # rows the certificate leaves
-    for lo, p, body in ((0, a.vertices, b), (m, b.vertices, a)):
-        if _leads(p, body):  # every row a vertex of body: distance 0
+    keys, bounds = [], []  # rows the certificate leaves
+    for lo, p, body, cert in ((0, a.vertices, b, there), (m, b.vertices, a, back)):
+        if cert is None:
             continue
-        dist, ok = body._chart.certified(p)
-        best = max(best, float(np.max(dist, initial=0.0)))
+        dist, ok = cert
+        best = max(best, float(dist.max(initial=0.0)))
         rows = np.flatnonzero(~ok)
-        keys.append(lo + rows)
-        bounds.append(_nearest_vertex_distances(p[rows], body.vertices))
+        if rows.size:
+            keys.append(lo + rows)
+            bounds.append(_nearest_vertex_distances(p[rows], body.vertices))
+    if not keys:
+        return best
     keys, bounds = np.concatenate(keys), np.concatenate(bounds)
     for i in np.argsort(-bounds, kind="stable"):
         if bounds[i] * (1.0 + _BOUND_SLACK) <= best:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bodies import (
     _affine_rank,
-    _Chart,
+    _charts,
     hull_2d,
     polygon_area,
     polygon_clip,
@@ -45,7 +45,7 @@ def inside(verts: np.ndarray, pts: np.ndarray, tol: float = 1e-12) -> np.ndarray
         return (pts[:, 0] >= lo - tol) & (pts[:, 0] <= hi + tol)
     if j == 2:
         return ring_contains(hull_2d(verts), pts, tol)
-    c = _Chart(verts)
+    c = _charts([verts])[0]
     if c.dim < j:  # no j-flat spanned: a hull of volume 0 holds no sample
         return np.zeros(pts.shape[0], dtype=bool)
     a, b, _ = c.hull
@@ -57,7 +57,7 @@ def exact_volume(verts: np.ndarray, j: int) -> float:
         return float(verts.max()) - float(verts.min())
     if j == 2:
         return polygon_area(hull_2d(verts))
-    c = _Chart(verts)
+    c = _charts([verts])[0]
     return c.hull[2] if c.dim == j else 0.0
 
 

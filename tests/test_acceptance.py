@@ -13,6 +13,7 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from conftest import unit_cube
+from projmetrics import metrics
 from projmetrics.bodies import VPolytope, hull_2d, polygon_area
 from projmetrics.constructions import (
     NeedleSpec,
@@ -216,16 +217,30 @@ def test_criterion_11_floor_bookkeeping(capsys):
     _report(capsys, 11, f"a0={a0:.4f}+-{a0_se:.4f}, claimed sum {claimed_sum:.4f} <= a0/4", t)
 
 
-def test_criterion_12_worker_determinism(capsys, tmp_path):
+def test_criterion_12_worker_determinism(capsys, tmp_path, monkeypatch):
+    # under auto the flat thm1 rows draw no subspace, so the table is
+    # sampled in monte_carlo mode, and every row's delta_j starts a pool
+    starts = []
+
+    class CountedPool(metrics.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            starts.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(metrics, "ProcessPoolExecutor", CountedPool)
     with _Timer(budget_s=360) as t:
         paths = []
         for workers in (1, 8):
-            cfg = ExperimentConfig(d=3, j=2, seed=42, steps=6, l0=2.0, workers=workers)
+            cfg = ExperimentConfig(d=3, j=2, seed=42, steps=3, l0=2.0, workers=workers,
+                                   mode="monte_carlo", n_subspaces=16, n_points=200)
             path = tmp_path / f"thm1_w{workers}.csv"
             write_csv(run_thm1(cfg), path)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
-    _report(capsys, 12, "thm1 CSV byte-identical for workers 1 and 8", t)
+        assert starts == [8, 8, 8]
+        se = [float(x) for x in read_csv(paths[0]).column("delta_se")]
+        assert all(x > 0.0 for x in se)
+    _report(capsys, 12, "sampled thm1 CSV byte-identical for workers 1 and 8", t)
 
 
 def test_criterion_13_fiber_diagnostic(capsys):

@@ -11,6 +11,8 @@ from projmetrics.bodies import (
 )
 from projmetrics.constructions import (
     NeedleSpec,
+    _diameter,
+    _transverse_frame,
     augment,
     block_bounds,
     cross_section,
@@ -224,6 +226,110 @@ class TestDyadicSchedules:
         base = unit_cube(3, 2)
         with pytest.raises(ValueError):
             thm3_sequence(base, E3, base.vertices.mean(axis=0), U3, None, 3, 0.0)
+
+
+def reference_needle(spec: NeedleSpec, frame: np.ndarray) -> VPolytope:
+    """One needle's vertices, by the per-needle formulas."""
+    q = np.vstack([spec.eps * frame, -spec.eps * frame])
+    if spec.kind == "prism":
+        tip = spec.x0 + spec.length * spec.u
+        return VPolytope(np.vstack([spec.x0 + q, tip + q]))
+    apexes = np.vstack([spec.x0 - spec.length * spec.u, spec.x0 + spec.length * spec.u])
+    return VPolytope(np.vstack([apexes, spec.x0 + q]))
+
+
+def thm1_rows(body, plane, x0, u, l0, steps):
+    """thm1_sequence built row by row: one NeedleSpec, needle and augment
+    per row."""
+    d, j = plane.ambient_dim, plane.dim
+    c1 = needle_bound_constant(d, j, "one_sided")
+    frame = _transverse_frame(plane, u)
+    out = []
+    for i in range(steps):
+        length = l0 * 2.0**i
+        eps = length**-2
+        spec = NeedleSpec(x0=x0, u=u, plane=plane, length=length, eps=eps, kind="prism")
+        grown = augment(body, reference_needle(spec, frame))
+        rho = bounding_radius(grown)
+        out.append((length, eps, 0.0, np.asarray(x0, dtype=float), rho + 1.0, rho,
+                    c1 * length * eps ** (j - 1), grown))
+    return out
+
+
+def dyadic_rows(body, plane, x0, u, lengths, steps, target):
+    """thm2/thm3_sequence built row by row, each body augmenting the last."""
+    d, j = plane.ambient_dim, plane.dim
+    c2 = needle_bound_constant(d, j, "two_sided")
+    x0, u = np.asarray(x0, dtype=float), np.asarray(u, dtype=float)
+    lengths = lengths or [2.0**m for m in range(steps)]
+    offset_unit = max(1.0, _diameter(body))
+    frame = _transverse_frame(plane, u)
+    out, current = [], body
+    for m in range(steps):
+        length = float(lengths[m])
+        eps = (target(m) / (c2 * length)) ** (1.0 / (j - 1))
+        offset = m * offset_unit
+        x_m = x0 + offset * u
+        spec = NeedleSpec(x0=x_m, u=u, plane=plane, length=length, eps=eps, kind="spindle")
+        rho = bounding_radius(current)
+        current = augment(current, reference_needle(spec, frame))
+        out.append((length, eps, offset, x_m, rho + 1.0, rho, target(m), current))
+    return out
+
+
+class TestStackedSequences:
+    """Each sequence builds all of its needle vertices as one broadcast
+    array; every byte equals the row-by-row construction."""
+
+    FIELDS = ("length", "eps", "offset", "x_m", "exclusion_radius", "body_radius",
+              "claimed_step_bound")
+
+    def assert_rows_equal(self, seq, reference):
+        assert len(seq) == len(reference)
+        for m, ((row, body), ref) in enumerate(zip(seq, reference)):
+            assert row.m == m
+            for name, want in zip(self.FIELDS, ref[:-1]):
+                got = getattr(row, name)
+                if isinstance(want, np.ndarray):
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+                else:
+                    assert type(got) is type(want) and repr(got) == repr(want), name
+            want = ref[-1].vertices
+            assert body.vertices.shape == want.shape
+            assert body.vertices.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d,j", [(3, 2), (4, 3), (5, 3), (8, 7)])
+    @pytest.mark.parametrize("l0", [2.0, 0.37])
+    def test_thm1(self, d, j, l0):
+        base = unit_cube(d, j)
+        plane = axis_subspace(d, list(range(j)))
+        x0, u = base.vertices.mean(axis=0) + 0.1, np.eye(d)[0]
+        self.assert_rows_equal(thm1_sequence(base, plane, x0, u, l0, 12),
+                               thm1_rows(base, plane, x0, u, l0, 12))
+
+    @pytest.mark.parametrize("d,j", [(3, 2), (4, 3), (5, 3), (8, 7)])
+    @pytest.mark.parametrize("lengths", [None, [0.3 * 1.7**m for m in range(12)]])
+    def test_dyadic(self, d, j, lengths):
+        base = unit_cube(d, j)
+        plane = axis_subspace(d, list(range(j)))
+        x0, u = base.vertices.mean(axis=0) - 0.2, np.eye(d)[0]
+        self.assert_rows_equal(
+            thm2_sequence(base, plane, x0, u, lengths, 12),
+            dyadic_rows(base, plane, x0, u, lengths, 12, lambda m: 2.0 ** -(m + 1)))
+        self.assert_rows_equal(
+            thm3_sequence(base, plane, x0, u, lengths, 12, 0.37),
+            dyadic_rows(base, plane, x0, u, lengths, 12,
+                        lambda m: (0.37 / 4.0) * 2.0 ** -(m + 1)))
+
+    def test_needles_are_validated(self):
+        base = unit_cube(3, 2)
+        x0 = base.vertices.mean(axis=0)
+        with pytest.raises(ValueError, match="unit vector"):
+            thm1_sequence(base, E3, x0, 2.0 * U3, 2.0, 3)
+        with pytest.raises(ValueError, match="construction plane"):
+            thm2_sequence(base, E3, x0, np.array([0.6, 0.0, 0.8]), None, 3)
+        with pytest.raises(ValueError, match="positive"):
+            thm2_sequence(base, E3, x0, U3, [1.0, -1.0], 2)
 
 
 class TestBlockBounds:

@@ -2,9 +2,12 @@
 experiment layer uses only public library names, scripts reach the
 experiments only through the CLI, every public library name has a caller
 in the library, qhull is called from one place, one helper sizes every
-row block, and one module formats table cells."""
+row block, one module formats table cells, and every name the
+benchmark's traced mode looks up still resolves."""
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -127,3 +130,17 @@ def test_one_module_formats_table_cells():
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                   and node.func.id == "format"}
     assert formatters == {"tables.py"}
+
+
+def test_benchmark_trace_names_resolve():
+    # perfbench/spans.py swaps each (module, attribute) of LAYERS, and
+    # metrics.ProcessPoolExecutor, for a wrapper: read its table, import
+    # nothing else from perfbench/
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{module}.{attr}" for _, module, attr, _ in spans.LAYERS
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert missing == []
+    metrics = importlib.import_module("projmetrics.metrics")
+    assert callable(getattr(metrics, "ProcessPoolExecutor", None))

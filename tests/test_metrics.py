@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -16,7 +17,7 @@ from projmetrics.constructions import (
     prism_needle,
     thm1_sequence,
 )
-from projmetrics.experiments import ExperimentConfig
+from projmetrics.experiments import CsvTable, ExperimentConfig
 from projmetrics.experiments.runners import run_thm1, run_thm2, run_thm3, unit_cube_body
 from projmetrics.grassmann import axis_subspace, full_space, haar_frames, haar_sample
 from projmetrics.metrics import (
@@ -24,13 +25,15 @@ from projmetrics.metrics import (
     SamplingPlan,
     _batch_values,
     delta_j,
+    delta_j_stack,
     fiber_profile,
     hausdorff,
+    hausdorff_stack,
     intrinsic_volume,
     projected_volume,
 )
 from projmetrics.numerics import RngStream, flag_coefficient, gram_schmidt
-from projmetrics.oracles import exact_symdiff, mc_symdiff
+from projmetrics.oracles import exact_symdiff, exact_volume, mc_symdiff
 
 
 def grassmann_line_average_oracle(n: int = 20_001) -> float:
@@ -465,6 +468,32 @@ class TestFlatCharts:
         runner(ExperimentConfig(d=d, j=j, steps=6, n_subspaces=50, n_points=500, seed=1))
         assert calls == []
 
+    @pytest.mark.parametrize("runner", [run_thm1, run_thm3])
+    def test_one_hull_pass_before_the_first_row(self, monkeypatch, runner):
+        # a table builds every hull back to back, before the first pair is
+        # answered and the first row added
+        events = []
+        original_add, original_flat = CsvTable.add_row, metrics._flat_value
+        monkeypatch.setattr(CsvTable, "add_row",
+                            lambda table, row: events.append("row") or original_add(table, row))
+        monkeypatch.setattr(metrics, "_flat_value",
+                            lambda *args: events.append("pair") or original_flat(*args))
+        monkeypatch.setattr(bodies, "_qhull", lambda v, q=bodies._qhull: events.append("hull")
+                            or q(v))
+        runner(ExperimentConfig(d=4, j=3, steps=12, n_subspaces=50, n_points=500, seed=1))
+        assert events.count("hull") == 13  # steps + 1
+        assert events.count("row") == 12 and "hull" not in events[events.index("row"):]
+        table = events[events.index("hull", 1):]  # thm3 builds its base hull for a0 first
+        assert table[:12] == ["hull"] * 12 and "hull" not in table[12:]
+
+    def test_one_certificate_for_the_hausdorff_column(self, monkeypatch):
+        calls = []
+        original = bodies._Chart.certified
+        monkeypatch.setattr(bodies._Chart, "certified",
+                            lambda chart, pts: calls.append(len(pts)) or original(chart, pts))
+        run_thm1(ExperimentConfig(d=4, j=3, steps=12, n_subspaces=50, n_points=500, seed=1))
+        assert calls == [12 * 16]  # every row's 8 cube and 8 needle vertices
+
     def test_charts_are_cached(self):
         a, b, _, _ = tilted_solids(3)
         plan = SamplingPlan(seed=3)
@@ -474,6 +503,158 @@ class TestFlatCharts:
         assert delta_j(b, a, 3, plan) == first
         assert a._chart is charts[0] and b._chart is charts[1]
         assert all(x._chart.hull is h for x, h in zip((a, b), hulls))
+
+
+def same_estimate(x: MetricEstimate, y: MetricEstimate) -> bool:
+    """Bit-for-bit equality of two estimates, signed zeros and nan included."""
+    return repr(dataclasses.astuple(x)) == repr(dataclasses.astuple(y))
+
+
+def fresh(body: VPolytope | None) -> VPolytope | None:
+    """A copy of body with no chart built yet."""
+    return None if body is None else VPolytope(body.vertices.copy())
+
+
+def flat_family(rng: np.random.Generator, d: int, j: int, count: int, n: int) -> list:
+    """count random n-vertex bodies in one tilted affine j-flat of R^d: equal
+    vertex counts, so their SVDs stack."""
+    q = gram_schmidt(rng.normal(size=(d, j)))
+    offset = rng.normal(size=d)
+    return [VPolytope(offset + rng.uniform(-1.0, 1.0, size=(n, j)) @ q.T)
+            for _ in range(count)]
+
+
+class TestStackedForms:
+    """delta_j_stack and hausdorff_stack give each row the bits of the
+    one-row call, made on fresh bodies so that no chart is shared."""
+
+    def assert_delta_rows(self, pairs, j, plan, workers=1):
+        stacked = delta_j_stack(pairs, j, plan, workers=workers)
+        assert len(stacked) == len(pairs)
+        for k, ((a, b), est) in enumerate(zip(pairs, stacked)):
+            assert same_estimate(est, delta_j(fresh(a), fresh(b), j, plan, workers=workers)), k
+        return stacked
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_delta_j_at_j2(self, seed):
+        rng = np.random.default_rng(seed)
+        solid = [VPolytope(rng.normal(size=(7, 3))) for _ in range(3)]  # sampled
+        flat = flat_family(rng, 3, 2, 4, 6)
+        a, b, _, _ = tilted_pair(seed)  # one plane, not nested: clipped in the union
+        an, bn, _, _ = tilted_pair(seed, nested=True)
+        pairs = [(solid[0], solid[1]), (flat[0], flat[1]), (flat[2], None), (a, b),
+                 (an, bn), (bn, an), (None, flat[3]), (flat[0], flat[0]), (None, None),
+                 (solid[2], flat[1]), (flat[3], flat[2]), (flat[1], flat[0])]
+        stacked = self.assert_delta_rows(pairs, 2, SamplingPlan(n_subspaces=30, seed=seed))
+        assert stacked[0].n_subspaces == 30 and stacked[3].exact
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_delta_j_at_j3(self, seed):
+        rng = np.random.default_rng(seed)
+        flat = flat_family(rng, 4, 3, 5, 9)
+        a, b, _, _ = tilted_solids(seed)
+        corners = np.array(list(itertools.product((0.0, 1.0), repeat=3)))
+        q = gram_schmidt(rng.normal(size=(4, 3)))
+        # neither box holds the other: a flat pair the sampler answers
+        ca, cb = VPolytope(corners @ q.T), VPolytope((corners + [0.5, 0.0, 0.0]) @ q.T)
+        pairs = [(flat[0], flat[1]), (a, b), (b, a), (flat[2], None), (ca, cb),
+                 (VPolytope(rng.normal(size=(8, 4))), flat[3]), (None, flat[4]),
+                 (flat[4], flat[0])]
+        stacked = self.assert_delta_rows(
+            pairs, 3, SamplingPlan(n_subspaces=6, n_points=300, seed=seed))
+        assert stacked[1].exact and not stacked[4].exact
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_delta_j_at_j_equal_d(self, seed):
+        rng = np.random.default_rng(seed)
+        solids = [VPolytope(rng.normal(size=(8, 3))) for _ in range(3)]
+        inner = VPolytope(0.3 * solids[0].vertices + 0.1 * solids[0].vertices.mean(axis=0))
+        grown = VPolytope(np.vstack([solids[1].vertices, rng.normal(size=(2, 3)) * 3.0]))
+        pairs = [(solids[0], inner), (grown, solids[1]), (solids[1], solids[2]),
+                 (solids[2], None), (inner, solids[0])]
+        stacked = self.assert_delta_rows(
+            pairs, 3, SamplingPlan(n_subspaces=10, n_points=400, seed=seed))
+        assert stacked[0].exact and stacked[1].exact and not stacked[2].exact
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_delta_j_monte_carlo(self, workers):
+        rng = np.random.default_rng(11)
+        flat = flat_family(rng, 3, 2, 2, 6)
+        pairs = [(flat[0], flat[1]), (VPolytope(rng.normal(size=(6, 3))), None),
+                 (flat[1], flat[1])]
+        plan = SamplingPlan(n_subspaces=8, n_points=100, seed=4, mode="monte_carlo")
+        stacked = self.assert_delta_rows(pairs, 2, plan, workers=workers)
+        assert [e.n_subspaces for e in stacked] == [8, 8, 0]
+
+    def test_delta_j_checks_every_pair_first(self, cube3):
+        square = VPolytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="different dimensions"):
+            delta_j_stack([(cube3, None), (cube3, square)], 2, SamplingPlan())
+        with pytest.raises(ValueError, match="1 <= j <= d"):
+            delta_j_stack([(cube3, None), (square, None)], 3, SamplingPlan())
+
+    def test_hausdorff(self, monkeypatch):
+        solves = []
+        original = bodies._min_norm_point
+        monkeypatch.setattr(bodies, "_min_norm_point",
+                            lambda *args: solves.append(1) or original(*args))
+        rng = np.random.default_rng(8)
+        for d in (3, 5):  # at d = 5 the certificate settles nothing: Wolfe for every row
+            shared = VPolytope(rng.normal(size=(12, d)))
+            family = [
+                VPolytope(rng.normal(size=(9, d))),
+                VPolytope(0.4 * shared.vertices + 0.1),  # nested
+                VPolytope(np.vstack([shared.vertices, rng.normal(size=(3, d)) * 2.0])),  # leads
+                VPolytope(shared.vertices[:5]),  # led by the shared body's vertices
+                shared.translate(rng.normal(size=d)),
+                VPolytope(np.vstack([shared.vertices[:4], rng.normal(size=(4, d))])),
+                shared,
+                VPolytope(rng.normal(size=(6, d)) + 20.0),
+            ]
+            solves.clear()
+            stacked = hausdorff_stack(family, shared)
+            assert solves  # some rows are left to the Wolfe scan
+            assert stacked == [hausdorff(fresh(a), fresh(shared)) for a in family]
+            assert [repr(x) for x in stacked] == [repr(hausdorff(fresh(a), fresh(shared)))
+                                                  for a in family]
+        with pytest.raises(ValueError, match="different dimensions"):
+            hausdorff_stack([shared, VPolytope(rng.normal(size=(4, 2)))], shared)
+
+
+class TestTinyBodies:
+    """hull_2d and polygon_clip measure collinearity against the point set's
+    own extent, so a body keeps its hull at every scale."""
+
+    def test_triangle_area(self):
+        s = 1e-7
+        tri = np.array([[0.0, 0.0], [s, 0.0], [0.0, s]])
+        assert exact_volume(tri, 2) == pytest.approx(s * s / 2.0, rel=1e-12)
+        # in a tilted plane through the origin, where its coordinates carry
+        # rounding relative to s alone
+        est = delta_j(VPolytope(tri @ TILT.T), None, 2, SamplingPlan(seed=1))
+        assert est.exact and est.value == pytest.approx(s * s / 2.0, rel=1e-12)
+
+    def test_tetrahedron_v2_is_half_its_surface(self):
+        s = 1e-6
+        tet = VPolytope(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0],
+                                  [0.0, 1.0, 1.0]]) * (s / math.sqrt(2.0)))
+        est = intrinsic_volume(tet, 2, SamplingPlan(n_subspaces=400, seed=1))
+        half_surface = math.sqrt(3.0) * s * s / 2.0  # four faces of area sqrt(3)/4 s^2
+        assert abs(est.value - half_surface) <= 4.0 * est.std_error
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rings_scale_exactly(self, seed):
+        # scaling by a power of two is exact, and so is every decision
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-1.0, 1.0, size=(30, 2))
+        pts[:5] = pts[5] + np.outer(np.linspace(0.1, 0.5, 5), pts[6] - pts[5])  # collinear
+        other = rng.uniform(-1.0, 1.0, size=(12, 2))
+        ring, clip = bodies.hull_2d(pts), bodies.hull_2d(other)
+        inter = bodies.polygon_clip(ring, clip)
+        for k in (-60, -30, 30):
+            f = 2.0**k
+            assert np.array_equal(bodies.hull_2d(pts * f), ring * f)
+            assert np.array_equal(bodies.polygon_clip(ring * f, clip * f), inter * f)
 
 
 class TestDegenerateOperands:
