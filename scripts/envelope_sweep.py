@@ -3,7 +3,9 @@
 
 Each cell runs at --steps 12, 50 subspaces, 500 points and seed 1, with
 RuntimeWarnings turned into errors.  One line per cell gives the exit code
-and the seconds taken; the script exits 1 if any cell did not exit 0.  An
+and the seconds taken; after the count of failed cells, the last line gives
+each command's seconds summed over its cells.  The script exits 1 if any
+cell did not exit 0.  An
 exception that escapes the CLI is printed with its traceback and reported
 as the cell's exit code "exception".
 
@@ -48,12 +50,15 @@ def run_cell(command: str, d: int, j: int, out: pathlib.Path):
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         failed = []
+        totals = {}
         for command, d, j in cells():
             code, seconds = run_cell(command, d, j, pathlib.Path(tmp))
             print(f"{command} d={d} j={j} exit={code} seconds={seconds:.2f}", flush=True)
+            totals[command] = totals.get(command, 0.0) + seconds
             if code != 0:
                 failed.append(f"{command}({d},{j})")
     print(f"{len(failed)} failed cell(s)" + (": " + " ".join(failed) if failed else ""))
+    print("seconds per command: " + " ".join(f"{c}={s:.2f}" for c, s in totals.items()))
     return 1 if failed else 0
 
 

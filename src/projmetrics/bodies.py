@@ -455,7 +455,8 @@ def _distinct_rows(stack: np.ndarray) -> list[np.ndarray]:
 class _Chart:
     """The affine hull of a vertex set, and inside it, built on first use,
     the facets and volume of the set's convex hull; up to dimension 3 the
-    facets also give certified point-to-hull distances.
+    facets also give certified point-to-hull distances.  A volume needs no
+    facets at dimension 2: it comes from the hull_2d ring alone.
 
     x lies in the affine hull iff normal @ (x - origin) = 0, and then
     frame @ (x - origin) are its in-flat coordinates: the orthonormal rows
@@ -499,15 +500,28 @@ class _Chart:
             lo, hi = float(y.min()), float(y.max())
             return np.array([[-1.0], [1.0]]), np.array([lo, -hi]), hi - lo
         if r == 2:
-            ring = hull_2d(y)
-            if ring.shape[0] >= 3:
-                edge = np.roll(ring, -1, axis=0) - ring
-                a = np.stack([edge[:, 1], -edge[:, 0]], axis=1)  # outward for a CCW ring
-                a /= np.linalg.norm(a, axis=1)[:, None]
-                return a, -np.sum(a * ring, axis=1), polygon_area(ring)
-        else:  # the coordinates span the chart: no rank check needed
-            return _qhull(y)
-        raise NonConvergenceError(f"the hull of a rank-{r} vertex set is flat in its own frame")
+            ring = self._ring
+            edge = np.roll(ring, -1, axis=0) - ring
+            a = np.stack([edge[:, 1], -edge[:, 0]], axis=1)  # outward for a CCW ring
+            a /= np.linalg.norm(a, axis=1)[:, None]
+            return a, -np.sum(a * ring, axis=1), self.volume
+        # the coordinates span the chart: no rank check needed
+        return _qhull(y)
+
+    @cached_property
+    def volume(self) -> float:
+        """The hull's dim-volume.  At dim 2 it is the shoelace area of the
+        ring, and no facet normal is built: only the facet readers
+        (contains, line_fibers, certified) need them."""
+        return polygon_area(self._ring) if self.dim == 2 else self.hull[2]
+
+    @cached_property
+    def _ring(self) -> np.ndarray:
+        """The CCW hull_2d ring of a dimension-2 chart's coordinates."""
+        ring = hull_2d(self.coords)
+        if ring.shape[0] < 3:
+            raise NonConvergenceError("the hull of a rank-2 vertex set is flat in its own frame")
+        return ring
 
     @cached_property
     def facets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -713,18 +727,19 @@ def _segment_line_intersection(s, e, a, b):
 
 def ring_contains(ring: np.ndarray, pts: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Vectorized membership of pts in a CCW convex ring (degenerate rings
-    contain nothing, matching the measure-zero volume convention)."""
+    contain nothing, matching the measure-zero volume convention): every
+    edge's cross product at once, over row blocks of points."""
     r = np.asarray(ring, dtype=float)
     p = np.asarray(pts, dtype=float)
     if p.ndim == 1:
         p = p.reshape(1, -1)
     if r.shape[0] < 3:
         return np.zeros(p.shape[0], dtype=bool)
-    inside = np.ones(p.shape[0], dtype=bool)
-    nxt = np.roll(r, -1, axis=0)
-    for (ax, ay), (bx, by) in zip(r, nxt):
-        cross = (bx - ax) * (p[:, 1] - ay) - (by - ay) * (p[:, 0] - ax)
-        inside &= cross >= -tol
-        if not inside.any():
-            break
+    ax, ay = r[:, :1], r[:, 1:]  # (edges, 1) columns against rows of points
+    edge = np.roll(r, -1, axis=0) - r
+    ex, ey = edge[:, :1], edge[:, 1:]
+    inside = np.empty(p.shape[0], dtype=bool)
+    for rows in _row_blocks(p.shape[0], r.shape[0]):
+        px, py = p[rows, 0], p[rows, 1]
+        inside[rows] = np.all(ex * (py - ay) - ey * (px - ax) >= -tol, axis=0)
     return inside

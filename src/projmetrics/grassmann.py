@@ -38,6 +38,7 @@ __all__ = [
     "complete_to_basis",
     "goodness",
     "goodness_stack",
+    "restricted_sigma_min",
 ]
 
 DEGENERACY_TOL = 1e-12
@@ -203,6 +204,14 @@ class GoodnessCertificate(NamedTuple):
     c: np.ndarray
 
 
+def restricted_sigma_min(frames: np.ndarray, plane: Subspace) -> np.ndarray:
+    """sigma_min of goodness_stack for every frame of an (n, d, j) stack, and
+    nothing else: the smallest singular value of each frame's projection
+    restricted to `plane`, its j x j map, from one batched SVD.  The caller
+    checks the shapes and orthonormality of the stack."""
+    return np.linalg.svd(np.swapaxes(frames, 1, 2) @ plane.basis, compute_uv=False)[:, -1]
+
+
 def goodness_stack(frames: np.ndarray, plane: Subspace, u: np.ndarray) -> GoodnessCertificate:
     """Certificates of every frame of an (n, d, j) orthonormal stack against
     construction plane `plane` and unit axis u (u must lie in the plane):
@@ -227,8 +236,7 @@ def goodness_stack(frames: np.ndarray, plane: Subspace, u: np.ndarray) -> Goodne
     if f.size and float(np.max(np.abs(ft @ f - np.eye(j)))) >= 1e-10:
         raise ValueError("basis columns are not orthonormal")
 
-    # the restricted projection's j x j maps
-    sigma = np.linalg.svd(ft @ plane.basis, compute_uv=False)[:, -1]
+    sigma = restricted_sigma_min(f, plane)
     pu = ft @ u
     ell = np.sqrt(np.vecdot(pu, pu))
     live = ell > DEGENERACY_TOL

@@ -181,11 +181,11 @@ def _flat_value(j: int, a: VPolytope | None, b: VPolytope | None) -> float | Non
     if not full:  # every projection has j-measure zero
         return 0.0
     if len(ops) == 1:
-        return full[0].hull[2]
+        return full[0].volume
     for outer, inner in ((a, b), (b, a)):
         c, v = outer._chart, inner.vertices
         if c.dim == j and (_leads(v, outer) or contains(outer, v, 1e-12 * c.scale).all()):
-            vol_a, vol_b = (x.hull[2] if x.dim == j else 0.0 for x in charts)
+            vol_a, vol_b = (x.volume if x.dim == j else 0.0 for x in charts)
             return abs(vol_a - vol_b)
     if j >= 3:
         return None
@@ -265,12 +265,12 @@ def delta_j_stack(pairs, j: int, plan: SamplingPlan,
     if plan.mode != "monte_carlo":
         flat = [[x for x in pair if x is not None] for pair, t in zip(pairs, trivial) if not t]
         _fill_charts([x for ops in flat for x in ops])
-        for ops in flat:  # _flat_value reads the hull of each operand of dimension j
+        for ops in flat:  # _flat_value reads the volume of each operand of dimension j
             charts = [x._chart for x in ops]
             if all(c.dim <= j for c in charts):
                 for c in charts:
                     if c.dim == j:
-                        c.hull
+                        c.volume
     zero = MetricEstimate(0.0, 0.0, 0, 0, exact=True, per_subspace=())
     return [zero if t else _delta_pair(a, b, j, plan, workers)
             for (a, b), t in zip(pairs, trivial)]
@@ -497,7 +497,7 @@ def fiber_profile(outer: VPolytope, inner: VPolytope, h: Subspace, u: np.ndarray
 
     tube_measure = 0.0
     if tube_e is not None and tube_e._chart.dim == tdim:
-        tube_measure = tube_e._chart.hull[2]
+        tube_measure = tube_e._chart.volume
 
     positive = diff > 0.0
     return FiberProfile(

@@ -4,11 +4,14 @@ difference of vertex sets given in R^j coordinates.
 Exact oracles: interval arithmetic at j = 1 and hull_2d / shoelace /
 polygon_clip at j = 2 for all three; at j >= 3 containment and volume read
 the facets and volume of the set's chart (bodies._Chart, one qhull call),
-and the symmetric difference has no exact oracle.  Box Monte Carlo oracles
-sample the bounding box of the operands from one RngStream, so their bits
-depend only on the stream.  A box estimate with zero hits reports the rule
-of three, se = box_vol * 3/n (the 95% upper bound on the hit rate is about
-3/n), never 0 +- 0.
+and the symmetric difference has no exact oracle.  Membership at j <= 2 is
+tested at a tolerance scaled by the operand's own extent, so a body keeps
+its samples at every scale.  Box Monte Carlo oracles sample the bounding
+box of the operands from one RngStream, so their bits depend only on the
+stream; mc_volume_stack draws many rows' boxes in one call over their
+stream keys, with the bits each row has alone.  A box estimate with zero
+hits reports the rule of three, se = box_vol * 3/n (the 95% upper bound on
+the hit rate is about 3/n), never 0 +- 0.
 """
 
 from __future__ import annotations
@@ -18,35 +21,45 @@ import math
 import numpy as np
 
 from .bodies import (
-    _affine_rank,
+    _affine_ranks,
+    _Chart,
     _charts,
     hull_2d,
     polygon_area,
     polygon_clip,
     ring_contains,
 )
-from .numerics import RngStream, uniform_block
+from .numerics import _MASK64, RngStream, _uniform_rows, uniform_block
 
 __all__ = [
     "inside",
     "exact_volume",
     "exact_symdiff",
     "mc_volume",
+    "mc_volume_stack",
     "mc_symdiff",
 ]
 
 
 def inside(verts: np.ndarray, pts: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Points of pts in the convex hull of verts (both in R^j); at j >= 3
-    the facet test of the chart's hull, at tol times the chart's scale."""
+    """Points of pts in the convex hull of verts (both in R^j), at tol times
+    the set's own scale: its length at j = 1 and the square of its extent
+    (the longest side of its bounding box) at j = 2, where the test reads
+    edge cross products, as hull_2d's collinearity test does; at j >= 3 the
+    facet test of the chart's hull, at tol times the chart's scale."""
     j = verts.shape[1]
     if j == 1:
         lo, hi = float(verts.min()), float(verts.max())
+        tol *= hi - lo
         return (pts[:, 0] >= lo - tol) & (pts[:, 0] <= hi + tol)
     if j == 2:
-        return ring_contains(hull_2d(verts), pts, tol)
-    c = _charts([verts])[0]
-    if c.dim < j:  # no j-flat spanned: a hull of volume 0 holds no sample
+        ring = hull_2d(verts)
+        return ring_contains(ring, pts, tol * float(np.max(np.ptp(ring, axis=0))) ** 2)
+    return _in_chart(_charts([verts])[0], pts, tol)
+
+
+def _in_chart(c: _Chart, pts: np.ndarray, tol: float) -> np.ndarray:
+    if c.dim < pts.shape[1]:  # no j-flat spanned: a hull of volume 0 holds no sample
         return np.zeros(pts.shape[0], dtype=bool)
     a, b, _ = c.hull
     return np.all(pts @ a.T + b <= tol * c.scale, axis=1)
@@ -58,7 +71,7 @@ def exact_volume(verts: np.ndarray, j: int) -> float:
     if j == 2:
         return polygon_area(hull_2d(verts))
     c = _charts([verts])[0]
-    return c.hull[2] if c.dim == j else 0.0
+    return c.volume if c.dim == j else 0.0
 
 
 def _ring_key(ring: np.ndarray):
@@ -82,12 +95,12 @@ def exact_symdiff(va: np.ndarray, vb: np.ndarray, j: int) -> float:
     raise ValueError(f"no exact symmetric difference oracle at j={j}; it covers j <= 2")
 
 
-def _sample_box(verts: np.ndarray, n: int, stream: RngStream):
+def _sample_box(verts: np.ndarray, u: np.ndarray):
+    """The uniforms u as points of the bounding box of verts, padded by 1e-9,
+    and the box's volume."""
     lo = verts.min(axis=0) - 1e-9
     hi = verts.max(axis=0) + 1e-9
-    u = uniform_block(stream, n * verts.shape[1]).reshape(n, verts.shape[1])
-    vol = float(np.prod(hi - lo))
-    return lo + u * (hi - lo), vol
+    return lo + u.reshape(-1, verts.shape[1]) * (hi - lo), float(np.prod(hi - lo))
 
 
 def _box_estimate(hit: np.ndarray, box_vol: float) -> tuple[float, float]:
@@ -104,22 +117,48 @@ def mc_volume(verts: np.ndarray, j: int, n: int, stream: RngStream,
     """Box-MC volume of conv(verts) with its standard error; with an
     exclusion radius r, only the part outside the centered ball of radius r
     counts.  A body that spans no j-flat, or that lies in that ball (every
-    vertex norm <= r), has 0.0 +- 0.0 exactly."""
-    if _affine_rank(verts) < j:
-        return 0.0, 0.0
-    if exclusion_radius is not None:
-        r2 = exclusion_radius * exclusion_radius
-        if np.max(np.einsum("ij,ij->i", verts, verts)) <= r2:
-            return 0.0, 0.0
-    pts, box_vol = _sample_box(verts, n, stream)
-    hit = inside(verts, pts)
-    if exclusion_radius is not None:
-        hit &= np.einsum("ij,ij->i", pts, pts) > r2
-    return _box_estimate(hit, box_vol)
+    vertex norm <= r), has 0.0 +- 0.0 exactly.  The one-row case of
+    mc_volume_stack."""
+    return mc_volume_stack([verts], j, n, [stream], [exclusion_radius])[0]
+
+
+def mc_volume_stack(vertex_sets, j: int, n: int, streams,
+                    exclusion_radii=None) -> list[tuple[float, float]]:
+    """mc_volume of each vertex set with its own stream and exclusion radius
+    (None: no exclusion), with the bits and stream advance each row has on
+    its own.  The streams share one seed and counter, and the rows that
+    sample draw their boxes' uniforms in one call over their stream keys;
+    each set's rank, and at j >= 3 its chart's hull, is read once.  A row
+    that spans no j-flat or lies in its exclusion ball draws nothing."""
+    sets = list(vertex_sets)
+    if not sets:
+        return []
+    radii = [None] * len(sets) if exclusion_radii is None else list(exclusion_radii)
+    seed, counter = streams[0].seed, streams[0].counter
+    if any(s.seed != seed or s.counter != counter for s in streams):
+        raise ValueError("the streams of a stack must share one seed and counter")
+    charts = _charts(sets) if j >= 3 else None
+    ranks = [c.dim for c in charts] if charts is not None else _affine_ranks(sets)
+    draw = [k for k, (verts, rank, r) in enumerate(zip(sets, ranks, radii))
+            if rank >= j and (r is None or np.max(np.einsum("ij,ij->i", verts, verts)) > r * r)]
+    out = [(0.0, 0.0)] * len(sets)
+    if not draw:
+        return out
+    keys = np.array([streams[k].stream & _MASK64 for k in draw], dtype=np.uint64)
+    u = _uniform_rows(seed, keys, counter, n * j)
+    for k, uk in zip(draw, u):
+        streams[k].counter += n * j
+        verts, r = sets[k], radii[k]
+        pts, box_vol = _sample_box(verts, uk)
+        hit = inside(verts, pts) if charts is None else _in_chart(charts[k], pts, 1e-12)
+        if r is not None:
+            hit &= np.einsum("ij,ij->i", pts, pts) > r * r
+        out[k] = _box_estimate(hit, box_vol)
+    return out
 
 
 def mc_symdiff(va: np.ndarray, vb: np.ndarray, j: int, n: int,
                stream: RngStream) -> tuple[float, float]:
     """Box-MC vol_j(conv va symdiff conv vb) with its standard error."""
-    pts, box_vol = _sample_box(np.vstack([va, vb]), n, stream)
+    pts, box_vol = _sample_box(np.vstack([va, vb]), uniform_block(stream, n * va.shape[1]))
     return _box_estimate(inside(va, pts) ^ inside(vb, pts), box_vol)

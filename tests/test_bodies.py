@@ -308,6 +308,16 @@ class TestFacets:
         seg = bodies[1].vertices
         assert contains(bodies[1], 0.3 * seg[1:] + 0.7 * seg[:1]).all()
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_volume_at_dim_2_builds_no_facets(self, seed):
+        rng = np.random.default_rng(seed)
+        for d in (2, 3, 5):
+            body = flat_body(rng, d, 2)
+            chart = body._chart
+            volume = chart.volume
+            assert "hull" not in vars(chart)
+            assert volume == chart.hull[2] == polygon_area(hull_2d(chart.coords))
+
     def test_contains_over_facet_blocks(self):
         # 500 points against a hull of hundreds of facets take many row
         # blocks; one point at a time is a block of its own
@@ -414,6 +424,64 @@ class TestHull2d:
         pts = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
         ring = hull_2d(pts)
         assert ring_contains(ring, pts, tol=1e-9).all()
+
+
+def ring_contains_by_edge(ring: np.ndarray, pts: np.ndarray, tol: float) -> np.ndarray:
+    """ring_contains as one pass over the points per edge."""
+    if ring.shape[0] < 3:
+        return np.zeros(len(pts), dtype=bool)
+    inside = np.ones(len(pts), dtype=bool)
+    for (ax, ay), (bx, by) in zip(ring, np.roll(ring, -1, axis=0)):
+        inside &= (bx - ax) * (pts[:, 1] - ay) - (by - ay) * (pts[:, 0] - ax) >= -tol
+    return inside
+
+
+class TestRingContains:
+    """ring_contains tests every edge in one broadcast over row blocks, with
+    the bits of the per-edge loop."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_rings(self, seed):
+        rng = np.random.default_rng(seed)
+        ring = hull_2d(rng.normal(size=(rng.integers(3, 60), 2)) * 10.0 ** rng.uniform(-3, 3))
+        pts = rng.uniform(-1.2, 1.2, size=(3000, 2)) * np.max(np.abs(ring))
+        for tol in (0.0, 1e-12, 1e-3):
+            got = ring_contains(ring, pts, tol)
+            assert np.array_equal(got, ring_contains_by_edge(ring, pts, tol))
+            if tol == 0.0:
+                assert got.any() and not got.all()
+
+    def test_points_on_edges_and_vertices(self):
+        ring = hull_2d(np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 2.0], [0.0, 2.0]]))
+        t = np.linspace(0.0, 1.0, 9)[:, None]
+        on = np.vstack([ring, *(a + t * (b - a) for a, b in zip(ring, np.roll(ring, -1, 0)))])
+        for tol in (0.0, 1e-9):
+            assert ring_contains(ring, on, tol).all()
+            assert np.array_equal(ring_contains(ring, on + 1e-6, tol),
+                                  ring_contains_by_edge(ring, on + 1e-6, tol))
+        assert np.array_equal(ring_contains(ring, on[0]), [True])  # one point as a row
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_rings_below_three_vertices_hold_nothing(self, n):
+        ring = np.array([[0.0, 0.0], [1.0, 1.0]])[:n]
+        pts = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]])
+        assert not ring_contains(ring, pts).any()
+        assert ring_contains(ring, pts).shape == (3,)
+
+    def test_memory_is_bounded_by_row_blocks(self):
+        rng = np.random.default_rng(7)
+        ring = hull_2d(rng.normal(size=(200, 2)))
+        pts = rng.normal(size=(100_000, 2))
+        full = 8 * len(pts) * len(ring)  # one (points, edges) float array
+        tracemalloc.start()
+        try:
+            got = ring_contains(ring, pts, 1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert full > 16 * 8 * _FACET_BLOCK
+        assert peak < 8 * 8 * _FACET_BLOCK + got.nbytes
+        assert np.array_equal(got, ring_contains_by_edge(ring, pts, 1e-12))
 
 
 class TestPolygonOps:

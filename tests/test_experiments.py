@@ -14,9 +14,16 @@ import pytest
 
 from scipy.spatial import ConvexHull
 
-from projmetrics import metrics
-from projmetrics.bodies import VPolytope, save_body
-from projmetrics.constructions import NeedleSpec, augment, prism_needle, thm1_sequence
+from projmetrics import grassmann, metrics
+from projmetrics.bodies import VPolytope, distance_to_hull, save_body
+from projmetrics.constructions import (
+    NeedleSpec,
+    augment,
+    block_bounds,
+    prism_needle,
+    thm1_sequence,
+    thm2_sequence,
+)
 from projmetrics.experiments import (
     ConfigError,
     CsvTable,
@@ -40,8 +47,10 @@ from projmetrics.experiments.runners import (
     _slope_footer,
     unit_cube_body,
 )
-from projmetrics.grassmann import Subspace, full_space, goodness, haar_frames
+from projmetrics.grassmann import Subspace, full_space, goodness, haar_frames, project_body
 from projmetrics.metrics import SamplingPlan
+from projmetrics.numerics import RngStream, needle_bound_constant
+from projmetrics.oracles import mc_volume
 
 SMALL = dict(d=3, j=2, seed=42, n_subspaces=150, n_points=2000, steps=3)
 
@@ -362,6 +371,106 @@ class TestThm2Runner:
             assert float(record["measured_block"]) == pytest.approx(
                 float(record["corrected_block"]), rel=1e-9)
             assert float(record["step_delta_hat"]) > 0.0
+
+
+def thm2_row_loop(cfg: ExperimentConfig):
+    """run_thm2 written row by row from the one-row library calls: the scan's
+    goodness per frame, and per row delta_j, projected_volume, mc_volume and
+    the needle-clear distance_to_hull.  Returns the table and, per row,
+    whether the needle-clear distance can decide the outside-mass assertion:
+    the mass fell short and every projected needle vertex lies outside R_m."""
+    base, plane, x0, u = unit_cube_body(cfg.d, cfg.j)
+    plan = SamplingPlan(n_subspaces=cfg.n_subspaces, n_points=cfg.n_points,
+                        seed=cfg.seed, mode=cfg.mode)
+    c2 = needle_bound_constant(cfg.d, cfg.j, "two_sided")
+    seq = thm2_sequence(base, plane, x0, u, None, cfg.steps)
+    passing = []
+    for basis in haar_frames(cfg.d, cfg.j, cfg.seed,
+                             AUX_STREAM_BASE // 2 + np.arange(cfg.n_subspaces)):
+        c = goodness(Subspace(basis), plane, u)
+        if c.sigma_min > GOOD_SIGMA and c.c > 0:
+            passing.append(basis)
+    h = Subspace(passing[0])
+    cert = goodness(h, plane, u)
+    fraction = len(passing) / cfg.n_subspaces
+    table = CsvTable(header=["m", "L_m", "eps_m", "T_m", "R_m", "claimed_step",
+                             "step_delta_hat", "step_se", "good_H_fraction",
+                             "paper_block", "corrected_block", "measured_block",
+                             "outside_mass_hat"])
+    decisive = []
+    prev = base
+    for idx, (row, body) in enumerate(seq):
+        assert abs(c2 * row.eps ** (cfg.j - 1) * row.length - 2.0 ** -(row.m + 1)) <= 1e-12
+        est = metrics.delta_j(body, prev, cfg.j, plan)
+        needle = VPolytope(body.vertices[prev.n_vertices:])
+        bounds = block_bounds(cert, NeedleSpec(x0=row.x_m, u=u, plane=plane, length=row.length,
+                                               eps=row.eps, kind="spindle"))
+        measured = metrics.projected_volume(
+            needle, h, plan, sample_index=AUX_STREAM_BASE + 2 * cfg.n_subspaces + idx)
+        slack = 1e-9 * (1.0 + bounds.cone_bound)
+        assert measured.value >= bounds.cone_bound - 4.0 * measured.std_error - slack
+        out_mass, out_se = mc_volume(
+            project_body(h, body).vertices, cfg.j, plan.n_points,
+            RngStream(cfg.seed, AUX_STREAM_BASE + 4 * cfg.n_subspaces + idx),
+            exclusion_radius=row.exclusion_radius)
+        tips = project_body(h, needle)
+        clear = distance_to_hull(np.zeros(cfg.j), tips) > row.exclusion_radius
+        short = out_mass < bounds.cone_bound - 4.0 * out_se - slack
+        assert not (clear and short)
+        decisive.append(short and bool(np.all(
+            np.linalg.norm(tips.vertices, axis=1) > row.exclusion_radius)))
+        table.add_row([row.m, row.length, row.eps, row.offset, row.exclusion_radius,
+                       row.claimed_step_bound, est.value, est.std_error, fraction,
+                       bounds.rect_bound, bounds.cone_bound, measured.value, out_mass])
+        prev = body
+    table.footer_comments.append(
+        f"claimed_step partial sum: {sum(r.claimed_step_bound for r, _ in seq):.17g}")
+    return table, decisive
+
+
+def spy(monkeypatch, module, name) -> list:
+    """The arguments of every call to module.name from here on."""
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kw: calls.append(args) or original(*args, **kw))
+    return calls
+
+
+class TestThm2OnePass:
+    """run_thm2 evaluates its good-subspace block once per table: a sigma-only
+    scan, one stacked outside-mass draw, and a needle-clear distance only
+    where it can decide the assertion.  Every byte equals the row loop."""
+
+    @pytest.mark.parametrize("mode", ["auto", "monte_carlo"])
+    @pytest.mark.parametrize("d,j", [(3, 2), (4, 3), (5, 3), (6, 4)])
+    def test_equals_the_row_loop(self, monkeypatch, d, j, mode):
+        cfg = ExperimentConfig(d=d, j=j, seed=1, n_subspaces=40, n_points=2000, steps=12,
+                               mode=mode)
+        ref, decisive = thm2_row_loop(cfg)
+        distances = spy(monkeypatch, runners, "distance_to_hull")
+        table = run_thm2(cfg)
+        assert table.to_bytes() == ref.to_bytes()
+        assert len(distances) == sum(decisive)
+        if (d, j) in ((4, 3), (6, 4)):  # rows with hits pin the outside-mass stream keys
+            assert any(float(v) > 0.0 for v in ref.column("outside_mass_hat"))
+
+    @pytest.mark.parametrize("d,j", [(3, 2), (4, 3)])
+    def test_counts(self, monkeypatch, d, j):
+        distances = spy(monkeypatch, runners, "distance_to_hull")
+        certificates = spy(monkeypatch, grassmann, "goodness_stack")
+        run_thm2(ExperimentConfig(d=d, j=j, seed=1, n_subspaces=400, n_points=2000, steps=12))
+        assert distances == []
+        assert len(certificates) == 1 and certificates[0][0].shape[0] == 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("d,j", [(d, j) for d in range(3, 9) for j in range(2, d)])
+    def test_sigma_mask_is_the_full_test(self, d, j, seed):
+        _, plane, _, u = unit_cube_body(d, j)
+        frames = haar_frames(d, j, seed, AUX_STREAM_BASE // 2 + np.arange(500))
+        certs = grassmann.goodness_stack(frames, plane, u)
+        mask = grassmann.restricted_sigma_min(frames, plane) > GOOD_SIGMA
+        assert np.array_equal(mask, (certs.sigma_min > GOOD_SIGMA) & (certs.c > 0))
+        assert np.array_equal(grassmann.restricted_sigma_min(frames, plane), certs.sigma_min)
 
 
 class TestThm3Runner:

@@ -642,6 +642,16 @@ class TestTinyBodies:
         half_surface = math.sqrt(3.0) * s * s / 2.0  # four faces of area sqrt(3)/4 s^2
         assert abs(est.value - half_surface) <= 4.0 * est.std_error
 
+    def test_tetrahedron_v2_by_box_monte_carlo(self):
+        # box MC tests membership at a tolerance scaled by the projected
+        # body's extent; an absolute 1e-12 counted far points as hits and
+        # read 3.338e-12 +- 1.8e-14
+        tet = VPolytope(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0],
+                                  [0.0, 1.0, 1.0]]) * 1e-6)
+        est = intrinsic_volume(tet, 2, SamplingPlan(n_subspaces=200, n_points=2000, seed=1,
+                                                    mode="monte_carlo"))
+        assert abs(est.value - math.sqrt(3.0) * 1e-12) <= 4.0 * est.std_error
+
     @pytest.mark.parametrize("seed", range(5))
     def test_rings_scale_exactly(self, seed):
         # scaling by a power of two is exact, and so is every decision

@@ -8,9 +8,11 @@ from projmetrics.bodies import bounding_radius
 from projmetrics.numerics import RngStream
 from projmetrics.oracles import (
     exact_symdiff,
+    inside,
     exact_volume,
     mc_symdiff,
     mc_volume,
+    mc_volume_stack,
 )
 
 
@@ -70,3 +72,51 @@ class TestExactOracles:
         sym, sym_se = mc_symdiff(a, b, j, n, RngStream(3, j))
         exact = exact_volume(a, j) - exact_volume(b, j) if j >= 3 else exact_symdiff(a, b, j)
         assert abs(sym - exact) <= 4.0 * sym_se
+
+
+def outside_mass_rows(j: int) -> list:
+    """(vertices, exclusion radius) rows of every kind: a set that spans no
+    j-flat, one inside its ball, one whose outside part no sample hits (the
+    rule of three), one with hits, and one with no ball."""
+    rng = np.random.default_rng(j)
+    cube = unit_cube(j, j).vertices
+    flat = np.hstack([rng.normal(size=(j + 2, j - 1)), np.zeros((j + 2, 1))])
+    return [(flat, None), (cube, 2.0), (cube, math.sqrt(j) - 1e-6),
+            (rng.normal(size=(3 * j + 2, j)), 0.5), (cube - 0.5, None)]
+
+
+class TestStackedOutsideMass:
+    """mc_volume_stack gives each row the bits, and the stream advance, of
+    its one-row mc_volume call."""
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_rows_equal_one_row_calls(self, j):
+        rows = outside_mass_rows(j)
+        streams = [RngStream(5, 1000 + k) for k in range(len(rows))]
+        stacked = mc_volume_stack([v for v, _ in rows], j, 500, streams, [r for _, r in rows])
+        kinds = []
+        for k, ((verts, r), got) in enumerate(zip(rows, stacked)):
+            alone = RngStream(5, 1000 + k)
+            assert got == mc_volume(verts, j, 500, alone, exclusion_radius=r)
+            assert streams[k].counter == alone.counter
+            kinds.append("short" if got == (0.0, 0.0) else "zero" if got[0] == 0.0 else "hits")
+        assert kinds == ["short", "short", "zero", "hits", "hits"]
+        assert [s.counter for s in streams] == [0, 0, 500 * j, 500 * j, 500 * j]
+
+    def test_streams_share_seed_and_counter(self, square2):
+        with pytest.raises(ValueError, match="seed and counter"):
+            mc_volume_stack([square2.vertices] * 2, 2, 10, [RngStream(1, 0), RngStream(2, 1)])
+        with pytest.raises(ValueError, match="seed and counter"):
+            mc_volume_stack([square2.vertices] * 2, 2, 10, [RngStream(1, 0), RngStream(1, 1, 4)])
+
+
+class TestTolerancesScale:
+    """inside() measures its tolerance against the operand's own extent."""
+
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_points_outside_a_tiny_body_miss(self, j):
+        s = 1e-9
+        verts = unit_cube(j, j).vertices * s
+        pts = np.full((1, j), -1e-3 * s)  # 1e-12 away from the body
+        assert not inside(verts, pts)[0]
+        assert inside(verts * 1e9, pts * 1e9)[0] == inside(verts, pts)[0]
