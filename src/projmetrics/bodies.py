@@ -2,23 +2,26 @@
 
 Each body keeps one flat chart, built on first use: the frame of its affine
 hull and, only when asked for, the facet equations A y + b <= 0 (interval
-ends, hull_2d edges, qhull) and volume of the body inside that flat.  The
-facets give exact line chords, bulk membership and, for a chart of
-dimension <= 3, exact point-to-hull distances: a point's largest facet
-violation is its distance whenever the foot of the perpendicular on that
-facet passes the facet test.  Points that certificate does not settle, and
-bodies whose chart is of higher dimension, get Wolfe's min-norm point.  The
-volumes give metrics its exact in-flat values.  Many bodies' charts can be
-built in one pass (_fill_charts), with the SVDs of equal-shape vertex sets
-stacked.  Exact 2-D geometry (monotone-chain hull, shoelace area, convex
-clipping, at tolerances scaled by the point set's own extent) provides the
-oracle against which Monte Carlo estimators are checked.
+ends, hull_2d edges, qhull) and volume of the body inside that flat.  A
+body in a coordinate flat (as many varying coordinates as its rank, as at
+full rank) is charted by those coordinate axes, exactly and with no SVD;
+only a body in an oblique flat gets an SVD frame.  The facets give exact
+line chords, bulk membership and, for a chart of dimension <= 3, exact
+point-to-hull distances: a point's largest facet violation is its distance
+whenever the foot of the perpendicular on that facet passes the facet
+test.  Points that certificate does not settle, and bodies whose chart is
+of higher dimension, get Wolfe's min-norm point.  The volumes give metrics
+its exact in-flat values.  Many bodies' charts can be built in one pass
+(_fill_charts), with one rank SVD for all bodies of similar size.  Exact
+2-D geometry (monotone-chain hull, shoelace area, convex clipping, at
+tolerances scaled by the point set's own extent) provides the oracle
+against which Monte Carlo estimators are checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -93,6 +96,8 @@ def _fill_charts(bodies) -> None:
     """Build the charts of the bodies that have none yet in one _charts
     pass, and cache each in its body's _chart slot."""
     todo = list({id(b): b for b in bodies if "_chart" not in vars(b)}.values())
+    if not todo:
+        return
     for body, chart in zip(todo, _charts([b.vertices for b in todo])):
         vars(body)["_chart"] = chart  # the slot that cached_property fills
 
@@ -408,11 +413,48 @@ def _chords(x, u, a, b, tol):
 
 
 def _affine_rank(verts: np.ndarray) -> int:
-    return _affine_ranks([verts])[0]
+    return _numerical_ranks((verts - verts[0])[None])[0]
 
 
-def _affine_ranks(vertex_sets: list[np.ndarray]) -> list[int]:
-    return _by_shape(_numerical_ranks, [v - v[0] for v in vertex_sets])
+def _pad_groups(shapes: list[tuple[int, int]]) -> list[list[int]]:
+    """The indices of the vertex sets of these shapes in groups, each to be
+    padded into one stack: all in one when that stack stays within twice
+    the sets' own elements, as for the bodies of one thm table; otherwise,
+    the sets taken largest first, a set joins the open group while the
+    group's stack stays within twice its sets' elements.  Either way
+    padding at most doubles the memory of the input."""
+    if len(shapes) == 1:
+        return [[0]]
+    if len(shapes) * max(n for n, _ in shapes) * max(d for _, d in shapes) \
+            <= 2 * sum(n * d for n, d in shapes):
+        return [list(range(len(shapes)))]
+    groups: list[list] = []  # [indices, rows, cols, elements]
+    for k in sorted(range(len(shapes)), key=shapes.__getitem__, reverse=True):
+        n, d = shapes[k]
+        g = groups[-1] if groups else None
+        if g is not None and (len(g[0]) + 1) * g[1] * max(g[2], d) <= 2 * (g[3] + n * d):
+            g[0].append(k)
+            g[2], g[3] = max(g[2], d), g[3] + n * d
+        else:
+            groups.append([[k], n, d, n * d])
+    return [g[0] for g in groups]
+
+
+def _padded_stack(vertex_sets: list[np.ndarray]) -> np.ndarray:
+    """The sets as one (m, n, d) stack, each padded to the longest set with
+    copies of its first row and to the widest with zero columns.  Less each
+    set's first row, the padding is zero rows and columns, which add only
+    zero singular values, so one SVD of the centered stack gives every
+    set's rank, and its columns vary exactly where the set's do."""
+    if len(vertex_sets) == 1:
+        return vertex_sets[0][None]
+    n = max(v.shape[0] for v in vertex_sets)
+    d = max(v.shape[1] for v in vertex_sets)
+    stack = np.zeros((len(vertex_sets), n, d))
+    for x, v in zip(stack, vertex_sets):
+        x[:, :v.shape[1]] = v[0]
+        x[:len(v), :v.shape[1]] = v
+    return stack
 
 
 def _numerical_ranks(stack: np.ndarray) -> list[int]:
@@ -461,26 +503,27 @@ class _Chart:
     x lies in the affine hull iff normal @ (x - origin) = 0, and then
     frame @ (x - origin) are its in-flat coordinates: the orthonormal rows
     of frame span the hull's directions, those of normal their complement,
-    and dim is the hull's dimension.  Below full rank the frame comes from
-    the sorted distinct vertex rows, and coords holds those rows in frame
-    coordinates, so no bit depends on vertex order.  A full-rank set keeps
-    origin 0, the identity frame, no normal rows and its vertices as given,
-    so qhull, whose bits follow the order of its input, sees the caller's
-    order.  Every product of many points against the facets runs over the
-    row blocks of _row_blocks, so no caller sizes a block.  Charts come
-    from _charts, which builds many at once.
+    and dim is the hull's dimension.  A set whose varying coordinates (the
+    columns where not every vertex has the same value) are as many as its
+    rank lies in a coordinate flat, and is charted by those columns: frame
+    and normal are the unit rows of the varying and the constant axes,
+    origin holds the constant values (0 on the varying axes), and coords the
+    vertices' varying columns, exact and in the caller's order, so qhull,
+    whose bits follow the order of its input, sees that order.  Every
+    product with these unit rows is exact, so the formulas below give the
+    column selections' bits.  A full-rank set is the case with every column
+    varying.  Any other set lies in an oblique flat: the frame comes from an
+    SVD of the sorted distinct vertex rows, and coords holds those rows in
+    frame coordinates, so no bit depends on vertex order.
+    Every product of many points against the facets runs over the row
+    blocks of _row_blocks, so no caller sizes a block.  Charts come from
+    _charts, which builds many at once.
     """
 
-    def __init__(self, verts: np.ndarray, dim: int, origin: np.ndarray | None = None,
-                 centered: np.ndarray | None = None, vt: np.ndarray | None = None):
-        d = verts.shape[1]
-        self.dim = r = dim
-        if r == d:
-            self.origin, self.frame, self.normal = np.zeros(d), np.eye(d), np.zeros((0, d))
-            self.coords = verts
-            return
-        self.origin, self.frame, self.normal = origin, vt[:r], vt[r:]
-        self.coords = centered @ self.frame.T
+    def __init__(self, dim: int, origin: np.ndarray, coords: np.ndarray,
+                 frame: np.ndarray, normal: np.ndarray):
+        self.dim, self.origin, self.coords = dim, origin, coords
+        self.frame, self.normal = frame, normal
 
     @cached_property
     def scale(self) -> float:
@@ -587,18 +630,48 @@ class _Chart:
 
 
 def _charts(vertex_sets: list[np.ndarray]) -> list[_Chart]:
-    """The chart of each vertex set, with the bits it has on its own: the
-    rank SVDs of equal-shape sets run as one stacked np.linalg.svd, and so
-    do the frame SVDs of equal-shape distinct-row sets below full rank."""
-    ranks = _affine_ranks(vertex_sets)
-    low = [k for k, (v, r) in enumerate(zip(vertex_sets, ranks)) if r < v.shape[1]]
-    parts = {}
-    if low:
-        pts = _by_shape(_distinct_rows, [vertex_sets[k] for k in low])
-        centered = [p - p[0] for p in pts]
-        vts = _by_shape(_frames, centered)
-        parts = {k: (p[0], c, vt) for k, p, c, vt in zip(low, pts, centered, vts)}
-    return [_Chart(v, r, *parts.get(k, ())) for k, (v, r) in enumerate(zip(vertex_sets, ranks))]
+    """The chart of each vertex set.  One SVD of each padded stack of
+    _pad_groups gives its sets' ranks, and the same stack their varying
+    columns; a set with as many varying columns as its rank gets its
+    coordinate chart, with no more arithmetic.  The oblique sets, if any,
+    get their frames from stacked SVDs of their equal-shape distinct-row
+    sets, with the bits each set has on its own."""
+    charts: list[_Chart | None] = [None] * len(vertex_sets)
+    oblique = []
+    for group in _pad_groups([v.shape for v in vertex_sets]):
+        stack = _padded_stack([vertex_sets[k] for k in group])
+        centered = stack - stack[:, :1]
+        ranks = _numerical_ranks(centered)
+        varying = (centered != 0.0).any(axis=1)
+        origins = np.where(varying, 0.0, stack[:, 0])
+        for k, r, vary, origin in zip(group, ranks, varying.tolist(), origins):
+            v = vertex_sets[k]
+            d = v.shape[1]
+            axes, frame, normal = _unit_rows(tuple(vary[:d]))
+            if len(frame) != r:
+                oblique.append((k, r))
+                continue
+            charts[k] = _Chart(r, origin[:d], v if r == d else v[:, axes], frame, normal)
+    if oblique:
+        pts = _by_shape(_distinct_rows, [vertex_sets[k] for k, _ in oblique])
+        shifted = [p - p[0] for p in pts]
+        for (k, r), p, c, vt in zip(oblique, pts, shifted, _by_shape(_frames, shifted)):
+            charts[k] = _Chart(r, p[0], c @ vt[:r].T, vt[:r], vt[r:])
+    return charts
+
+
+@lru_cache(maxsize=256)
+def _unit_rows(varying: tuple[bool, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(axes, frame, normal) for the varying columns of a vertex set in R^d,
+    d = len(varying): the boolean mask of those columns, and the unit rows
+    of R^d on them and off them, the frame and normal of a coordinate
+    chart.  Read-only, and shared by every chart of that flat."""
+    axes = np.array(varying)
+    eye = np.eye(len(varying))
+    rows = axes, eye[axes], eye[~axes]
+    for x in rows:
+        x.setflags(write=False)
+    return rows
 
 
 def _frames(stack: np.ndarray) -> np.ndarray:

@@ -14,20 +14,23 @@ operand or a nested flat pair gives the in-flat vol_j(K symdiff L) exactly,
 at every j.  The frame belongs to each body: a VPolytope keeps one chart
 (the frame of its affine hull and, built once on demand, its in-flat facets
 and volume), so a table whose rows share a base body builds the base's hull
-once.  Operands that span no j-flat give exactly 0, since every projection
-then has j-measure zero.  A single operand gives its chart volume; a pair
-of which one operand's vertex rows lead the other's, or pass bodies.contains
+once.  A body in a coordinate flat, as every thm body is, and every body at
+j = d, keeps its own coordinates: its chart is its varying columns.
+Operands that span no j-flat give exactly 0, since every projection then
+has j-measure zero.  A single operand gives its chart volume; a pair of
+which one operand's vertex rows lead the other's, or pass bodies.contains
 on it, is nested and gives |vol K - vol L|; a pair in one flat that is not
-nested is clipped at j <= 2 in the chart of its union.  At j = d every body
-is flat and keeps its own coordinates.
+nested is clipped at j <= 2 in the chart of its union.
 
 A table evaluates all of its rows in one pass through the stacked forms,
 of which delta_j and hausdorff are the one-row case, bit for bit:
-delta_j_stack builds the charts of all its operands at once
-(bodies._charts stacks the SVDs of equal-shape vertex sets), then every
-hull the pairs read, back to back, then answers each pair; hausdorff_stack
-puts the vertices of many bodies to one shared body's facet certificate in
-one call.
+delta_j_stack compares the vertex lists of all its pairs at once, builds
+the charts of all its operands at once (bodies._charts runs one rank SVD
+for all of them when their sizes are alike), then every hull the pairs
+read, back to back, then
+answers each pair from the cached volumes; hausdorff_stack puts the
+vertices of many bodies to one shared body's facet certificate in one
+call and reads each body's largest distance off it in one reduction.
 
 The rest samples subspaces: non-flat bodies, flat pairs at j >= 3 that are
 not nested (at j = d one box Monte Carlo estimate in the bodies' own
@@ -151,41 +154,54 @@ def _batch_values(task) -> np.ndarray:
         for index, a, b in zip(range(lo, hi), pa, pb)])
 
 
-def _flat_value(j: int, a: VPolytope | None, b: VPolytope | None) -> float | None:
-    """vol_j(K symdiff L) inside the affine j-flat that holds both operands,
-    from each body's own cached chart; None when no exact in-flat answer
-    applies and the caller samples.
+def _flat_values(j: int, pairs, led) -> list[float | None]:
+    """vol_j(K symdiff L) inside the affine j-flat that holds both operands
+    of each pair, from each body's own cached chart; None where no exact
+    in-flat answer applies and the caller samples.  led[k] says whether one
+    operand's vertex rows are the first rows of the other's (_heads_agree).
 
-    An operand that spans more than a j-flat gives None and builds no hull.
-    Operands that span no j-flat give exactly 0.0 at every j: each
-    projection then has j-measure zero.  One operand gives its chart volume.
-    A pair is nested when one operand's vertex rows are the first rows of
-    the other's (_leads: no facet is tested), or when they pass
-    bodies.contains on the other (in its flat and inside its facets, at
-    1e-12 times its chart's scale), and then the value is |vol K - vol L|.
-    A pair that is not nested is clipped at j <= 2 in the chart of its
-    union, which has dimension j exactly when the pair lies in one j-flat;
-    it gets None at j >= 3, as does a pair in no common j-flat.
+    First every volume the pairs read is taken, so that a table's qhull
+    calls run back to back.  A pair with an operand that spans more than a
+    j-flat gives None and builds no hull.  Operands that span no j-flat
+    give exactly 0.0 at every j: each projection then has j-measure zero.
+    One operand gives its chart volume, and a pair whose rows lead, whose
+    shorter list therefore lies in the other's hull, gives |vol K - vol L|
+    with no facet tested.  Only the other pairs go to _flat_value.
 
-    Each chart's frame comes from the sorted distinct vertex rows below
-    full rank, so no bit depends on operand or vertex order there.  At
-    full rank (j = d) the bodies keep their own coordinates and vertex
-    lists, so at j = d >= 3 the bits depend on vertex order: qhull's volume
-    can move in the last bits with the order of its input, and it fails on
-    the sorted order of thm1's last 6-cube row but not on the given one."""
-    ops = [x for x in (a, b) if x is not None]
-    charts = [x._chart for x in ops]
-    if any(c.dim > j for c in charts):
-        return None
-    full = [c for c in charts if c.dim == j]
-    if not full:  # every projection has j-measure zero
-        return 0.0
-    if len(ops) == 1:
-        return full[0].volume
+    A body in a coordinate flat, as every thm body is, keeps its own
+    coordinates and vertex order at every j: its chart's coordinates are
+    the body's varying columns, so no value depends on the ambient d, and
+    qhull sees the given order, whose last bits it can follow (at j = d = 6
+    it fails on the sorted order of thm1's last 6-cube row but not on the
+    given one).  Only a body in an oblique flat is charted from its sorted
+    distinct vertex rows, and there no bit depends on vertex order."""
+    charts = [[x._chart for x in pair if x is not None] for pair in pairs]
+    volumes = [None if any(c.dim > j for c in cs) else [c.volume if c.dim == j else 0.0
+                                                        for c in cs] for cs in charts]
+    out = []
+    for (a, b), cs, vols, lead in zip(pairs, charts, volumes, led):
+        if vols is None or len(vols) == 1:
+            out.append(None if vols is None else vols[0])
+        elif lead or all(c.dim < j for c in cs):
+            out.append(abs(vols[0] - vols[1]))
+        else:
+            out.append(_flat_value(j, a, b))
+    return out
+
+
+def _flat_value(j: int, a: VPolytope, b: VPolytope) -> float | None:
+    """The in-flat value of a pair of _flat_values whose vertex rows do not
+    lead and of which an operand spans a j-flat.  The pair is nested when
+    one operand's vertices pass bodies.contains on the other (in its flat
+    and inside its facets, at 1e-12 times its chart's scale), and then the
+    value is |vol K - vol L|.  A pair that is not nested is clipped at
+    j <= 2 in the chart of its union, which has dimension j exactly when the
+    pair lies in one j-flat; it gets None at j >= 3, as does a pair in no
+    common j-flat."""
     for outer, inner in ((a, b), (b, a)):
-        c, v = outer._chart, inner.vertices
-        if c.dim == j and (_leads(v, outer) or contains(outer, v, 1e-12 * c.scale).all()):
-            vol_a, vol_b = (x.volume if x.dim == j else 0.0 for x in charts)
+        c = outer._chart
+        if c.dim == j and contains(outer, inner.vertices, 1e-12 * c.scale).all():
+            vol_a, vol_b = (x._chart.volume if x._chart.dim == j else 0.0 for x in (a, b))
             return abs(vol_a - vol_b)
     if j >= 3:
         return None
@@ -193,6 +209,20 @@ def _flat_value(j: int, a: VPolytope | None, b: VPolytope | None) -> float | Non
     if c.dim != j:
         return None  # no common j-flat
     return exact_symdiff(c.to_flat(a.vertices), c.to_flat(b.vertices), j)
+
+
+def _heads_agree(pairs) -> list[bool]:
+    """For each pair (x, y) of vertex arrays of one width, whether their
+    first min(len x, len y) rows are equal, from one elementwise comparison
+    over all pairs.  When they are, the shorter list's rows are the first
+    rows of the longer's, so they lie in its hull (equal lengths: the same
+    list)."""
+    if not pairs:
+        return []
+    xs = [x[:len(y)].ravel() for x, y in pairs]
+    ys = [y[:len(x)].ravel() for x, y in pairs]
+    starts = np.cumsum([0] + [x.size for x in xs[:-1]])
+    return np.logical_and.reduceat(np.concatenate(xs) == np.concatenate(ys), starts).tolist()
 
 
 def _leads(rows: np.ndarray, body: VPolytope) -> bool:
@@ -252,28 +282,40 @@ def delta_j(a: VPolytope | None, b: VPolytope | None, j: int, plan: SamplingPlan
 def delta_j_stack(pairs, j: int, plan: SamplingPlan,
                   workers: int = 1) -> list[MetricEstimate]:
     """delta_j of each (a, b) pair, in order, with the bits delta_j gives
-    the pair on its own, the exact work of all pairs done in passes: every
-    operand's chart is built in one bodies._charts pass (stacked SVDs), then
-    every hull that _flat_value reads in one pass, so that a table's qhull
-    calls run back to back, and only then is each pair answered, from the
-    cached charts or by the sampler."""
+    the pair on its own, the exact work of all pairs done in passes: one
+    comparison finds the pairs whose vertex lists agree on their common
+    head (identical lists, or one leading the other), every operand's chart
+    is built in one bodies._charts pass, then every hull that the pairs
+    read in one pass, so that a table's qhull calls run back to back, and
+    only then is each pair answered (_flat_values), from the cached volumes
+    or by the sampler."""
     pairs = list(pairs)
     for a, b in pairs:
         _check_operands(a, b, j)
+    agree = iter(_heads_agree([(a.vertices, b.vertices) for a, b in pairs
+                               if a is not None and b is not None]))
+    led = [a is not None and b is not None and next(agree) for a, b in pairs]
     # both operands empty, or identical vertex lists: 0 with nothing drawn
-    trivial = [_empty_difference(a, b) for a, b in pairs]
+    trivial = [(a is None and b is None) or (t and a.n_vertices == b.n_vertices)
+               for (a, b), t in zip(pairs, led)]
+    flat = [None] * len(pairs)
     if plan.mode != "monte_carlo":
-        flat = [[x for x in pair if x is not None] for pair, t in zip(pairs, trivial) if not t]
-        _fill_charts([x for ops in flat for x in ops])
-        for ops in flat:  # _flat_value reads the volume of each operand of dimension j
-            charts = [x._chart for x in ops]
-            if all(c.dim <= j for c in charts):
-                for c in charts:
-                    if c.dim == j:
-                        c.volume
+        live = [k for k, t in enumerate(trivial) if not t]
+        _fill_charts([x for k in live for x in pairs[k] if x is not None])
+        for k, f in zip(live, _flat_values(j, [pairs[k] for k in live], [led[k] for k in live])):
+            flat[k] = f
     zero = MetricEstimate(0.0, 0.0, 0, 0, exact=True, per_subspace=())
-    return [zero if t else _delta_pair(a, b, j, plan, workers)
-            for (a, b), t in zip(pairs, trivial)]
+    out = []
+    for (a, b), t, f in zip(pairs, trivial, flat):
+        if t:
+            out.append(zero)
+        elif f is None:
+            out.append(_sampled_pair(a, b, j, plan, workers))
+        elif j == (a if a is not None else b).ambient_dim:
+            out.append(MetricEstimate(f, 0.0, 1, 0, exact=True, per_subspace=((0, f),)))
+        else:
+            out.append(MetricEstimate(f, 0.0, 0, 0, exact=True, per_subspace=()))
+    return out
 
 
 def _check_operands(a: VPolytope | None, b: VPolytope | None, j: int) -> None:
@@ -286,25 +328,14 @@ def _check_operands(a: VPolytope | None, b: VPolytope | None, j: int) -> None:
         raise ValueError(f"need 1 <= j <= d, got (j={j}, d={d})")
 
 
-def _empty_difference(a: VPolytope | None, b: VPolytope | None) -> bool:
-    if a is None or b is None:
-        return a is None and b is None
-    return np.array_equal(a.vertices, b.vertices)
-
-
-def _delta_pair(a: VPolytope | None, b: VPolytope | None, j: int, plan: SamplingPlan,
-                workers: int) -> MetricEstimate:
-    """delta_j of a pair whose vertex lists differ, one of them maybe None."""
+def _sampled_pair(a: VPolytope | None, b: VPolytope | None, j: int, plan: SamplingPlan,
+                  workers: int) -> MetricEstimate:
+    """delta_j of a pair with no exact in-flat value, one operand maybe None."""
     d = a.ambient_dim if a is not None else b.ambient_dim
     va = a.vertices if a is not None else None
     vb = b.vertices if b is not None else None
     exact_inner = plan.mode == "auto" and j <= 2
 
-    f = None if plan.mode == "monte_carlo" else _flat_value(j, a, b)
-    if f is not None:
-        if j == d:
-            return MetricEstimate(f, 0.0, 1, 0, exact=True, per_subspace=((0, f),))
-        return MetricEstimate(f, 0.0, 0, 0, exact=True, per_subspace=())
     if j == d:  # box MC: monte_carlo mode, or a pair at j >= 3 that is not nested
         f, inner_se = _pair_value(va, vb, j, plan.n_points, False, RngStream(plan.seed, 1))
         return MetricEstimate(f, inner_se, 1, plan.n_points, exact=False,
@@ -353,27 +384,43 @@ def hausdorff(a: VPolytope, b: VPolytope) -> float:
 
 
 def hausdorff_stack(bodies, shared: VPolytope) -> list[float]:
-    """hausdorff(a, shared) for each body a, in order and bit for bit: the
-    vertices of every body go to the certificate of the shared body's chart
-    in one call (each row's bits do not depend on the other rows), and then
-    each body gets its certificate towards its own vertices and its Wolfe
-    scan, as hausdorff describes."""
+    """hausdorff(a, shared) for each body a, in order and bit for bit.  One
+    comparison finds the bodies whose vertex list agrees with the shared
+    one's on their common head: the shorter list's vertices are then
+    vertices of the other body, at distance 0, and need no certificate.
+    The vertices of every other body go to the certificate of the shared
+    body's chart in one call (each row's bits do not depend on the other
+    rows), and each body's largest certified distance is read off in one
+    reduction; the shared vertices go to each body's own certificate where
+    they must.  A body whose certificates settle every vertex has the
+    largest of those distances as its value, and only a body that has rows
+    left gets hausdorff's Wolfe scan."""
     bodies = list(bodies)
     if any(a.ambient_dim != shared.ambient_dim for a in bodies):
         raise ValueError("operands live in different dimensions")
-    # a body whose vertex list leads the shared one's needs no certificate
-    lead = [_leads(a.vertices, shared) for a in bodies]
-    far = [a.vertices for a, led in zip(bodies, lead) if not led]
-    split = iter(())
+    m = shared.n_vertices
+    agree = _heads_agree([(a.vertices, shared.vertices) for a in bodies])
+    there = [not (t and a.n_vertices <= m) for a, t in zip(bodies, agree)]
+    best, settled = np.zeros(len(bodies)), np.ones(len(bodies), dtype=bool)
+    far = [k for k, t in enumerate(there) if t]
+    spans = {}  # body -> its rows of the one certificate
     if far:
-        dist, ok = shared._chart.certified(np.concatenate(far))
-        cuts = np.cumsum([len(v) for v in far])[:-1]
-        split = zip(np.split(dist, cuts), np.split(ok, cuts))
-    out = []
-    for a, led in zip(bodies, lead):
-        there = None if led else next(split)
-        back = None if _leads(shared.vertices, a) else a._chart.certified(shared.vertices)
-        out.append(_hausdorff_scan(a, shared, there, back))
+        sizes = [bodies[k].n_vertices for k in far]
+        dist, ok = shared._chart.certified(np.concatenate([bodies[k].vertices for k in far]))
+        starts = np.cumsum([0] + sizes[:-1])
+        best[far] = np.maximum.reduceat(dist, starts)
+        settled[far] = np.logical_and.reduceat(ok, starts)
+        spans = {k: slice(lo, lo + n) for k, lo, n in zip(far, starts.tolist(), sizes)}
+    back = [None if t and m <= a.n_vertices else a._chart.certified(shared.vertices)
+            for a, t in zip(bodies, agree)]
+    for k, cert in enumerate(back):
+        if cert is not None:
+            best[k] = max(best[k], cert[0].max())
+            settled[k] &= cert[1].all()
+    out = best.tolist()
+    for k in np.flatnonzero(~settled):
+        there_cert = (dist[spans[k]], ok[spans[k]]) if k in spans else None
+        out[k] = _hausdorff_scan(bodies[k], shared, there_cert, back[k])
     return out
 
 
@@ -393,8 +440,6 @@ def _hausdorff_scan(a: VPolytope, b: VPolytope, there, back) -> float:
         if rows.size:
             keys.append(lo + rows)
             bounds.append(_nearest_vertex_distances(p[rows], body.vertices))
-    if not keys:
-        return best
     keys, bounds = np.concatenate(keys), np.concatenate(bounds)
     for i in np.argsort(-bounds, kind="stable"):
         if bounds[i] * (1.0 + _BOUND_SLACK) <= best:

@@ -21,7 +21,6 @@ import math
 import numpy as np
 
 from .bodies import (
-    _affine_ranks,
     _Chart,
     _charts,
     hull_2d,
@@ -128,8 +127,9 @@ def mc_volume_stack(vertex_sets, j: int, n: int, streams,
     (None: no exclusion), with the bits and stream advance each row has on
     its own.  The streams share one seed and counter, and the rows that
     sample draw their boxes' uniforms in one call over their stream keys;
-    each set's rank, and at j >= 3 its chart's hull, is read once.  A row
-    that spans no j-flat or lies in its exclusion ball draws nothing."""
+    each set's chart gives its rank, and at j >= 3 its hull, read once.
+    A row that spans no j-flat or lies in its exclusion ball draws
+    nothing."""
     sets = list(vertex_sets)
     if not sets:
         return []
@@ -137,10 +137,9 @@ def mc_volume_stack(vertex_sets, j: int, n: int, streams,
     seed, counter = streams[0].seed, streams[0].counter
     if any(s.seed != seed or s.counter != counter for s in streams):
         raise ValueError("the streams of a stack must share one seed and counter")
-    charts = _charts(sets) if j >= 3 else None
-    ranks = [c.dim for c in charts] if charts is not None else _affine_ranks(sets)
-    draw = [k for k, (verts, rank, r) in enumerate(zip(sets, ranks, radii))
-            if rank >= j and (r is None or np.max(np.einsum("ij,ij->i", verts, verts)) > r * r)]
+    charts = _charts(sets)
+    draw = [k for k, (verts, c, r) in enumerate(zip(sets, charts, radii))
+            if c.dim >= j and (r is None or np.max(np.einsum("ij,ij->i", verts, verts)) > r * r)]
     out = [(0.0, 0.0)] * len(sets)
     if not draw:
         return out
@@ -150,7 +149,7 @@ def mc_volume_stack(vertex_sets, j: int, n: int, streams,
         streams[k].counter += n * j
         verts, r = sets[k], radii[k]
         pts, box_vol = _sample_box(verts, uk)
-        hit = inside(verts, pts) if charts is None else _in_chart(charts[k], pts, 1e-12)
+        hit = inside(verts, pts) if j <= 2 else _in_chart(charts[k], pts, 1e-12)
         if r is not None:
             hit &= np.einsum("ij,ij->i", pts, pts) > r * r
         out[k] = _box_estimate(hit, box_vol)

@@ -12,6 +12,7 @@ from projmetrics.bodies import (
     NonConvergenceError,
     VPolytope,
     _FACET_BLOCK,
+    _charts,
     _min_norm_point,
     bounding_radius,
     contains,
@@ -329,6 +330,26 @@ class TestFacets:
         inside = contains(body, pts)
         assert 0 < np.count_nonzero(inside) < len(pts)
         assert np.array_equal(inside, [contains(body, p[None])[0] for p in pts])
+
+    def test_charts_of_mixed_sizes_pad_within_size_groups(self):
+        # one large set among many small ones: one stack of all, padded to
+        # the large one, would take 51 copies of it; padding within size
+        # groups at most doubles the input, and the SVD works on a copy
+        rng = np.random.default_rng(5)
+        sets = [rng.normal(size=(20_000, 4))]
+        sets += [flat_body(rng, 4, 1 + k % 4).vertices for k in range(50)]
+        tracemalloc.start()
+        try:
+            charts = _charts(sets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * sum(v.nbytes for v in sets)
+        for v, chart in zip(sets, charts):
+            alone = _charts([v])[0]
+            assert chart.dim == alone.dim
+            assert np.array_equal(chart.coords, alone.coords)
+            assert np.array_equal(chart.frame, alone.frame)
 
 
 def flat_body(rng: np.random.Generator, d: int, r: int) -> VPolytope:

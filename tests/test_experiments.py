@@ -289,7 +289,8 @@ class TestThm1Runner:
             assert float(record["delta_se"]) == 0.0
             assert float(record["delta_hat"]) == pytest.approx(in_plane, rel=1e-12)
 
-    @pytest.mark.parametrize("d,j", [(3, 2), (4, 3), (5, 4), (6, 5), (5, 5), (6, 6)])
+    @pytest.mark.parametrize("d,j", [(3, 2), (4, 3), (5, 4), (6, 5), (5, 5), (6, 6),
+                                     (7, 6), (8, 6)])
     def test_closed_form_rows(self, d, j):
         table = run_thm1(ExperimentConfig(d=d, j=j, seed=1, n_subspaces=50, n_points=500,
                                           steps=12))
@@ -298,6 +299,14 @@ class TestThm1Runner:
             exact = thm1_closed_form(float(record["L_i"]), float(record["eps_i"]), j)
             assert float(record["delta_se"]) == 0.0
             assert float(record["delta_hat"]) == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("j,ds", [(2, (2, 3, 5)), (3, (3, 4, 6))])
+    def test_flat_columns_do_not_depend_on_d(self, j, ds):
+        # every body lies in span{e_1..e_j} and is charted by those columns
+        tables = [run_thm1(ExperimentConfig(d=d, j=j, seed=1, n_subspaces=50, n_points=500,
+                                            steps=12)) for d in ds]
+        for name in ("delta_hat", "d_hausdorff"):
+            assert all(t.column(name) == tables[0].column(name) for t in tables[1:])
 
     def test_monte_carlo_mode_worker_invariance(self, tmp_path):
         # mode="monte_carlo" keeps the per-sample box MC and the process pool
@@ -489,6 +498,13 @@ class TestThm3Runner:
             m = int(record["m"])
             assert float(record["claimed_step"]) == pytest.approx(
                 0.25 * 2.0 ** -(m + 1), abs=1e-12)
+
+    @pytest.mark.parametrize("j,ds", [(2, (3, 4, 6)), (3, (4, 6))])
+    def test_flat_column_does_not_depend_on_d(self, j, ds):
+        columns = [run_thm3(ExperimentConfig(d=d, j=j, seed=1, n_subspaces=50, n_points=500,
+                                             steps=12)).column("delta_to_empty_hat")
+                   for d in ds]
+        assert all(c == columns[0] for c in columns[1:])
 
     @pytest.mark.parametrize("d,j", [(3, 2), (4, 3)])
     def test_flat_runs_draw_no_frames(self, monkeypatch, d, j):

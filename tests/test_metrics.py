@@ -8,7 +8,7 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from conftest import random_convex_polygon, unit_cube
-from projmetrics import bodies, metrics
+from projmetrics import bodies, metrics, oracles
 from projmetrics.bodies import VPolytope, distance_to_hull
 from projmetrics.constructions import (
     NeedleSpec,
@@ -182,8 +182,9 @@ class TestDeltaJ:
 
     def test_top_dimension_keeps_vertex_order(self):
         # j = d >= 3 takes qhull's volume of each operand's vertex list as
-        # given, so the bits follow that order (below j = d the sorted union
-        # makes them order-invariant: TestFlatSolids.test_symmetry_bitwise);
+        # given, so the bits follow that order, as in every coordinate flat
+        # (in an oblique flat the sorted rows make them order-invariant:
+        # TestFlatSolids.test_symmetry_bitwise);
         # this body's qhull volume takes three values over 20 orders
         verts = np.random.default_rng(20).uniform(-1.0, 1.0, size=(10, 3))
         inner = 0.6 * verts + 0.4 * verts.mean(axis=0)
@@ -494,6 +495,25 @@ class TestFlatCharts:
         run_thm1(ExperimentConfig(d=4, j=3, steps=12, n_subspaces=50, n_points=500, seed=1))
         assert calls == [12 * 16]  # every row's 8 cube and 8 needle vertices
 
+    @pytest.mark.parametrize("runner,d,j", [
+        (run_thm1, 4, 3), (run_thm3, 4, 3), (run_thm1, 3, 2), (run_thm2, 3, 2), (run_thm3, 3, 2)])
+    def test_coordinate_charts_take_no_frame_svd(self, monkeypatch, runner, d, j):
+        # every thm body lies in span{e_1..e_j}: its chart is read off its
+        # columns, after one rank SVD per _charts call
+        calls = {name: [] for name in ("_charts", "_numerical_ranks", "_frames",
+                                       "_distinct_rows", "_qhull")}
+        for name, seen in calls.items():
+            counted = (lambda *args, f=getattr(bodies, name), seen=seen:
+                       seen.append(1) or f(*args))
+            for module in (bodies, metrics, oracles):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        runner(ExperimentConfig(d=d, j=j, steps=12, n_subspaces=50, n_points=500, seed=1))
+        assert calls["_frames"] == calls["_distinct_rows"] == []
+        assert calls["_charts"] and len(calls["_numerical_ranks"]) == len(calls["_charts"])
+        if j == 3:
+            assert len(calls["_qhull"]) == 13
+
     def test_charts_are_cached(self):
         a, b, _, _ = tilted_solids(3)
         plan = SamplingPlan(seed=3)
@@ -503,6 +523,58 @@ class TestFlatCharts:
         assert delta_j(b, a, 3, plan) == first
         assert a._chart is charts[0] and b._chart is charts[1]
         assert all(x._chart.hull is h for x, h in zip((a, b), hulls))
+
+
+class TestObliqueCharts:
+    """A body whose varying coordinates outnumber its rank lies in an
+    oblique flat and keeps the sorted-rows SVD frame, with the values it
+    had before coordinate charts."""
+
+    CASES = {  # vertices, j, and intrinsic_volume, delta_j to a shrunk copy,
+        # hausdorff to it and to a shifted copy, as the frame path gives them
+        "triangle in R3": (
+            [[0.0, 0.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], 2,
+            (0.8660254037844384, 0.5542562584220404, 0.32659863237109044,
+             0.43301270189221946)),
+        "tetrahedron in R4": (
+            [[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0],
+             [0.0, 0.0, 1.0, 1.0]], 3,
+            (0.3333333333333333, 0.26133333333333336, 0.3464101615137755,
+             0.5000000000000001)),
+        "diagonal segment": (
+            [[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]], 1,
+            (1.414213562373095, 0.5656854249492378, 0.282842712474619,
+             0.4330127018922193)),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_frame_path_values(self, monkeypatch, case):
+        verts, j, (volume, delta, near, shifted) = self.CASES[case]
+        v = np.array(verts)
+        frames = []
+        monkeypatch.setattr(bodies, "_frames",
+                            lambda stack, f=bodies._frames: frames.append(1) or f(stack))
+        outer = VPolytope(v)
+        inner = VPolytope((0.6 * v + 0.4 * v.mean(axis=0))[::-1])
+        plan = SamplingPlan(seed=1)
+        assert intrinsic_volume(outer, j, plan).value == volume
+        est = delta_j(outer, inner, j, plan)
+        assert est.exact and est.n_subspaces == 0 and est.value == delta
+        assert hausdorff(outer, inner) == near
+        assert hausdorff(outer, VPolytope(v + 0.25)) == shifted
+        assert frames and not np.isin(outer._chart.frame, (0.0, 1.0)).all()
+
+    def test_coordinate_chart_is_exact(self):
+        v = np.array([[0.5, 3.0, 0.1, -2.0], [0.7, 3.0, 0.2, -2.0], [0.3, 3.0, 0.9, -2.0]])
+        chart = VPolytope(v)._chart
+        assert chart.dim == 2
+        assert chart.origin.tolist() == [0.0, 3.0, 0.0, -2.0]
+        assert chart.frame.tolist() == [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]
+        assert chart.normal.tolist() == [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+        assert np.array_equal(chart.coords, v[:, [0, 2]])
+        pts = np.array([[1.0, 2.0, 3.0, 4.0]])
+        assert chart.to_flat(pts).tolist() == [[1.0, 3.0]]
+        assert chart.off_flat(pts).tolist() == [[-1.0, 6.0]]
 
 
 def same_estimate(x: MetricEstimate, y: MetricEstimate) -> bool:
