@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
 """Run thm1, thm2 and thm3 through the CLI at every accepted 2 <= j <= d <= 8.
 
-Each cell runs at --steps 12, 50 subspaces, 500 points and seed 1, with
-RuntimeWarnings turned into errors.  One line per cell gives the exit code
-and the seconds taken; after the count of failed cells, the last line gives
-each command's seconds summed over its cells.  The script exits 1 if any
-cell did not exit 0.  An
+Each cell runs at --steps 12, 50 subspaces and 500 points, with
+RuntimeWarnings turned into errors: thm1 at seed 1, thm2 and thm3 at seeds
+1, 2 and 7 (seed 1 alone misses good subspaces that see the last spindles
+as slivers).  One line per cell gives the exit code and the seconds taken;
+after the count of failed cells, the last line gives each command's seconds
+summed over its cells.  The script exits 1 if any cell did not exit 0.  An
 exception that escapes the CLI is printed with its traceback and reported
 as the cell's exit code "exception".
 
 Usage: PYTHONPATH=src python scripts/envelope_sweep.py
 About a minute end to end, most of it thm1 at (8, 8), whose 8-D qhull
-volumes take seconds each; the tables go to a temporary directory.
+volumes take seconds each; the thm2 and thm3 cells take about 20 s
+together.  The tables go to a temporary directory.
 """
 
 import pathlib
@@ -25,17 +27,21 @@ from projmetrics.experiments.cli import main as cli_main
 
 
 def cells():
-    """(command, d, j) for every cell the CLI accepts: thm2 and thm3 need j < d."""
+    """(command, d, j, seed) for every cell the CLI accepts: thm2 and thm3
+    need j < d."""
     for d in range(2, 9):
         for j in range(2, d + 1):
-            for command in ("thm1", "thm2", "thm3"):
-                if command == "thm1" or j < d:
-                    yield command, d, j
+            yield "thm1", d, j, 1
+            if j < d:
+                for command in ("thm2", "thm3"):
+                    for seed in (1, 2, 7):
+                        yield command, d, j, seed
 
 
-def run_cell(command: str, d: int, j: int, out: pathlib.Path):
+def run_cell(command: str, d: int, j: int, seed: int, out: pathlib.Path):
     argv = [command, "-d", str(d), "-j", str(j), "--steps", "12", "--subspaces", "50",
-            "--points", "500", "--seed", "1", "--out", str(out / f"{command}_d{d}_j{j}.csv")]
+            "--points", "500", "--seed", str(seed),
+            "--out", str(out / f"{command}_d{d}_j{j}_s{seed}.csv")]
     start = time.perf_counter()
     try:
         with warnings.catch_warnings():
@@ -51,12 +57,13 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         failed = []
         totals = {}
-        for command, d, j in cells():
-            code, seconds = run_cell(command, d, j, pathlib.Path(tmp))
-            print(f"{command} d={d} j={j} exit={code} seconds={seconds:.2f}", flush=True)
+        for command, d, j, seed in cells():
+            code, seconds = run_cell(command, d, j, seed, pathlib.Path(tmp))
+            print(f"{command} d={d} j={j} seed={seed} exit={code} seconds={seconds:.2f}",
+                  flush=True)
             totals[command] = totals.get(command, 0.0) + seconds
             if code != 0:
-                failed.append(f"{command}({d},{j})")
+                failed.append(f"{command}({d},{j},seed {seed})")
     print(f"{len(failed)} failed cell(s)" + (": " + " ".join(failed) if failed else ""))
     print("seconds per command: " + " ".join(f"{c}={s:.2f}" for c, s in totals.items()))
     return 1 if failed else 0

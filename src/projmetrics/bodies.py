@@ -13,9 +13,10 @@ test.  Points that certificate does not settle, and bodies whose chart is
 of higher dimension, get Wolfe's min-norm point.  The volumes give metrics
 its exact in-flat values.  Many bodies' charts can be built in one pass
 (_fill_charts), with one rank SVD for all bodies of similar size.  Exact
-2-D geometry (monotone-chain hull, shoelace area, convex clipping, at
-tolerances scaled by the point set's own extent) provides the oracle
-against which Monte Carlo estimators are checked.
+2-D geometry (a monotone-chain hull whose turns are tested at the rounding
+error of each turn, shoelace area, and convex clipping at a tolerance
+scaled by the point set's own extent) provides the oracle against which
+Monte Carlo estimators are checked.
 """
 
 from __future__ import annotations
@@ -710,36 +711,49 @@ def _extent(points: list[tuple[float, float]]) -> float:
     return max(max(xs) - min(xs), max(ys) - min(ys))
 
 
-def _cross(o, a, b) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+# Shewchuk's orient2d error bound ("Adaptive precision floating-point
+# arithmetic and fast robust geometric predicates", 1997): a cross product
+# lhs - rhs larger than this times |lhs| + |rhs| has the sign of the exact one.
+_ORIENT_ERR = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
+
+
+def _chain(points) -> list[tuple[float, float]]:
+    """One monotone chain over the sorted points: each point is kept only
+    where it makes a left turn beyond the rounding error of that turn's own
+    cross product, lhs - rhs > _ORIENT_ERR (|lhs| + |rhs|).  That test reads
+    lhs - rhs > _ORIENT_ERR |lhs + rhs| here, with the same outcome: the two
+    bounds are equal when lhs and rhs share a sign, and otherwise
+    |lhs| + |rhs| = |lhs - rhs|, so both tests hold exactly when
+    lhs - rhs > 0."""
+    err = _ORIENT_ERR
+    chain: list[tuple[float, float]] = []
+    for p in points:
+        px, py = p
+        while len(chain) > 1:
+            ox, oy = chain[-2]
+            ax, ay = chain[-1]
+            lhs = (ax - ox) * (py - oy)
+            rhs = (ay - oy) * (px - ox)
+            if lhs - rhs > err * abs(lhs + rhs):
+                break
+            chain.pop()
+        chain.append(p)
+    return chain
 
 
 def hull_2d(points: np.ndarray) -> np.ndarray:
-    """Counter-clockwise convex hull (monotone chain); collinear interior
-    points dropped at cross-product tolerance 1e-12 times the square of the
-    point set's extent (its bounding box's longest side), so a set keeps its
-    hull at every scale and position."""
+    """Counter-clockwise convex hull (monotone chain, _chain).  Collinear
+    points are dropped, a thin sliver keeps its vertices however thin it is
+    against its extent, and the turn test has no scale of its own, so a set
+    keeps its hull at every scale."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("expected an (n, 2) point array")
-    uniq = sorted(set(map(tuple, pts.tolist())))
+    uniq = sorted(set(zip(*pts.T.tolist())))
     if len(uniq) == 1:
         return np.array(uniq)
-    eps = 1e-12 * _extent(uniq) ** 2
-    lower: list[tuple[float, float]] = []
-    for p in uniq:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= eps:
-            lower.pop()
-        lower.append(p)
-    upper: list[tuple[float, float]] = []
-    for p in reversed(uniq):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= eps:
-            upper.pop()
-        upper.append(p)
-    ring = lower[:-1] + upper[:-1]
-    if len(ring) < 2:  # all points collinear: keep the two extremes
-        ring = [uniq[0], uniq[-1]]
-    return np.array(ring)
+    # collinear points leave a ring of their two extremes
+    return np.array(_chain(uniq)[:-1] + _chain(reversed(uniq))[:-1])
 
 
 def polygon_area(ring: np.ndarray) -> float:
@@ -756,7 +770,7 @@ def polygon_area(ring: np.ndarray) -> float:
 def polygon_clip(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
     """Intersection of two CCW convex rings by successive half-plane
     clipping, at cross-product tolerance 1e-12 times the square of the
-    extent of both rings together, as in hull_2d."""
+    extent of both rings together."""
     sub = list(map(tuple, np.asarray(subject, dtype=float).tolist()))
     clp = list(map(tuple, np.asarray(clip, dtype=float).tolist()))
     if len(sub) < 3 or len(clp) < 3:

@@ -42,7 +42,7 @@ from ..metrics import (
     projected_volume,
 )
 from ..numerics import RngStream, flag_coefficient, needle_bound_constant, uniform_block
-from ..oracles import exact_symdiff, mc_symdiff, mc_volume_stack
+from ..oracles import exact_outside_area_stack, exact_symdiff, mc_symdiff, mc_volume_stack
 from .config import ConfigError, ExperimentConfig
 from .tables import CsvTable
 
@@ -179,8 +179,12 @@ def run_thm2(cfg: ExperimentConfig) -> CsvTable:
     Each row m holds the step delta_j(K_m, K_{m-1}) (all rows in one
     delta_j_stack pass) and, in one good subspace H from the scan, the
     block bounds of the row's spindle, its projected volume (the measured
-    block) and the box-MC mass of the projected body outside the exclusion
-    ball of radius R_m (every row's in one mc_volume_stack draw).
+    block) and the mass of the projected body outside the exclusion ball of
+    radius R_m.  Under auto at j = 2 that mass is the exact area outside
+    the disc, every row's in one oracles.exact_outside_area_stack pass, with
+    se 0; otherwise (j >= 3, or monte_carlo mode) it is box MC, every row's
+    in one mc_volume_stack draw.  A footer line names the method, and for
+    box MC its points per row and largest se.
 
     Hard assertions: the schedule identity to 1e-12, and the measured
     projected needle volume at least the cone-corrected block bound.  The
@@ -198,11 +202,18 @@ def run_thm2(cfg: ExperimentConfig) -> CsvTable:
     good_fraction, (h_good, cert) = _good_subspace_scan(cfg, plane, u)
     bodies = [body for _, body in seq]
     ests = delta_j_stack(zip(bodies, [base, *bodies[:-1]]), cfg.j, plan, workers=cfg.workers)
-    outside = mc_volume_stack(
-        [body.vertices @ h_good.basis for body in bodies], cfg.j, plan.n_points,
-        [RngStream(cfg.seed, AUX_STREAM_BASE + 4 * cfg.n_subspaces + idx)
-         for idx in range(len(seq))],
-        [row.exclusion_radius for row, _ in seq])
+    projected = [body.vertices @ h_good.basis for body in bodies]
+    radii = [row.exclusion_radius for row, _ in seq]
+    if plan.mode == "auto" and cfg.j == 2:
+        outside = [(mass, 0.0) for mass in exact_outside_area_stack(projected, radii)]
+        method = "exact area outside the disc of radius R_m (hull ring and disc), se 0"
+    else:
+        outside = mc_volume_stack(
+            projected, cfg.j, plan.n_points,
+            [RngStream(cfg.seed, AUX_STREAM_BASE + 4 * cfg.n_subspaces + idx)
+             for idx in range(len(seq))], radii)
+        method = (f"box Monte Carlo, {plan.n_points} points per row, "
+                  f"largest se {max(se for _, se in outside):.6g}")
 
     table = CsvTable(header=["m", "L_m", "eps_m", "T_m", "R_m", "claimed_step",
                              "step_delta_hat", "step_se", "good_H_fraction",
@@ -239,6 +250,7 @@ def run_thm2(cfg: ExperimentConfig) -> CsvTable:
         prev = body
     table.footer_comments.append(
         f"claimed_step partial sum: {sum(r.claimed_step_bound for r, _ in seq):.17g}")
+    table.footer_comments.append(f"outside_mass_hat: {method}")
     return table
 
 

@@ -249,11 +249,15 @@ def _collect_values(seed, n, d, j, va, vb, n_points, exact_inner, workers) -> np
 
 def projected_volume(body: VPolytope, h: Subspace, plan: SamplingPlan,
                      sample_index: int = AUX_STREAM_BASE) -> MetricEstimate:
-    """j-volume of the projection of the body into h (in h coordinates)."""
+    """j-volume of the projection of the body into h.  The body's offsets
+    from its vertex mean are projected, which leaves the volume as it is:
+    a thin body far from the origin then keeps its width's bits, which a
+    projection of its raw coordinates would round at the scale of its
+    distance from the origin."""
     if body.ambient_dim != h.ambient_dim:
         raise ValueError("body and subspace ambient dimensions differ")
     j = h.dim
-    verts = body.vertices @ h.basis
+    verts = (body.vertices - body.vertices.mean(axis=0)) @ h.basis
     if plan.mode == "auto":  # qhull volume at j >= 3
         val = exact_volume(verts, j)
         return MetricEstimate(val, 0.0, 1, 0, exact=True, per_subspace=((0, val),))
@@ -388,11 +392,11 @@ def hausdorff_stack(bodies, shared: VPolytope) -> list[float]:
     comparison finds the bodies whose vertex list agrees with the shared
     one's on their common head: the shorter list's vertices are then
     vertices of the other body, at distance 0, and need no certificate.
-    The vertices of every other body go to the certificate of the shared
-    body's chart in one call (each row's bits do not depend on the other
-    rows), and each body's largest certified distance is read off in one
-    reduction; the shared vertices go to each body's own certificate where
-    they must.  A body whose certificates settle every vertex has the
+    The vertices of every body past that head go to the certificate of the
+    shared body's chart in one call (each row's bits do not depend on the
+    other rows), and each body's largest certified distance is read off in
+    one reduction; the shared vertices go to each body's own certificate
+    where they must.  A body whose certificates settle every vertex has the
     largest of those distances as its value, and only a body that has rows
     left gets hausdorff's Wolfe scan."""
     bodies = list(bodies)
@@ -400,13 +404,14 @@ def hausdorff_stack(bodies, shared: VPolytope) -> list[float]:
         raise ValueError("operands live in different dimensions")
     m = shared.n_vertices
     agree = _heads_agree([(a.vertices, shared.vertices) for a in bodies])
-    there = [not (t and a.n_vertices <= m) for a, t in zip(bodies, agree)]
+    head = [m if t else 0 for t in agree]  # leading rows that are the shared body's vertices
+    far = [k for k, a in enumerate(bodies) if a.n_vertices > head[k]]
     best, settled = np.zeros(len(bodies)), np.ones(len(bodies), dtype=bool)
-    far = [k for k, t in enumerate(there) if t]
     spans = {}  # body -> its rows of the one certificate
     if far:
-        sizes = [bodies[k].n_vertices for k in far]
-        dist, ok = shared._chart.certified(np.concatenate([bodies[k].vertices for k in far]))
+        sizes = [bodies[k].n_vertices - head[k] for k in far]
+        dist, ok = shared._chart.certified(
+            np.concatenate([bodies[k].vertices[head[k]:] for k in far]))
         starts = np.cumsum([0] + sizes[:-1])
         best[far] = np.maximum.reduceat(dist, starts)
         settled[far] = np.logical_and.reduceat(ok, starts)
@@ -419,7 +424,10 @@ def hausdorff_stack(bodies, shared: VPolytope) -> list[float]:
             settled[k] &= cert[1].all()
     out = best.tolist()
     for k in np.flatnonzero(~settled):
-        there_cert = (dist[spans[k]], ok[spans[k]]) if k in spans else None
+        there_cert = None
+        if k in spans:  # the head's rows are certified at distance 0
+            there_cert = (np.concatenate([np.zeros(head[k]), dist[spans[k]]]),
+                          np.concatenate([np.ones(head[k], dtype=bool), ok[spans[k]]]))
         out[k] = _hausdorff_scan(bodies[k], shared, there_cert, back[k])
     return out
 

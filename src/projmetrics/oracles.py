@@ -4,12 +4,14 @@ difference of vertex sets given in R^j coordinates.
 Exact oracles: interval arithmetic at j = 1 and hull_2d / shoelace /
 polygon_clip at j = 2 for all three; at j >= 3 containment and volume read
 the facets and volume of the set's chart (bodies._Chart, one qhull call),
-and the symmetric difference has no exact oracle.  Membership at j <= 2 is
-tested at a tolerance scaled by the operand's own extent, so a body keeps
-its samples at every scale.  Box Monte Carlo oracles sample the bounding
-box of the operands from one RngStream, so their bits depend only on the
-stream; mc_volume_stack draws many rows' boxes in one call over their
-stream keys, with the bits each row has alone.  A box estimate with zero
+and the symmetric difference has no exact oracle.  At j = 2 the area of a
+hull outside a centred disc is exact too (exact_outside_area_stack, one
+ring-and-disc pass over many rows).  Membership at j <= 2 is tested at a
+tolerance scaled by the operand's own extent, so a body keeps its samples
+at every scale.  Box Monte Carlo oracles sample the bounding box of the
+operands from one RngStream, so their bits depend only on the stream;
+mc_volume_stack draws many rows' boxes in one call over their stream keys,
+with the bits each row has alone.  A box estimate with zero
 hits reports the rule of three, se = box_vol * 3/n (the 95% upper bound on
 the hit rate is about 3/n), never 0 +- 0.
 """
@@ -34,6 +36,7 @@ __all__ = [
     "inside",
     "exact_volume",
     "exact_symdiff",
+    "exact_outside_area_stack",
     "mc_volume",
     "mc_volume_stack",
     "mc_symdiff",
@@ -44,8 +47,8 @@ def inside(verts: np.ndarray, pts: np.ndarray, tol: float = 1e-12) -> np.ndarray
     """Points of pts in the convex hull of verts (both in R^j), at tol times
     the set's own scale: its length at j = 1 and the square of its extent
     (the longest side of its bounding box) at j = 2, where the test reads
-    edge cross products, as hull_2d's collinearity test does; at j >= 3 the
-    facet test of the chart's hull, at tol times the chart's scale."""
+    edge cross products; at j >= 3 the facet test of the chart's hull, at
+    tol times the chart's scale."""
     j = verts.shape[1]
     if j == 1:
         lo, hi = float(verts.min()), float(verts.max())
@@ -92,6 +95,72 @@ def exact_symdiff(va: np.ndarray, vb: np.ndarray, j: int) -> float:
         inter = polygon_area(polygon_clip(ra, rb))
         return max(0.0, polygon_area(ra) + polygon_area(rb) - 2.0 * inter)
     raise ValueError(f"no exact symmetric difference oracle at j={j}; it covers j <= 2")
+
+
+def exact_outside_area_stack(vertex_sets, radii) -> list[float]:
+    """For each vertex set in R^2 and radius r, the area of its convex hull
+    outside the centred disc of radius r: the value that mc_volume_stack
+    estimates at j = 2 with exclusion radius r.
+
+    The hull_2d ring of a row splits into the signed triangles (0, a, b) of
+    its edges, and the part of each triangle outside the disc lies over the
+    pieces of its edge outside the disc (_outside_parts).  Every row's edges
+    go through one numpy pass, and each row's sum has the bits the row has
+    alone.  A row that spans no 2-flat (a ring of fewer than three points)
+    or lies in its disc (every vertex norm <= r) gives exactly 0.0."""
+    sets, radii = list(vertex_sets), list(radii)
+    out = [0.0] * len(sets)
+    if not sets:
+        return out
+    pts = np.concatenate(sets)
+    reach2 = np.maximum.reduceat(pts[:, 0] * pts[:, 0] + pts[:, 1] * pts[:, 1],
+                                 np.cumsum([0] + [len(v) for v in sets[:-1]]))
+    rings = {k: hull_2d(sets[k]) for k in np.flatnonzero(reach2 > np.square(radii)).tolist()}
+    live = [k for k, ring in rings.items() if len(ring) >= 3]
+    if not live:
+        return out
+    sizes = [len(rings[k]) for k in live]
+    starts = np.cumsum([0] + sizes[:-1])
+    a = np.concatenate([rings[k] for k in live])
+    succ = np.arange(1, len(a) + 1)  # each ring vertex's successor
+    succ[starts + sizes - 1] = starts
+    r2 = np.repeat([radii[k] * radii[k] for k in live], sizes)
+    sums = np.add.reduceat(_outside_parts(a, a[succ], r2), starts)
+    for k, s in zip(live, sums.tolist()):
+        out[k] = max(0.0, s)
+    return out
+
+
+def _outside_parts(a: np.ndarray, b: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """The signed area of each triangle (0, a_i, b_i) outside the centred
+    disc of squared radius r2_i.  The edge a -> b meets the circle where
+    |a + t (b - a)|^2 = r2; its chord inside the disc runs from p to q
+    (p = q = b when the edge misses the disc's interior, a tangent edge
+    included), and the triangle (0, p, q) lies in the disc.  Over each of
+    the pieces a -> p and q -> b, which lie outside the disc, the part
+    outside is the triangle less its sector (_beyond_arc)."""
+    e = b - a
+    qa = e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1]
+    qb = a[:, 0] * e[:, 0] + a[:, 1] * e[:, 1]
+    qc = a[:, 0] * a[:, 0] + a[:, 1] * a[:, 1] - r2
+    disc = qb * qb - qa * qc
+    cuts = (qa > 0.0) & (disc > 0.0)  # a zero-length edge cuts nothing
+    root = np.sqrt(np.where(cuts, disc, 0.0))
+    span = np.where(cuts, qa, 1.0)
+    t0 = np.where(cuts, np.clip((-qb - root) / span, 0.0, 1.0), 1.0)
+    t1 = np.where(cuts, np.clip((-qb + root) / span, 0.0, 1.0), 1.0)
+    p = np.where((t0 < 1.0)[:, None], a + t0[:, None] * e, b)
+    q = np.where((t1 > 0.0)[:, None], b - (1.0 - t1)[:, None] * e, a)
+    return 0.5 * (_beyond_arc(a, p, r2) + _beyond_arc(q, b, r2))
+
+
+def _beyond_arc(x: np.ndarray, y: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """Twice the signed area of each triangle (0, x_i, y_i) outside the disc,
+    for a segment x -> y outside it: cross(x, y) less r2 times the signed
+    angle from x to y, atan2(cross, dot), twice the sector's area."""
+    cross = x[:, 0] * y[:, 1] - x[:, 1] * y[:, 0]
+    dot = x[:, 0] * y[:, 0] + x[:, 1] * y[:, 1]
+    return cross - r2 * np.arctan2(cross, dot)
 
 
 def _sample_box(verts: np.ndarray, u: np.ndarray):

@@ -438,6 +438,18 @@ class TestHull2d:
         assert ring.shape[0] == 2
         assert polygon_area(ring) == 0.0
 
+    @pytest.mark.parametrize("shift", [0.0, 16.0, -1e3])
+    def test_thin_sliver_keeps_its_vertices(self, shift):
+        # a spindle of length 4096 and half-width 2^-30: 2 area / extent^2 is
+        # 4.5e-13, and a tolerance of 1e-12 extent^2 on each turn kept only
+        # its two ends, so its area read 0
+        eps = 2.0**-30
+        pts = np.array([[-2048.0, 0.5], [2048.0, 0.5], [0.0, 0.5 + eps], [0.0, 0.5 - eps]])
+        pts[:, 0] += shift
+        ring = hull_2d(pts)
+        assert ring.shape == (4, 2)
+        assert polygon_area(ring) == pytest.approx(4096.0 * eps, rel=1e-9)
+
     def test_contains_all_inputs(self):
         rng = np.random.default_rng(3)
         angles = rng.uniform(0, 2 * math.pi, 100)

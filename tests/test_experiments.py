@@ -14,7 +14,7 @@ import pytest
 
 from scipy.spatial import ConvexHull
 
-from projmetrics import grassmann, metrics
+from projmetrics import grassmann, metrics, oracles
 from projmetrics.bodies import VPolytope, distance_to_hull, save_body
 from projmetrics.constructions import (
     NeedleSpec,
@@ -50,7 +50,7 @@ from projmetrics.experiments.runners import (
 from projmetrics.grassmann import Subspace, full_space, goodness, haar_frames, project_body
 from projmetrics.metrics import SamplingPlan
 from projmetrics.numerics import RngStream, needle_bound_constant
-from projmetrics.oracles import mc_volume
+from projmetrics.oracles import exact_outside_area_stack, mc_volume
 
 SMALL = dict(d=3, j=2, seed=42, n_subspaces=150, n_points=2000, steps=3)
 
@@ -384,10 +384,12 @@ class TestThm2Runner:
 
 def thm2_row_loop(cfg: ExperimentConfig):
     """run_thm2 written row by row from the one-row library calls: the scan's
-    goodness per frame, and per row delta_j, projected_volume, mc_volume and
-    the needle-clear distance_to_hull.  Returns the table and, per row,
-    whether the needle-clear distance can decide the outside-mass assertion:
-    the mass fell short and every projected needle vertex lies outside R_m."""
+    goodness per frame, and per row delta_j, projected_volume, the outside
+    mass (exact_outside_area_stack on the row alone under auto at j = 2, else
+    mc_volume) and the needle-clear distance_to_hull.  Returns the table and,
+    per row, whether the needle-clear distance can decide the outside-mass
+    assertion: the mass fell short and every projected needle vertex lies
+    outside R_m."""
     base, plane, x0, u = unit_cube_body(cfg.d, cfg.j)
     plan = SamplingPlan(n_subspaces=cfg.n_subspaces, n_points=cfg.n_points,
                         seed=cfg.seed, mode=cfg.mode)
@@ -406,7 +408,7 @@ def thm2_row_loop(cfg: ExperimentConfig):
                              "step_delta_hat", "step_se", "good_H_fraction",
                              "paper_block", "corrected_block", "measured_block",
                              "outside_mass_hat"])
-    decisive = []
+    decisive, out_ses = [], []
     prev = base
     for idx, (row, body) in enumerate(seq):
         assert abs(c2 * row.eps ** (cfg.j - 1) * row.length - 2.0 ** -(row.m + 1)) <= 1e-12
@@ -418,10 +420,15 @@ def thm2_row_loop(cfg: ExperimentConfig):
             needle, h, plan, sample_index=AUX_STREAM_BASE + 2 * cfg.n_subspaces + idx)
         slack = 1e-9 * (1.0 + bounds.cone_bound)
         assert measured.value >= bounds.cone_bound - 4.0 * measured.std_error - slack
-        out_mass, out_se = mc_volume(
-            project_body(h, body).vertices, cfg.j, plan.n_points,
-            RngStream(cfg.seed, AUX_STREAM_BASE + 4 * cfg.n_subspaces + idx),
-            exclusion_radius=row.exclusion_radius)
+        if cfg.mode == "auto" and cfg.j == 2:
+            out_mass, out_se = exact_outside_area_stack(
+                [project_body(h, body).vertices], [row.exclusion_radius])[0], 0.0
+        else:
+            out_mass, out_se = mc_volume(
+                project_body(h, body).vertices, cfg.j, plan.n_points,
+                RngStream(cfg.seed, AUX_STREAM_BASE + 4 * cfg.n_subspaces + idx),
+                exclusion_radius=row.exclusion_radius)
+        out_ses.append(out_se)
         tips = project_body(h, needle)
         clear = distance_to_hull(np.zeros(cfg.j), tips) > row.exclusion_radius
         short = out_mass < bounds.cone_bound - 4.0 * out_se - slack
@@ -434,6 +441,11 @@ def thm2_row_loop(cfg: ExperimentConfig):
         prev = body
     table.footer_comments.append(
         f"claimed_step partial sum: {sum(r.claimed_step_bound for r, _ in seq):.17g}")
+    table.footer_comments.append(
+        "outside_mass_hat: exact area outside the disc of radius R_m (hull ring and disc), se 0"
+        if cfg.mode == "auto" and cfg.j == 2 else
+        f"outside_mass_hat: box Monte Carlo, {cfg.n_points} points per row, "
+        f"largest se {max(out_ses):.6g}")
     return table, decisive
 
 
@@ -480,6 +492,51 @@ class TestThm2OnePass:
         mask = grassmann.restricted_sigma_min(frames, plane) > GOOD_SIGMA
         assert np.array_equal(mask, (certs.sigma_min > GOOD_SIGMA) & (certs.c > 0))
         assert np.array_equal(grassmann.restricted_sigma_min(frames, plane), certs.sigma_min)
+
+
+class TestThm2OutsideMass:
+    """thm2's outside_mass_hat: the exact area outside the disc under auto
+    at j = 2, box MC elsewhere, and a footer line that says which."""
+
+    def test_auto_at_j2_draws_no_box(self, monkeypatch):
+        stacks = spy(monkeypatch, runners, "mc_volume_stack")
+        draws = spy(monkeypatch, oracles, "_uniform_rows")
+        table = run_thm2(ExperimentConfig(d=3, j=2, seed=1, n_subspaces=400, n_points=2000,
+                                          steps=6))
+        assert stacks == [] and draws == []
+        assert table.footer_comments[-1] == ("outside_mass_hat: exact area outside the disc "
+                                             "of radius R_m (hull ring and disc), se 0")
+        # the exact-d3j2 benchmark's table, where box MC read 0 in rows 4 and
+        # 5; the references are a 50-digit evaluation on the same rings
+        mass = [float(v) for v in table.column("outside_mass_hat")]
+        assert mass[:4] == [0.0] * 4
+        assert mass[4] == pytest.approx(0.0012576125186675147, rel=1e-11)
+        assert mass[5] == pytest.approx(0.06030664636341993, rel=1e-11)
+
+    @pytest.mark.parametrize("d,j,mode", [(3, 2, "monte_carlo"), (4, 3, "auto")])
+    def test_box_mc_elsewhere(self, monkeypatch, d, j, mode):
+        stacks = spy(monkeypatch, runners, "mc_volume_stack")
+        table = run_thm2(ExperimentConfig(d=d, j=j, seed=1, n_subspaces=40, n_points=500,
+                                          steps=6, mode=mode))
+        assert len(stacks) == 1
+        footer = table.footer_comments[-1]
+        assert footer.startswith("outside_mass_hat: box Monte Carlo, 500 points per row, "
+                                 "largest se ")
+        assert float(footer.rsplit(" ", 1)[1]) > 0.0
+
+    @pytest.mark.parametrize("d,seed", [(3, 7), (4, 2), (5, 17)])
+    def test_thin_spindles_keep_their_area(self, d, seed):
+        # the last spindles are so thin against their length that hull_2d,
+        # with a collinearity tolerance scaled by the extent, once flattened
+        # them and these cells stopped on "measured block 0 below corrected
+        # bound"; at (4, 2) the spindle's own vertices carry a width error
+        # of 2^-30 in row 11 (the rounding of 0.5 +- eps)
+        table = run_thm2(ExperimentConfig(d=d, j=2, seed=seed, n_subspaces=400, n_points=500,
+                                          steps=12))
+        assert len(table.rows) == 12
+        for measured, corrected in zip(table.column("measured_block"),
+                                       table.column("corrected_block")):
+            assert float(measured) == pytest.approx(float(corrected), rel=1e-9)
 
 
 class TestThm3Runner:

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import random_convex_polygon, unit_cube
-from projmetrics.bodies import bounding_radius
+from projmetrics.bodies import bounding_radius, hull_2d, polygon_area
 from projmetrics.numerics import RngStream
 from projmetrics.oracles import (
+    _outside_parts,
+    exact_outside_area_stack,
     exact_symdiff,
     inside,
     exact_volume,
@@ -108,6 +110,88 @@ class TestStackedOutsideMass:
             mc_volume_stack([square2.vertices] * 2, 2, 10, [RngStream(1, 0), RngStream(2, 1)])
         with pytest.raises(ValueError, match="seed and counter"):
             mc_volume_stack([square2.vertices] * 2, 2, 10, [RngStream(1, 0), RngStream(1, 1, 4)])
+
+
+def outside_area(verts, r: float) -> float:
+    return exact_outside_area_stack([np.asarray(verts, dtype=float)], [r])[0]
+
+
+SQUARE = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+
+
+class TestExactOutsideArea:
+    """exact_outside_area_stack: the area of a hull outside a centred disc,
+    against closed forms, box MC, and its own one-row calls."""
+
+    def test_disc_inside_a_square(self):
+        r = 0.5
+        assert outside_area(SQUARE, r) == pytest.approx(4.0 - math.pi * r * r, abs=1e-12)
+
+    def test_square_inside_a_disc(self):
+        # every vertex within r: exactly 0.0, and the edge pass agrees
+        assert outside_area(SQUARE, 1.5) == 0.0
+        ring = hull_2d(SQUARE)
+        parts = _outside_parts(ring, np.roll(ring, -1, axis=0), np.full(4, 1.5 ** 2))
+        assert float(parts.sum()) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("turn", [0.0, 0.3, 1.0])
+    def test_tangent_edges(self, turn):
+        # every edge of the square touches the unit circle at its midpoint,
+        # which lies in the disc: a midpoint-inside test cuts these edges
+        c, s = math.cos(turn), math.sin(turn)
+        square = SQUARE @ np.array([[c, s], [-s, c]])
+        assert outside_area(square, 1.0) == pytest.approx(4.0 - math.pi, abs=1e-12)
+        # one tangent edge, the other two far outside the disc
+        tri = np.array([[1.0, -3.0], [1.0, 3.0], [-3.0, 0.0]])
+        assert outside_area(tri, 1.0) == pytest.approx(12.0 - math.pi, abs=1e-12)
+
+    def test_vertex_on_the_circle(self, square2):
+        # (1, 0) and (0, 1) lie on the unit circle, (1, 1) outside it
+        assert outside_area(square2.vertices, 1.0) == pytest.approx(1.0 - math.pi / 4.0,
+                                                                   abs=1e-12)
+        # a triangle that touches the disc at one vertex only
+        tri = np.array([[1.0, 0.0], [3.0, -1.0], [3.0, 1.0]])
+        assert outside_area(tri, 1.0) == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_polygon_outside_the_disc(self, seed):
+        verts = random_convex_polygon(np.random.default_rng(seed)).vertices + 3.0
+        expected = polygon_area(hull_2d(verts))
+        assert outside_area(verts, 1.0) == pytest.approx(expected, abs=1e-12)
+
+    def test_zero_length_edge(self):
+        ring = hull_2d(SQUARE)
+        a = np.vstack([ring[:2], ring[1:]])  # ring[1] twice: one edge of length 0
+        b = np.roll(a, -1, axis=0)
+        parts = _outside_parts(a, b, np.full(5, 0.25))
+        assert parts[1] == 0.0
+        assert float(parts.sum()) == pytest.approx(4.0 - math.pi / 4.0, abs=1e-12)
+
+    def test_no_area_is_zero(self):
+        segment = np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0]])
+        point = np.array([[5.0, 5.0]])
+        assert exact_outside_area_stack([segment, point], [0.5, 0.5]) == [0.0, 0.0]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_agrees_with_box_mc(self, seed):
+        rng = np.random.default_rng(seed)
+        verts = rng.normal(size=(rng.integers(3, 12), 2)) + rng.uniform(-1.0, 1.0, size=2)
+        r = rng.uniform(0.2, 1.2)
+        exact = outside_area(verts, r)
+        mc, se = mc_volume(verts, 2, 40_000, RngStream(seed, 7), exclusion_radius=r)
+        assert 0.0 < exact and abs(mc - exact) <= 4.0 * se
+
+    def test_rows_equal_one_row_calls(self):
+        rng = np.random.default_rng(11)
+        rows = [(rng.normal(size=(n, 2)) * scale + shift, r)
+                for n, scale, shift, r in [(9, 1.0, 0.0, 0.6), (5, 0.1, 0.0, 1.0),
+                                           (7, 1.0, 4.0, 0.5), (30, 3.0, 1.0, 2.0),
+                                           (4, 1e3, 0.0, 10.0), (3, 1.0, -2.0, 2.5)]]
+        rows.insert(2, (np.array([[0.0, 0.0], [2.0, 2.0]]), 0.5))
+        stacked = exact_outside_area_stack([v for v, _ in rows], [r for _, r in rows])
+        alone = [exact_outside_area_stack([v], [r])[0] for v, r in rows]
+        assert [repr(x) for x in stacked] == [repr(x) for x in alone]
+        assert stacked[1] == stacked[2] == 0.0 and all(x > 0.0 for x in stacked[3:])
 
 
 class TestTolerancesScale:
