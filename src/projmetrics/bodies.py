@@ -12,7 +12,8 @@ whenever the foot of the perpendicular on that facet passes the facet
 test.  Points that certificate does not settle, and bodies whose chart is
 of higher dimension, get Wolfe's min-norm point.  The volumes give metrics
 its exact in-flat values.  Many bodies' charts can be built in one pass
-(_fill_charts), with one rank SVD for all bodies of similar size.  Exact
+(_fill_charts), with one rank SVD for all of them when padding them to one
+stack at most doubles their elements, and one per body otherwise.  Exact
 2-D geometry (a monotone-chain hull whose turns are tested at the rounding
 error of each turn, shoelace area, and convex clipping at a tolerance
 scaled by the point set's own extent) provides the oracle against which
@@ -420,25 +421,13 @@ def _affine_rank(verts: np.ndarray) -> int:
 def _pad_groups(shapes: list[tuple[int, int]]) -> list[list[int]]:
     """The indices of the vertex sets of these shapes in groups, each to be
     padded into one stack: all in one when that stack stays within twice
-    the sets' own elements, as for the bodies of one thm table; otherwise,
-    the sets taken largest first, a set joins the open group while the
-    group's stack stays within twice its sets' elements.  Either way
-    padding at most doubles the memory of the input."""
-    if len(shapes) == 1:
-        return [[0]]
+    the sets' own elements, as for the bodies of one thm table; otherwise
+    one group per set.  Either way padding at most doubles the memory of the
+    input."""
     if len(shapes) * max(n for n, _ in shapes) * max(d for _, d in shapes) \
             <= 2 * sum(n * d for n, d in shapes):
         return [list(range(len(shapes)))]
-    groups: list[list] = []  # [indices, rows, cols, elements]
-    for k in sorted(range(len(shapes)), key=shapes.__getitem__, reverse=True):
-        n, d = shapes[k]
-        g = groups[-1] if groups else None
-        if g is not None and (len(g[0]) + 1) * g[1] * max(g[2], d) <= 2 * (g[3] + n * d):
-            g[0].append(k)
-            g[2], g[3] = max(g[2], d), g[3] + n * d
-        else:
-            groups.append([[k], n, d, n * d])
-    return [g[0] for g in groups]
+    return [[k] for k in range(len(shapes))]
 
 
 def _padded_stack(vertex_sets: list[np.ndarray]) -> np.ndarray:
@@ -465,34 +454,14 @@ def _numerical_ranks(stack: np.ndarray) -> list[int]:
     return (sv > 1e-12 * np.maximum(1.0, sv[:, :1])).sum(axis=1).tolist()
 
 
-def _by_shape(fn, arrays: list[np.ndarray]) -> list:
-    """fn over a stack of arrays, one call per distinct shape, split back
-    into one result per array in input order.  np.linalg factors, and
-    np.lexsort sorts, each matrix of a stack on its own, so every result has
-    the bits its array gives alone."""
-    if len(arrays) == 1:
-        return list(fn(arrays[0][None]))
-    groups: dict[tuple, list[int]] = {}
-    for k, x in enumerate(arrays):
-        groups.setdefault(x.shape, []).append(k)
-    out = [None] * len(arrays)
-    for ks in groups.values():
-        stack = np.stack([arrays[k] for k in ks]) if len(ks) > 1 else arrays[ks[0]][None]
-        for k, r in zip(ks, fn(stack)):
-            out[k] = r
-    return out
-
-
-def _distinct_rows(stack: np.ndarray) -> list[np.ndarray]:
-    """The distinct rows of each matrix of an (m, n, d) stack in
-    lexicographic order, as np.unique(v, axis=0) gives them, at a fraction
-    of its cost on small arrays."""
-    order = np.lexsort(stack.transpose(2, 0, 1)[::-1], axis=-1)
-    v = stack[np.arange(len(stack))[:, None], order]
-    keep = np.empty(order.shape, dtype=bool)
-    keep[:, 0] = True
-    keep[:, 1:] = (v[:, 1:] != v[:, :-1]).any(axis=2)
-    return [x[k] for x, k in zip(v, keep)]
+def _distinct_rows(v: np.ndarray) -> np.ndarray:
+    """The distinct rows of v in lexicographic order, as np.unique(v, axis=0)
+    gives them, at a fraction of its cost on small arrays."""
+    v = v[np.lexsort(v.T[::-1])]
+    keep = np.empty(len(v), dtype=bool)
+    keep[0] = True
+    keep[1:] = (v[1:] != v[:-1]).any(axis=1)
+    return v[keep]
 
 
 class _Chart:
@@ -631,14 +600,12 @@ class _Chart:
 
 
 def _charts(vertex_sets: list[np.ndarray]) -> list[_Chart]:
-    """The chart of each vertex set.  One SVD of each padded stack of
-    _pad_groups gives its sets' ranks, and the same stack their varying
+    """The chart of each vertex set, in order.  One SVD of each padded stack
+    of _pad_groups gives its sets' ranks, and the same stack their varying
     columns; a set with as many varying columns as its rank gets its
-    coordinate chart, with no more arithmetic.  The oblique sets, if any,
-    get their frames from stacked SVDs of their equal-shape distinct-row
-    sets, with the bits each set has on its own."""
-    charts: list[_Chart | None] = [None] * len(vertex_sets)
-    oblique = []
+    coordinate chart, with no more arithmetic.  An oblique set gets its
+    frame from the SVD of its own distinct rows."""
+    charts = []
     for group in _pad_groups([v.shape for v in vertex_sets]):
         stack = _padded_stack([vertex_sets[k] for k in group])
         centered = stack - stack[:, :1]
@@ -649,15 +616,13 @@ def _charts(vertex_sets: list[np.ndarray]) -> list[_Chart]:
             v = vertex_sets[k]
             d = v.shape[1]
             axes, frame, normal = _unit_rows(tuple(vary[:d]))
-            if len(frame) != r:
-                oblique.append((k, r))
+            if len(frame) == r:
+                charts.append(_Chart(r, origin[:d], v if r == d else v[:, axes], frame, normal))
                 continue
-            charts[k] = _Chart(r, origin[:d], v if r == d else v[:, axes], frame, normal)
-    if oblique:
-        pts = _by_shape(_distinct_rows, [vertex_sets[k] for k, _ in oblique])
-        shifted = [p - p[0] for p in pts]
-        for (k, r), p, c, vt in zip(oblique, pts, shifted, _by_shape(_frames, shifted)):
-            charts[k] = _Chart(r, p[0], c @ vt[:r].T, vt[:r], vt[r:])
+            p = _distinct_rows(v)
+            c = p - p[0]
+            vt = _frames(c)
+            charts.append(_Chart(r, p[0], c @ vt[:r].T, vt[:r], vt[r:]))
     return charts
 
 
@@ -675,11 +640,11 @@ def _unit_rows(varying: tuple[bool, ...]) -> tuple[np.ndarray, np.ndarray, np.nd
     return rows
 
 
-def _frames(stack: np.ndarray) -> np.ndarray:
-    """The right singular vectors (m, d, d) of an (m, n, d) stack; vt must be
+def _frames(x: np.ndarray) -> np.ndarray:
+    """The right singular vectors (d, d) of an (n, d) matrix; vt must be
     d x d to hold the complement, and with n >= d the thin SVD gives that
     without an n x n U."""
-    return np.linalg.svd(stack, full_matrices=stack.shape[1] < stack.shape[2])[2]
+    return np.linalg.svd(x, full_matrices=x.shape[0] < x.shape[1])[2]
 
 
 def _qhull(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:

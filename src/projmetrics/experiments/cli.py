@@ -43,8 +43,8 @@ class _Parser(argparse.ArgumentParser):
 
 MODE_HELP = ("auto: the exact in-flat value, with no subspace drawn, for a single or "
              "nested flat operand at every j, otherwise exact per sample for j <= 2 and "
-             "Monte Carlo for j >= 3; mc: per-sample Monte Carlo everywhere (a "
-             "cross-check)")
+             "for a single operand, and Monte Carlo for a pair at j >= 3; mc: per-sample "
+             "Monte Carlo everywhere (a cross-check)")
 
 # the SVG of each thm table: x column, y columns, log-log axes
 THM_SVG = {

@@ -4,7 +4,11 @@ statistics, cross-validation, and the fiber diagnostic.
 Reporting policy: quantities forced by convexity or plain arithmetic (drift
 floors, schedule identities, corrected block lower bounds, containment) are
 hard assertions that abort the run; claimed per-step discrepancy bounds are
-recorded next to the measured values as ratio columns, never asserted.
+recorded next to the measured values as ratio columns, never asserted.  The
+tables show those bounds failing: each row of thm1-3 is conv(base u needle),
+which adds the cone bridging the base and the needle tip, whose j-volume
+grows like the needle's length at any width, so no hull-augmented sequence
+here is delta_j-convergent.
 """
 
 from __future__ import annotations
@@ -116,7 +120,11 @@ def run_thm1(cfg: ExperimentConfig) -> CsvTable:
 
     Hard assertion per row: the Hausdorff distance to the base body is at
     least L_i - ||x0|| - R_K (forced by the reverse triangle inequality).
-    The claimed discrepancy bound is recorded as a ratio, not asserted.
+    The claimed discrepancy bound is recorded as a ratio, not asserted, and
+    it fails: the sequence is not delta_j-convergent.  At seed 1, (d, j) =
+    (3, 2) and 6 steps, delta_hat goes 1.125 -> 31.77 (about L_i / 2) and
+    bound_ratio reaches 508; at (4, 3) and 12 steps bound_ratio reaches
+    1.27e13, with a log-log slope of 0.991.
     """
     base, plane, x0, u = unit_cube_body(cfg.d, cfg.j)
     plan = _plan(cfg)
@@ -185,6 +193,10 @@ def run_thm2(cfg: ExperimentConfig) -> CsvTable:
     se 0; otherwise (j >= 3, or monte_carlo mode) it is box MC, every row's
     in one mc_volume_stack draw.  A footer line names the method, and for
     box MC its points per row and largest se.
+
+    The claimed steps are recorded, not asserted, and they fail: at seed 1
+    and (d, j) = (3, 2), step_delta_hat goes 0.5 -> 16 while claimed_step
+    halves each row, so the sequence is not delta_j-Cauchy.
 
     Hard assertions: the schedule identity to 1e-12, and the measured
     projected needle volume at least the cone-corrected block bound.  The
@@ -258,7 +270,11 @@ def run_thm3(cfg: ExperimentConfig, a0: float | None = None) -> CsvTable:
     """Empty-set floor experiment: dyadic spindles with a0-scaled targets.
 
     a0 defaults to the measured distance of the base body to the empty set,
-    which must agree bit-for-bit with the intrinsic volume (shared path)."""
+    which must agree bit-for-bit with the intrinsic volume (shared path).
+    The claimed floor and steps are recorded, not asserted.  The distance to
+    the empty set grows with the needle, 1.5 -> 32.5 at seed 1 and (d, j) =
+    (3, 2): the sequence is unbounded in delta_j, so it is not the
+    delta_j-Cauchy sequence its claimed steps describe."""
     if cfg.j >= cfg.d:
         raise ConfigError(f"thm3 requires j <= d-1, got (d={cfg.d}, j={cfg.j})")
     base, plane, x0, u = unit_cube_body(cfg.d, cfg.j)

@@ -26,18 +26,21 @@ A table evaluates all of its rows in one pass through the stacked forms,
 of which delta_j and hausdorff are the one-row case, bit for bit:
 delta_j_stack compares the vertex lists of all its pairs at once, builds
 the charts of all its operands at once (bodies._charts runs one rank SVD
-for all of them when their sizes are alike), then every hull the pairs
-read, back to back, then
-answers each pair from the cached volumes; hausdorff_stack puts the
-vertices of many bodies to one shared body's facet certificate in one
-call and reads each body's largest distance off it in one reduction.
+for all of them when padding their vertex sets to one stack at most
+doubles them, and one per operand otherwise), then every hull the pairs
+read, back to back, then answers each pair from the cached volumes;
+hausdorff_stack puts the vertices of many bodies to one shared body's
+facet certificate in one call and reads every body's largest distance in
+one pass over the owner of each certified row.
 
 The rest samples subspaces: non-flat bodies, flat pairs at j >= 3 that are
 not nested (at j = d one box Monte Carlo estimate in the bodies' own
 coordinates), and monte_carlo mode.  Per-sample inner volumes are exact for
-j <= 2 and Monte Carlo for j >= 3.  Every draw is addressed by (seed, sample
-index), so estimates are bit-identical for any worker count: sample i
-consumes streams 2i (subspace) and 2i+1 (points), reduced in index order.
+j <= 2 and, for a single operand, at j >= 3 too (the qhull volume of the
+projection's chart); a pair at j >= 3 is box Monte Carlo per sample.
+Every draw is addressed by (seed, sample index), so estimates are
+bit-identical for any worker count: sample i consumes streams 2i
+(subspace) and 2i+1 (points), reduced in index order.
 A batch's frames come as one (n, d, j) array (grassmann.haar_frames) and
 the operands are projected with one batched product; only the inner oracles
 run once per sample.  One sample gives no spread to estimate an error from,
@@ -95,8 +98,9 @@ class SamplingPlan:
     n_points: int = 2000
     seed: int = 0
     # auto: the exact in-flat value for a single or nested flat operand at
-    # every j (no subspace drawn), else exact per sample for j <= 2 and Monte
-    # Carlo for j >= 3; monte_carlo: always per-sample MC
+    # every j (no subspace drawn), else exact per sample for j <= 2 and for a
+    # single operand, and Monte Carlo for a pair at j >= 3; monte_carlo:
+    # always per-sample MC
     mode: str = "auto"
 
     def __post_init__(self):
@@ -225,12 +229,6 @@ def _heads_agree(pairs) -> list[bool]:
     return np.logical_and.reduceat(np.concatenate(xs) == np.concatenate(ys), starts).tolist()
 
 
-def _leads(rows: np.ndarray, body: VPolytope) -> bool:
-    """Whether rows are the first vertex rows of body, and so lie in its hull."""
-    head = body.vertices[:len(rows)]
-    return head.shape == rows.shape and bool((head == rows).all())
-
-
 def _collect_values(seed, n, d, j, va, vb, n_points, exact_inner, workers) -> np.ndarray:
     if workers <= 1 or n < 2 * workers:
         return _batch_values((seed, 0, n, d, j, va, vb, n_points, exact_inner))
@@ -338,7 +336,8 @@ def _sampled_pair(a: VPolytope | None, b: VPolytope | None, j: int, plan: Sampli
     d = a.ambient_dim if a is not None else b.ambient_dim
     va = a.vertices if a is not None else None
     vb = b.vertices if b is not None else None
-    exact_inner = plan.mode == "auto" and j <= 2
+    # a single operand's projection has its chart's qhull volume at j >= 3
+    exact_inner = plan.mode == "auto" and (j <= 2 or a is None or b is None)
 
     if j == d:  # box MC: monte_carlo mode, or a pair at j >= 3 that is not nested
         f, inner_se = _pair_value(va, vb, j, plan.n_points, False, RngStream(plan.seed, 1))
@@ -394,67 +393,59 @@ def hausdorff_stack(bodies, shared: VPolytope) -> list[float]:
     vertices of the other body, at distance 0, and need no certificate.
     The vertices of every body past that head go to the certificate of the
     shared body's chart in one call (each row's bits do not depend on the
-    other rows), and each body's largest certified distance is read off in
-    one reduction; the shared vertices go to each body's own certificate
-    where they must.  A body whose certificates settle every vertex has the
-    largest of those distances as its value, and only a body that has rows
-    left gets hausdorff's Wolfe scan."""
+    other rows), and the shared vertices go to each body's own certificate
+    where they must.  One pass over the owner of each certified row reads
+    every body's largest distance and whether its certificates settle it;
+    a body so settled has that distance as its value, and only a body that
+    has rows left gets the Wolfe scan of _farthest."""
     bodies = list(bodies)
     if any(a.ambient_dim != shared.ambient_dim for a in bodies):
         raise ValueError("operands live in different dimensions")
     m = shared.n_vertices
     agree = _heads_agree([(a.vertices, shared.vertices) for a in bodies])
-    head = [m if t else 0 for t in agree]  # leading rows that are the shared body's vertices
-    far = [k for k, a in enumerate(bodies) if a.n_vertices > head[k]]
+    tails = [a.vertices[m if t else 0:] for a, t in zip(bodies, agree)]
+    sizes = [len(x) for x in tails]
+    owners, certs = [], []
+    if sum(sizes):
+        owners.append(np.repeat(np.arange(len(bodies)), sizes))
+        certs.append(shared._chart.certified(np.concatenate(tails)))
+    back = {k: a._chart.certified(shared.vertices)
+            for k, (a, t) in enumerate(zip(bodies, agree)) if not t or a.n_vertices < m}
+    owners += [np.full(m, k) for k in back]
+    certs += back.values()
     best, settled = np.zeros(len(bodies)), np.ones(len(bodies), dtype=bool)
-    spans = {}  # body -> its rows of the one certificate
-    if far:
-        sizes = [bodies[k].n_vertices - head[k] for k in far]
-        dist, ok = shared._chart.certified(
-            np.concatenate([bodies[k].vertices[head[k]:] for k in far]))
-        starts = np.cumsum([0] + sizes[:-1])
-        best[far] = np.maximum.reduceat(dist, starts)
-        settled[far] = np.logical_and.reduceat(ok, starts)
-        spans = {k: slice(lo, lo + n) for k, lo, n in zip(far, starts.tolist(), sizes)}
-    back = [None if t and m <= a.n_vertices else a._chart.certified(shared.vertices)
-            for a, t in zip(bodies, agree)]
-    for k, cert in enumerate(back):
-        if cert is not None:
-            best[k] = max(best[k], cert[0].max())
-            settled[k] &= cert[1].all()
+    if certs:  # the tails' rows come first
+        owner = np.concatenate(owners)
+        dist, ok = (np.concatenate(column) for column in zip(*certs))
+        np.maximum.at(best, owner, dist)
+        np.logical_and.at(settled, owner, ok)
     out = best.tolist()
-    for k in np.flatnonzero(~settled):
-        there_cert = None
-        if k in spans:  # the head's rows are certified at distance 0
-            there_cert = (np.concatenate([np.zeros(head[k]), dist[spans[k]]]),
-                          np.concatenate([np.ones(head[k], dtype=bool), ok[spans[k]]]))
-        out[k] = _hausdorff_scan(bodies[k], shared, there_cert, back[k])
+    ends = np.cumsum(sizes).tolist()
+    for k in np.flatnonzero(~settled).tolist():
+        parts = [(tails[k], shared, ok[ends[k] - sizes[k]:ends[k]])]
+        if k in back:
+            parts.append((shared.vertices, bodies[k], back[k][1]))
+        out[k] = _farthest(parts, out[k])
     return out
 
 
-def _hausdorff_scan(a: VPolytope, b: VPolytope, there, back) -> float:
-    """hausdorff(a, b) from the certificates (dist, ok) of a's vertices
-    against b and of b's against a; None for a direction whose vertex list
-    leads the other body's, every row a vertex of it at distance 0."""
-    m = a.n_vertices
-    best = 0.0
-    keys, bounds = [], []  # rows the certificate leaves
-    for lo, p, body, cert in ((0, a.vertices, b, there), (m, b.vertices, a, back)):
-        if cert is None:
-            continue
-        dist, ok = cert
-        best = max(best, float(dist.max(initial=0.0)))
-        rows = np.flatnonzero(~ok)
-        if rows.size:
-            keys.append(lo + rows)
-            bounds.append(_nearest_vertex_distances(p[rows], body.vertices))
-    keys, bounds = np.concatenate(keys), np.concatenate(bounds)
+def _farthest(parts, best: float) -> float:
+    """The largest distance from a row of the parts (rows, body, ok) to its
+    body's hull, given best, the largest of their certified distances: only
+    the rows that ok leaves get a bound, their distance to the body's
+    nearest vertex, and the rows are visited in descending bound order
+    (stable) until a bound no longer exceeds the running maximum."""
+    points, hulls, bounds = [], [], []
+    for rows, body, ok in parts:
+        left = rows[~ok]
+        points.append(left)
+        hulls += [body] * len(left)
+        bounds.append(_nearest_vertex_distances(left, body.vertices))
+    points, bounds = np.concatenate(points), np.concatenate(bounds)
     for i in np.argsort(-bounds, kind="stable"):
         if bounds[i] * (1.0 + _BOUND_SLACK) <= best:
             break
-        k = keys[i]
-        p, body = (a.vertices[k], b) if k < m else (b.vertices[k - m], a)
-        best = max(best, distance_to_hull(p, body))
+        best = max(best, distance_to_hull(points[i], hulls[i]))
     return best
 
 
@@ -513,7 +504,9 @@ def fiber_profile(outer: VPolytope, inner: VPolytope, h: Subspace, u: np.ndarray
         raise ValueError("bodies and subspace dimensions differ")
     if h.dim < 2:
         raise ValueError("fiber profiling needs a subspace of dimension >= 2")
-    if not _leads(inner.vertices, outer):  # one certificate, Wolfe for the rows it leaves
+    led = (inner.n_vertices <= outer.n_vertices
+           and _heads_agree([(inner.vertices, outer.vertices)])[0])
+    if not led:  # one certificate, Wolfe for the rows it leaves
         dist, ok = outer._chart.certified(inner.vertices)
         slack = max(tol, 1e-9)
         if np.any(dist > slack) or any(distance_to_hull(v, outer) > slack

@@ -107,8 +107,10 @@ def exact_outside_area_stack(vertex_sets, radii) -> list[float]:
     pieces of its edge outside the disc (_outside_parts).  Every row's edges
     go through one numpy pass, and each row's sum has the bits the row has
     alone.  A row that spans no 2-flat (a ring of fewer than three points)
-    or lies in its disc (every vertex norm <= r) gives exactly 0.0."""
+    or lies in its disc (every vertex norm <= r) gives exactly 0.0.  There
+    must be one radius per set."""
     sets, radii = list(vertex_sets), list(radii)
+    _one_per_set(sets, radii, "radii")
     out = [0.0] * len(sets)
     if not sets:
         return out
@@ -129,6 +131,14 @@ def exact_outside_area_stack(vertex_sets, radii) -> list[float]:
     for k, s in zip(live, sums.tolist()):
         out[k] = max(0.0, s)
     return out
+
+
+def _one_per_set(sets: list, column: list, name: str) -> None:
+    """A ValueError naming both lengths unless column has one entry per set:
+    a shorter column would leave rows unanswered, a longer one answer rows
+    that do not exist."""
+    if len(column) != len(sets):
+        raise ValueError(f"{len(sets)} vertex sets but {len(column)} {name}")
 
 
 def _outside_parts(a: np.ndarray, b: np.ndarray, r2: np.ndarray) -> np.ndarray:
@@ -198,11 +208,14 @@ def mc_volume_stack(vertex_sets, j: int, n: int, streams,
     sample draw their boxes' uniforms in one call over their stream keys;
     each set's chart gives its rank, and at j >= 3 its hull, read once.
     A row that spans no j-flat or lies in its exclusion ball draws
-    nothing."""
-    sets = list(vertex_sets)
+    nothing.  There must be one stream, and one radius when radii are
+    given, per set."""
+    sets, streams = list(vertex_sets), list(streams)
+    radii = [None] * len(sets) if exclusion_radii is None else list(exclusion_radii)
+    _one_per_set(sets, streams, "streams")
+    _one_per_set(sets, radii, "exclusion radii")
     if not sets:
         return []
-    radii = [None] * len(sets) if exclusion_radii is None else list(exclusion_radii)
     seed, counter = streams[0].seed, streams[0].counter
     if any(s.seed != seed or s.counter != counter for s in streams):
         raise ValueError("the streams of a stack must share one seed and counter")

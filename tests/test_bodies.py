@@ -14,6 +14,7 @@ from projmetrics.bodies import (
     _FACET_BLOCK,
     _charts,
     _min_norm_point,
+    _pad_groups,
     bounding_radius,
     contains,
     distance_to_hull,
@@ -331,10 +332,10 @@ class TestFacets:
         assert 0 < np.count_nonzero(inside) < len(pts)
         assert np.array_equal(inside, [contains(body, p[None])[0] for p in pts])
 
-    def test_charts_of_mixed_sizes_pad_within_size_groups(self):
+    def test_charts_of_mixed_sizes_take_one_stack_per_set(self):
         # one large set among many small ones: one stack of all, padded to
-        # the large one, would take 51 copies of it; padding within size
-        # groups at most doubles the input, and the SVD works on a copy
+        # the large one, would take 51 copies of it; each set then gets a
+        # stack of its own, which pads nothing, and the SVD works on a copy
         rng = np.random.default_rng(5)
         sets = [rng.normal(size=(20_000, 4))]
         sets += [flat_body(rng, 4, 1 + k % 4).vertices for k in range(50)]
@@ -345,6 +346,9 @@ class TestFacets:
         finally:
             tracemalloc.stop()
         assert peak < 8 * sum(v.nbytes for v in sets)
+        assert _pad_groups([v.shape for v in sets]) == [[k] for k in range(len(sets))]
+        # sets of alike size, as in a thm table, share one stack
+        assert _pad_groups([(8, 3), (16, 3), (12, 2)]) == [[0, 1, 2]]
         for v, chart in zip(sets, charts):
             alone = _charts([v])[0]
             assert chart.dim == alone.dim

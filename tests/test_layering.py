@@ -1,8 +1,9 @@
 """The package's import layering, checked on the source with ast: the
 experiment layer uses only public library names, scripts reach the
 experiments only through the CLI, every public library name has a caller
-in the library, qhull is called from one place, one helper sizes every
-row block, one module formats table cells, and every name the
+in the library, qhull is called from one place, one padding rule and one
+leading-rows test serve the stacked passes, one helper sizes every row
+block, one module formats table cells, and every name the
 benchmark's traced mode looks up still resolves."""
 
 import ast
@@ -106,6 +107,16 @@ def test_qhull_has_one_call_site():
     # by _Chart.hull alone, and scipy's ConvexHull only inside _qhull
     assert references("_qhull") == {("bodies.py", "_Chart.hull")}
     assert references("ConvexHull") == {("bodies.py", "_qhull")}
+
+
+def test_stacked_passes_keep_one_padding_rule_and_one_leading_rows_test():
+    # bodies._charts alone pads vertex sets into stacks, and three metrics
+    # passes alone ask whether vertex lists agree on their common head
+    assert references("_pad_groups") == {("bodies.py", "_charts")}
+    assert references("_padded_stack") == {("bodies.py", "_charts")}
+    assert references("_heads_agree") == {("metrics.py", "delta_j_stack"),
+                                          ("metrics.py", "hausdorff_stack"),
+                                          ("metrics.py", "fiber_profile")}
 
 
 def test_one_helper_sizes_row_blocks():

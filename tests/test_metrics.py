@@ -33,7 +33,7 @@ from projmetrics.metrics import (
     projected_volume,
 )
 from projmetrics.numerics import RngStream, flag_coefficient, gram_schmidt
-from projmetrics.oracles import exact_symdiff, exact_volume, mc_symdiff
+from projmetrics.oracles import exact_symdiff, exact_volume, mc_symdiff, mc_volume
 
 
 def grassmann_line_average_oracle(n: int = 20_001) -> float:
@@ -820,6 +820,68 @@ class TestIntrinsicVolume:
         b = delta_j(cube3, None, 2, plan)
         assert a.value == b.value and a.std_error == b.std_error
         assert a.per_subspace == b.per_subspace
+
+    def test_solid_at_j3_takes_a_qhull_volume_per_sample(self, monkeypatch):
+        # a single operand that spans more than a j-flat at 3 <= j < d: each
+        # projection's volume is its chart's qhull volume, and no box is drawn
+        draws = []
+        monkeypatch.setattr(oracles, "_uniform_rows",
+                            lambda *args, f=oracles._uniform_rows: draws.append(1) or f(*args))
+        cube = unit_cube(4, 4)
+        est = intrinsic_volume(cube, 3, SamplingPlan(n_subspaces=200, seed=1))
+        assert draws == []
+        assert not est.exact and est.n_subspaces == 200 and est.n_points_per_subspace == 0
+        assert abs(est.value - 4.0) <= 4.0 * est.std_error  # V_3 of the unit 4-cube: binom(4, 3)
+        frames = haar_frames(4, 3, 1, np.arange(200))
+        assert [f for _, f in est.per_subspace] == [exact_volume(cube.vertices @ q, 3)
+                                                    for q in frames]
+
+    def test_solid_at_j3_in_monte_carlo_mode_keeps_its_boxes(self):
+        cube = unit_cube(4, 4)
+        est = intrinsic_volume(cube, 3, SamplingPlan(n_subspaces=20, n_points=300, seed=1,
+                                                     mode="monte_carlo"))
+        frames = haar_frames(4, 3, 1, np.arange(20))
+        boxes = [mc_volume(cube.vertices @ q, 3, 300, RngStream(1, 2 * i + 1))[0]
+                 for i, q in enumerate(frames)]
+        assert [f for _, f in est.per_subspace] == boxes and est.n_points_per_subspace == 300
+        assert (est.value, est.std_error) == (4.010105179679052, 0.09753186506338186)
+
+
+class TestOutOfFlatWitnesses:
+    """delta_2 at (3, 2) to K, the unit square at z = 0, of bodies that reach
+    a point at distance L: each value is pinned to a closed form or to a
+    bound, sampled ones within 4 standard errors over 1000 planes."""
+
+    SQUARE = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+    PLAN = SamplingPlan(n_subspaces=1000, seed=1)
+
+    @pytest.mark.parametrize("L", [4.0, 16.0, 64.0])
+    def test_pyramid(self, L):
+        # nested: delta_2 = V_2(P_L) - V_2(K), and V_2 of a solid is half its
+        # surface, here 1 + 4 triangles of base 1 and slant height sqrt(L^2 + 1/4)
+        pyramid = VPolytope(np.vstack([self.SQUARE, [0.5, 0.5, L]]))
+        est = delta_j(pyramid, VPolytope(self.SQUARE), 2, self.PLAN)
+        assert not est.exact and est.n_subspaces == 1000
+        assert abs(est.value - (math.sqrt(L * L + 0.25) - 0.5)) <= 4.0 * est.std_error
+
+    @pytest.mark.parametrize("L", [4.0, 16.0, 64.0])
+    def test_apex_in_the_plane(self, L):
+        # flat and nested: the hull adds the triangle (1, 0), (L, 1/2), (1, 1)
+        hull = VPolytope(np.vstack([self.SQUARE, [L, 0.5, 0.0]]))
+        est = delta_j(hull, VPolytope(self.SQUARE), 2, self.PLAN)
+        assert est.exact and est.n_subspaces == 0 and est.value == (L - 1.0) / 2.0
+
+    @pytest.mark.parametrize("L", [4.0, 16.0, 64.0])
+    def test_thin_tilted_triangle(self, L):
+        # through the empty set, |delta_2(T_L, K) - V_2(K)| <= V_2(T_L), the
+        # exact area of T_L, which falls like 1 / (2L)
+        tri = VPolytope([[0.0, 0.0, 0.0], [1.0 / L**2, 0.0, 0.0], [0.5, 0.5, L]])
+        area = intrinsic_volume(tri, 2, self.PLAN)
+        assert area.exact and area.value == pytest.approx(
+            0.5 * math.sqrt(1.0 / L**2 + 0.25 / L**4), rel=1e-12)
+        est = delta_j(tri, VPolytope(self.SQUARE), 2, self.PLAN)
+        assert not est.exact
+        assert abs(est.value - 1.0) <= area.value + 4.0 * est.std_error
 
 
 class TestHausdorff:

@@ -111,6 +111,19 @@ class TestStackedOutsideMass:
         with pytest.raises(ValueError, match="seed and counter"):
             mc_volume_stack([square2.vertices] * 2, 2, 10, [RngStream(1, 0), RngStream(1, 1, 4)])
 
+    @pytest.mark.parametrize("streams,radii,message", [
+        (1, None, "3 vertex sets but 1 streams"),
+        (2, [0.5] * 3, "3 vertex sets but 2 streams"),
+        (4, None, "3 vertex sets but 4 streams"),
+        (3, [0.5], "3 vertex sets but 1 exclusion radii"),
+        (3, [0.5] * 4, "3 vertex sets but 4 exclusion radii"),
+    ])
+    def test_one_stream_and_radius_per_set(self, square2, streams, radii, message):
+        # zip would answer only the first rows, and leave (0.0, 0.0) in the rest
+        with pytest.raises(ValueError, match=message):
+            mc_volume_stack([square2.vertices] * 3, 2, 200,
+                            [RngStream(1, k) for k in range(streams)], radii)
+
 
 def outside_area(verts, r: float) -> float:
     return exact_outside_area_stack([np.asarray(verts, dtype=float)], [r])[0]
@@ -192,6 +205,11 @@ class TestExactOutsideArea:
         alone = [exact_outside_area_stack([v], [r])[0] for v, r in rows]
         assert [repr(x) for x in stacked] == [repr(x) for x in alone]
         assert stacked[1] == stacked[2] == 0.0 and all(x > 0.0 for x in stacked[3:])
+
+    @pytest.mark.parametrize("radii", [[0.5], [0.5, 0.5], [0.5] * 4])
+    def test_one_radius_per_set(self, radii):
+        with pytest.raises(ValueError, match=f"3 vertex sets but {len(radii)} radii"):
+            exact_outside_area_stack([SQUARE] * 3, radii)
 
 
 class TestTolerancesScale:
