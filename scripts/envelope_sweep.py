@@ -4,9 +4,11 @@
 Each cell runs at --steps 12, 50 subspaces and 500 points, with
 RuntimeWarnings turned into errors: thm1 at seed 1, thm2 and thm3 at seeds
 1, 2 and 7 (seed 1 alone misses good subspaces that see the last spindles
-as slivers).  One line per cell gives the exit code and the seconds taken;
-after the count of failed cells, the last line gives each command's seconds
-summed over its cells.  The script exits 1 if any cell did not exit 0.  An
+as slivers).  One line per cell gives the exit code, the seconds taken and
+the process's peak RSS in MB so far (ru_maxrss); the peak is a running
+maximum, so a jump marks the cell that caused it.  After the count of failed
+cells, the last line gives each command's seconds summed over its cells.
+The script exits 1 if any cell did not exit 0.  An
 exception that escapes the CLI is printed with its traceback and reported
 as the cell's exit code "exception".
 
@@ -17,6 +19,7 @@ together.  The tables go to a temporary directory.
 """
 
 import pathlib
+import resource
 import sys
 import tempfile
 import time
@@ -59,8 +62,9 @@ def main() -> int:
         totals = {}
         for command, d, j, seed in cells():
             code, seconds = run_cell(command, d, j, seed, pathlib.Path(tmp))
-            print(f"{command} d={d} j={j} seed={seed} exit={code} seconds={seconds:.2f}",
-                  flush=True)
+            peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+            print(f"{command} d={d} j={j} seed={seed} exit={code} seconds={seconds:.2f} "
+                  f"peak_rss_mb={peak_mb:.0f}", flush=True)
             totals[command] = totals.get(command, 0.0) + seconds
             if code != 0:
                 failed.append(f"{command}({d},{j},seed {seed})")

@@ -538,17 +538,18 @@ class _Chart:
 
     @cached_property
     def facets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """(a @ frame, b, a @ a.T) of the hull, for certified distances: its
-        facets acting on offsets from the origin, and their Gram matrix.
-        None above dimension _CERTIFIED_DIM, where a qhull can cost more than
-        the Wolfe solves it would replace, and when the hull cannot be built."""
+        """(a @ frame, b, a) of the hull, for certified distances: its facets
+        acting on offsets from the origin, and their in-flat unit normals, of
+        whose Gram matrix certified forms only the rows it reads.  None above
+        dimension _CERTIFIED_DIM, where a qhull can cost more than the Wolfe
+        solves it would replace, and when the hull cannot be built."""
         if self.dim > _CERTIFIED_DIM:
             return None
         try:
             a, b, _ = self.hull
         except NonConvergenceError:
             return None
-        return a @ self.frame, b, a @ a.T
+        return a @ self.frame, b, a
 
     def certified(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(dist, ok) over the rows of pts: ok marks the rows whose distance
@@ -569,7 +570,7 @@ class _Chart:
         dist, ok = np.zeros(n), np.zeros(n, dtype=bool)
         if self.facets is None:
             return dist, ok
-        a, b, gram = self.facets
+        a, b, normals = self.facets
         for r in _row_blocks(n, max(pts.shape[1], len(b))):
             rel = pts[r] - self.origin
             tol = 1e-12 * np.maximum(self.scale, np.max(np.abs(rel), axis=1))
@@ -584,7 +585,8 @@ class _Chart:
             i = np.argmax(s, axis=1)
             top = s[np.arange(len(s)), i]
             inside = top <= tol
-            good = inside | np.all(s - top[:, None] * gram[i] <= tol[:, None], axis=1)
+            gram = _rowdot(normals[i], normals)  # the Gram row of each point's top facet
+            good = inside | np.all(s - top[:, None] * gram <= tol[:, None], axis=1)
             top[inside] = 0.0
             ok[r] = good
             dist[r][good] = np.sqrt(top[good] * top[good] + off2[good])

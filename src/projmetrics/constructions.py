@@ -209,19 +209,15 @@ def _check_needles(kind: str, x0, u, plane: Subspace, lengths, eps):
 
 
 def _dyadic_sequence(body: VPolytope, plane: Subspace, x0: np.ndarray, u: np.ndarray,
-                     lengths, steps: int, step_targets) -> list[tuple[ScheduleRow, VPolytope]]:
-    """Spindle needles at offsets m * max(1, diameter) along u, each row's
-    body the previous one's vertices followed by its needle's: every body is
-    a prefix of one vertex array, built by broadcasting, and each row's
-    radius (that of the body before its needle) is a running maximum over
-    the prefix of squared vertex norms."""
+                     steps: int, step_targets) -> list[tuple[ScheduleRow, VPolytope]]:
+    """Spindle needles of length 2^m at offsets m * max(1, diameter) along
+    u, each row's body the previous one's vertices followed by its needle's:
+    every body is a prefix of one vertex array, built by broadcasting, and
+    each row's radius (that of the body before its needle) is a running
+    maximum over the prefix of squared vertex norms."""
     d, j = plane.ambient_dim, plane.dim
     c2 = needle_bound_constant(d, j, "two_sided")
-    if lengths is None:
-        lengths = [2.0**m for m in range(steps)]
-    if len(lengths) < steps:
-        raise ValueError(f"need {steps} lengths, got {len(lengths)}")
-    lengths = [float(length) for length in lengths[:steps]]
+    lengths = [2.0**m for m in range(steps)]
     targets = [step_targets(m) for m in range(steps)]
     eps = [(t / (c2 * length)) ** (1.0 / (j - 1)) for t, length in zip(targets, lengths)]
     offset_unit = max(1.0, _diameter(body))
@@ -241,18 +237,17 @@ def _dyadic_sequence(body: VPolytope, plane: Subspace, x0: np.ndarray, u: np.nda
 
 
 def thm2_sequence(body: VPolytope, plane: Subspace, x0: np.ndarray, u: np.ndarray,
-                  lengths, steps: int) -> list[tuple[ScheduleRow, VPolytope]]:
+                  steps: int) -> list[tuple[ScheduleRow, VPolytope]]:
     """Spindle needles with dyadic step targets 2^-(m+1): the claimed step
     bounds sum to 1/2, making the sequence Cauchy in the averaged metric.
     Requires j >= 2 (the transverse radius is undefined at j = 1)."""
     if plane.dim < 2:
         raise ValueError("sequence needs plane dimension >= 2")
-    return _dyadic_sequence(body, plane, x0, u, lengths, steps,
-                            lambda m: 2.0 ** -(m + 1))
+    return _dyadic_sequence(body, plane, x0, u, steps, lambda m: 2.0 ** -(m + 1))
 
 
 def thm3_sequence(body: VPolytope, plane: Subspace, x0: np.ndarray, u: np.ndarray,
-                  lengths, steps: int, a0: float) -> list[tuple[ScheduleRow, VPolytope]]:
+                  steps: int, a0: float) -> list[tuple[ScheduleRow, VPolytope]]:
     """Like thm2_sequence but with targets scaled by a0/4, where a0 is the
     base body's distance to the empty set: the cumulative claimed drift stays
     below a0/4, leaving a claimed floor of (3/4) a0."""
@@ -260,8 +255,7 @@ def thm3_sequence(body: VPolytope, plane: Subspace, x0: np.ndarray, u: np.ndarra
         raise ValueError("sequence needs plane dimension >= 2")
     if not 0 < a0 < math.inf:
         raise ValueError(f"a0 must be positive and finite, got {a0}")
-    return _dyadic_sequence(body, plane, x0, u, lengths, steps,
-                            lambda m: (a0 / 4.0) * 2.0 ** -(m + 1))
+    return _dyadic_sequence(body, plane, x0, u, steps, lambda m: (a0 / 4.0) * 2.0 ** -(m + 1))
 
 
 @dataclass(frozen=True)

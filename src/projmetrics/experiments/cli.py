@@ -123,7 +123,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("reproduce", help="every experiment table at desk scale")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--workers", type=int, default=1)
 
     return top
 
@@ -215,18 +214,18 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "reproduce":
-        return _reproduce(pathlib.Path(args.out_dir), args.seed, args.workers)
+        return _reproduce(pathlib.Path(args.out_dir), args.seed)
 
     raise ConfigError(f"unknown command {args.command!r}")
 
 
-def _reproduce(out: pathlib.Path, seed: int, workers: int) -> int:
+def _reproduce(out: pathlib.Path, seed: int) -> int:
     """Every experiment table, each through the same dispatch as its own
     subcommand: thm1/2/3 at d=3, j=2, lemma at d=4, j=2, the fiber profile
     of the unit square grown by a thin prism needle, and the validation
     checks."""
     out.mkdir(parents=True, exist_ok=True)
-    thm = ["-d", "3", "-j", "2", "--seed", seed, "--workers", workers]
+    thm = ["-d", "3", "-j", "2", "--seed", seed]
     with tempfile.TemporaryDirectory() as tmp:
         square = VPolytope([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         spec = NeedleSpec(x0=np.array([0.5, 0.5]), u=np.array([1.0, 0.0]),

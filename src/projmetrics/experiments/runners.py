@@ -210,7 +210,7 @@ def run_thm2(cfg: ExperimentConfig) -> CsvTable:
     base, plane, x0, u = unit_cube_body(cfg.d, cfg.j)
     plan = _plan(cfg)
     c2 = needle_bound_constant(cfg.d, cfg.j, "two_sided")
-    seq = thm2_sequence(base, plane, x0, u, None, cfg.steps)
+    seq = thm2_sequence(base, plane, x0, u, cfg.steps)
     good_fraction, (h_good, cert) = _good_subspace_scan(cfg, plane, u)
     bodies = [body for _, body in seq]
     ests = delta_j_stack(zip(bodies, [base, *bodies[:-1]]), cfg.j, plan, workers=cfg.workers)
@@ -286,7 +286,7 @@ def run_thm3(cfg: ExperimentConfig, a0: float | None = None) -> CsvTable:
                                "disagree bitwise for the same plan")
     a0_used = a0 if a0 is not None else a0_est.value
     c2 = needle_bound_constant(cfg.d, cfg.j, "two_sided")
-    seq = thm3_sequence(base, plane, x0, u, None, cfg.steps, a0_used)
+    seq = thm3_sequence(base, plane, x0, u, cfg.steps, a0_used)
 
     table = CsvTable(header=["m", "eps_m", "claimed_step", "delta_to_empty_hat",
                              "se", "claimed_floor"])
@@ -386,7 +386,7 @@ def run_fibers(body_a: VPolytope, body_b: VPolytope, plane: str, grid_n: int,
     """Fiber-difference profile of body_b inside body_a over a 2-plane.
 
     `plane` is either 'e1e2' or 'random:<seed>'.  The axis direction is the
-    first canonical axis with a nonvanishing projection."""
+    first canonical axis with a nonvanishing projection; y is the other."""
     if body_a.ambient_dim != body_b.ambient_dim:
         raise ValueError("bodies live in different dimensions")
     d = body_a.ambient_dim
@@ -410,7 +410,7 @@ def run_fibers(body_a: VPolytope, body_b: VPolytope, plane: str, grid_n: int,
 
     profile = fiber_profile(body_a, body_b, h, u, grid_n, tube=tube)
     table = CsvTable(header=["y", "fiber_diff_length", "in_tube"],
-                     columns=[profile.y, profile.diff_length, profile.in_tube])
+                     columns=[profile.y[:, 0], profile.diff_length, profile.in_tube])
     table.footer_comments.append(f"diff_measure: {profile.diff_measure:.17g}")
     table.footer_comments.append(
         f"diff_measure_outside_tube: {profile.diff_measure_outside_tube:.17g}")

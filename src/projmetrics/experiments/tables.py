@@ -3,13 +3,13 @@
 A table keeps its cells column by column, as lists or whole arrays, and
 formats each column in one pass when it is written or read through column()
 and rows: floats with format(x, '.17g') ('.' decimal separator, bit-exact
-round trips), bools as true/false, the rows of a 2-D float array as
-';'-joined floats; a column of other or mixed kinds cell by cell, by the
-same rules, ints and anything else with str.  Lines are joined directly and
-end in CRLF.  A text cell is quoted where csv.writer's QUOTE_MINIMAL quotes
-it, and also when it is a row's first cell and starts with '# '.  Footer
-comments (slope fits, low-precision flags) follow the data rows as lines
-starting with '# ', which the reader skips outside quoted fields.
+round trips) and bools as true/false; a column of other or mixed kinds
+cell by cell, by the same rules, ints and anything else with str.  Lines
+are joined directly and end in CRLF.  A text cell is quoted where
+csv.writer's QUOTE_MINIMAL quotes it, and also when it is a row's first
+cell and starts with '# '.  Footer comments (slope fits, low-precision
+flags) follow the data rows as lines starting with '# ', which the reader
+skips outside quoted fields.
 """
 
 from __future__ import annotations
@@ -40,11 +40,6 @@ def _cell(x) -> str:
 def _cells(column) -> tuple[list[str], bool]:
     """The text of a column's cells, formatted in one pass, and whether it
     may hold text that needs quoting (formatted numbers never do)."""
-    if getattr(column, "ndim", 1) == 2:  # one ';'-joined row of floats per cell
-        k = column.shape[1]
-        flat = list(map(format, column.ravel().tolist(), repeat(_FLOAT)))
-        return (flat if k == 1 else
-                [";".join(flat[i:i + k]) for i in range(0, len(flat), k)]), False
     values = column.tolist() if hasattr(column, "tolist") else column
     kinds = set(map(type, values))
     if kinds <= {float}:

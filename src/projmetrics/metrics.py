@@ -481,8 +481,7 @@ class FiberProfile:
 
 
 def fiber_profile(outer: VPolytope, inner: VPolytope, h: Subspace, u: np.ndarray,
-                  grid_n: int, tube: VPolytope | None = None,
-                  tol: float = DEFAULT_TOL) -> FiberProfile:
+                  grid_n: int, tube: VPolytope | None = None) -> FiberProfile:
     """Transverse profile of the fiber-length difference between two nested
     bodies, measured inside h along the projected axis of u.
 
@@ -495,8 +494,9 @@ def fiber_profile(outer: VPolytope, inner: VPolytope, h: Subspace, u: np.ndarray
     transverse coordinates, tested against the image's facet equations,
     and tube_measure is the image's exact (j-1)-volume from the same chart
     (0 when the image spans less).  The grid has round(grid_n ** (1/(j-1)))
-    cells per transverse axis, and grid_n must be at least 1.  Differences
-    below 100*tol are clamped to zero.
+    cells per transverse axis, and grid_n must be at least 1.  Chords and
+    the containment and tube tests use the fixed DEFAULT_TOL (1e-9), and
+    differences below 100 * DEFAULT_TOL read 0.
     """
     if grid_n < 1:
         raise ValueError(f"fiber grid size must be >= 1, got {grid_n}")
@@ -508,8 +508,7 @@ def fiber_profile(outer: VPolytope, inner: VPolytope, h: Subspace, u: np.ndarray
            and _heads_agree([(inner.vertices, outer.vertices)])[0])
     if not led:  # one certificate, Wolfe for the rows it leaves
         dist, ok = outer._chart.certified(inner.vertices)
-        slack = max(tol, 1e-9)
-        if np.any(dist > slack) or any(distance_to_hull(v, outer) > slack
+        if np.any(dist > DEFAULT_TOL) or any(distance_to_hull(v, outer) > DEFAULT_TOL
                                        for v in inner.vertices[~ok]):
             raise ValueError("inner body is not contained in the outer body")
     u_h, e_basis = axis_split(h, u)
@@ -529,17 +528,17 @@ def fiber_profile(outer: VPolytope, inner: VPolytope, h: Subspace, u: np.ndarray
     mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
     bases = mesh @ e_basis.T
-    lo_o, hi_o, _ = line_fibers(proj_outer, bases, u_h, tol)
-    lo_i, hi_i, _ = line_fibers(proj_inner, bases, u_h, tol)
+    lo_o, hi_o, _ = line_fibers(proj_outer, bases, u_h)
+    lo_i, hi_i, _ = line_fibers(proj_inner, bases, u_h)
     diff = (hi_o - lo_o) - (hi_i - lo_i)  # empty chords have lo = hi = 0
-    diff[diff < 100.0 * tol] = 0.0
+    diff[diff < 100.0 * DEFAULT_TOL] = 0.0
 
     tube_e: VPolytope | None = None
     if tube is None:
         in_tube = np.zeros(mesh.shape[0], dtype=bool)
     else:
         tube_e = VPolytope((tube.vertices @ h.basis) @ e_basis)
-        in_tube = contains(tube_e, mesh, tol)
+        in_tube = contains(tube_e, mesh)
 
     tube_measure = 0.0
     if tube_e is not None and tube_e._chart.dim == tdim:

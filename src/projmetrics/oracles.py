@@ -25,6 +25,7 @@ import numpy as np
 from .bodies import (
     _Chart,
     _charts,
+    _row_blocks,
     hull_2d,
     polygon_area,
     polygon_clip,
@@ -43,28 +44,36 @@ __all__ = [
 ]
 
 
-def inside(verts: np.ndarray, pts: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Points of pts in the convex hull of verts (both in R^j), at tol times
-    the set's own scale: its length at j = 1 and the square of its extent
-    (the longest side of its bounding box) at j = 2, where the test reads
-    edge cross products; at j >= 3 the facet test of the chart's hull, at
-    tol times the chart's scale."""
+_INSIDE_TOL = 1e-12  # membership tolerance, relative to the operand's scale
+
+
+def inside(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Points of pts in the convex hull of verts (both in R^j), at 1e-12
+    times the set's own scale: its length at j = 1 and the square of its
+    extent (the longest side of its bounding box) at j = 2, where the test
+    reads edge cross products; at j >= 3 the facet test of the chart's
+    hull, at 1e-12 times the chart's scale."""
     j = verts.shape[1]
     if j == 1:
         lo, hi = float(verts.min()), float(verts.max())
-        tol *= hi - lo
+        tol = _INSIDE_TOL * (hi - lo)
         return (pts[:, 0] >= lo - tol) & (pts[:, 0] <= hi + tol)
     if j == 2:
         ring = hull_2d(verts)
-        return ring_contains(ring, pts, tol * float(np.max(np.ptp(ring, axis=0))) ** 2)
-    return _in_chart(_charts([verts])[0], pts, tol)
+        return ring_contains(ring, pts, _INSIDE_TOL * float(np.max(np.ptp(ring, axis=0))) ** 2)
+    return _in_chart(_charts([verts])[0], pts)
 
 
-def _in_chart(c: _Chart, pts: np.ndarray, tol: float) -> np.ndarray:
+def _in_chart(c: _Chart, pts: np.ndarray) -> np.ndarray:
+    """The facet test of the chart's hull over the row blocks of bodies,
+    one BLAS product per block: faster than _in_facets' coordinate sums."""
+    hit = np.zeros(pts.shape[0], dtype=bool)
     if c.dim < pts.shape[1]:  # no j-flat spanned: a hull of volume 0 holds no sample
-        return np.zeros(pts.shape[0], dtype=bool)
+        return hit
     a, b, _ = c.hull
-    return np.all(pts @ a.T + b <= tol * c.scale, axis=1)
+    for r in _row_blocks(pts.shape[0], a.shape[0]):
+        hit[r] = np.all(pts[r] @ a.T + b <= _INSIDE_TOL * c.scale, axis=1)
+    return hit
 
 
 def exact_volume(verts: np.ndarray, j: int) -> float:
@@ -231,7 +240,7 @@ def mc_volume_stack(vertex_sets, j: int, n: int, streams,
         streams[k].counter += n * j
         verts, r = sets[k], radii[k]
         pts, box_vol = _sample_box(verts, uk)
-        hit = inside(verts, pts) if j <= 2 else _in_chart(charts[k], pts, 1e-12)
+        hit = inside(verts, pts) if j <= 2 else _in_chart(charts[k], pts)
         if r is not None:
             hit &= np.einsum("ij,ij->i", pts, pts) > r * r
         out[k] = _box_estimate(hit, box_vol)

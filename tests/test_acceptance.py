@@ -162,11 +162,11 @@ def test_criterion_08_schedule_identities(capsys):
             u[0] = 1.0
             x0 = base.vertices.mean(axis=0)
             c2 = needle_bound_constant(d, j, "two_sided")
-            for row, _ in thm2_sequence(base, plane, x0, u, None, 11):
+            for row, _ in thm2_sequence(base, plane, x0, u, 11):
                 assert abs(c2 * row.eps ** (j - 1) * row.length
                            - 2.0 ** -(row.m + 1)) <= 1e-12
             a0 = 1.0
-            for row, _ in thm3_sequence(base, plane, x0, u, None, 11, a0):
+            for row, _ in thm3_sequence(base, plane, x0, u, 11, a0):
                 assert abs(c2 * row.eps ** (j - 1) * row.length
                            - (a0 / 4.0) * 2.0 ** -(row.m + 1)) <= 1e-12
     _report(capsys, 8, "dyadic schedule identities, m=0..10, four (d,j) pairs", t)
@@ -208,7 +208,7 @@ def test_criterion_11_floor_bookkeeping(capsys):
         assert claimed_sum <= a0 / 4.0 + 1e-12
         base = unit_cube(3, 2)
         seq = thm3_sequence(base, axis_subspace(3, [0, 1]), base.vertices.mean(axis=0),
-                            np.array([1.0, 0.0, 0.0]), None, cfg.steps, a0)
+                            np.array([1.0, 0.0, 0.0]), cfg.steps, a0)
         for row, (_, body) in zip(table.rows, seq):
             record = dict(zip(table.header, row))
             assert float(record["se"]) == 0.0

@@ -401,6 +401,27 @@ class TestCertifiedDistance:
                 assert ok.all() and not dist.any()
                 assert all(distance_to_hull(p, body) == 0.0 for p in pts)
 
+    def test_certificate_keeps_no_gram_matrix(self):
+        # a 2000-point sphere's hull has about 4000 facets, whose facets x
+        # facets Gram matrix would take about 120 MiB: certified forms only
+        # the Gram row of each point's top facet, block by block
+        rng = np.random.default_rng(0)
+        v = rng.normal(size=(2000, 3))
+        body = VPolytope(v / np.linalg.norm(v, axis=1)[:, None])
+        pts = 0.5 * body.vertices + 0.3
+        n_facets = len(body._chart.hull[1])
+        assert 8 * n_facets**2 > 64 * 2**20
+        tracemalloc.start()
+        try:
+            dist, ok = body._chart.certified(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert ok.sum() >= len(pts) // 2
+        for p, x in zip(pts[ok][::10], dist[ok][::10]):
+            assert abs(x - wolfe_distance(p, body)) <= 1e-12 * max(1.0, x)
+
     def test_far_points_and_a_single_point(self, cube3):
         assert distance_to_hull(np.array([0.5, 0.5, 41.0]), cube3) == 40.0
         point = VPolytope([[1.0, 2.0, 2.0]])

@@ -168,7 +168,7 @@ class TestDyadicSchedules:
             spec = NeedleSpec(x0=x0, u=u, plane=plane, length=row.length, eps=row.eps,
                               kind="prism")
             assert np.array_equal(body.vertices[base.n_vertices:], prism_needle(spec).vertices)
-        for row, body in thm2_sequence(base, plane, x0, u, None, 5):
+        for row, body in thm2_sequence(base, plane, x0, u, 5):
             spec = NeedleSpec(x0=row.x_m, u=u, plane=plane, length=row.length, eps=row.eps,
                               kind="spindle")
             assert np.array_equal(body.vertices[prev.n_vertices:], spindle_needle(spec).vertices)
@@ -181,7 +181,7 @@ class TestDyadicSchedules:
         u = np.zeros(d)
         u[0] = 1.0
         c2 = needle_bound_constant(d, j, "two_sided")
-        seq = thm2_sequence(base, plane, base.vertices.mean(axis=0), u, None, 21)
+        seq = thm2_sequence(base, plane, base.vertices.mean(axis=0), u, 21)
         for row, _ in seq:
             assert abs(c2 * row.eps ** (j - 1) * row.length - 2.0 ** -(row.m + 1)) < 1e-12
 
@@ -193,7 +193,7 @@ class TestDyadicSchedules:
         u = np.zeros(d)
         u[0] = 1.0
         c2 = needle_bound_constant(d, j, "two_sided")
-        seq = thm3_sequence(base, plane, base.vertices.mean(axis=0), u, None, 21, a0)
+        seq = thm3_sequence(base, plane, base.vertices.mean(axis=0), u, 21, a0)
         for row, _ in seq:
             target = (a0 / 4.0) * 2.0 ** -(row.m + 1)
             assert abs(c2 * row.eps ** (j - 1) * row.length - target) < 1e-12
@@ -201,16 +201,16 @@ class TestDyadicSchedules:
     def test_partial_sums(self):
         base = unit_cube(3, 2)
         x0 = base.vertices.mean(axis=0)
-        seq2 = thm2_sequence(base, E3, x0, U3, None, 10)
+        seq2 = thm2_sequence(base, E3, x0, U3, 10)
         # dyadic partial sum 1 - 2^-steps, never exceeding the full series' 1
         assert sum(r.claimed_step_bound for r, _ in seq2) \
             == pytest.approx(1.0 - 2.0**-10, abs=1e-12)
-        seq3 = thm3_sequence(base, E3, x0, U3, None, 10, 1.0)
+        seq3 = thm3_sequence(base, E3, x0, U3, 10, 1.0)
         assert sum(r.claimed_step_bound for r, _ in seq3) <= 0.25 + 1e-12
 
     def test_vertex_monotonicity(self):
         base = unit_cube(3, 2)
-        seq = thm2_sequence(base, E3, base.vertices.mean(axis=0), U3, None, 5)
+        seq = thm2_sequence(base, E3, base.vertices.mean(axis=0), U3, 5)
         prev = base
         for _, body in seq:
             assert body.n_vertices > prev.n_vertices
@@ -219,13 +219,13 @@ class TestDyadicSchedules:
 
     def test_exclusion_exceeds_body_radius(self):
         base = unit_cube(3, 2)
-        for row, _ in thm2_sequence(base, E3, base.vertices.mean(axis=0), U3, None, 6):
+        for row, _ in thm2_sequence(base, E3, base.vertices.mean(axis=0), U3, 6):
             assert row.exclusion_radius > row.body_radius
 
     def test_thm3_requires_positive_a0(self):
         base = unit_cube(3, 2)
         with pytest.raises(ValueError):
-            thm3_sequence(base, E3, base.vertices.mean(axis=0), U3, None, 3, 0.0)
+            thm3_sequence(base, E3, base.vertices.mean(axis=0), U3, 3, 0.0)
 
 
 def reference_needle(spec: NeedleSpec, frame: np.ndarray) -> VPolytope:
@@ -256,17 +256,16 @@ def thm1_rows(body, plane, x0, u, l0, steps):
     return out
 
 
-def dyadic_rows(body, plane, x0, u, lengths, steps, target):
+def dyadic_rows(body, plane, x0, u, steps, target):
     """thm2/thm3_sequence built row by row, each body augmenting the last."""
     d, j = plane.ambient_dim, plane.dim
     c2 = needle_bound_constant(d, j, "two_sided")
     x0, u = np.asarray(x0, dtype=float), np.asarray(u, dtype=float)
-    lengths = lengths or [2.0**m for m in range(steps)]
     offset_unit = max(1.0, _diameter(body))
     frame = _transverse_frame(plane, u)
     out, current = [], body
     for m in range(steps):
-        length = float(lengths[m])
+        length = 2.0**m
         eps = (target(m) / (c2 * length)) ** (1.0 / (j - 1))
         offset = m * offset_unit
         x_m = x0 + offset * u
@@ -308,18 +307,17 @@ class TestStackedSequences:
                                thm1_rows(base, plane, x0, u, l0, 12))
 
     @pytest.mark.parametrize("d,j", [(3, 2), (4, 3), (5, 3), (8, 7)])
-    @pytest.mark.parametrize("lengths", [None, [0.3 * 1.7**m for m in range(12)]])
-    def test_dyadic(self, d, j, lengths):
+    @pytest.mark.parametrize("a0", [None, 0.37])  # None: thm2, else thm3 with this a0
+    def test_dyadic(self, d, j, a0):
         base = unit_cube(d, j)
         plane = axis_subspace(d, list(range(j)))
         x0, u = base.vertices.mean(axis=0) - 0.2, np.eye(d)[0]
+        if a0 is None:
+            seq, scale = thm2_sequence(base, plane, x0, u, 12), 1.0
+        else:
+            seq, scale = thm3_sequence(base, plane, x0, u, 12, a0), a0 / 4.0
         self.assert_rows_equal(
-            thm2_sequence(base, plane, x0, u, lengths, 12),
-            dyadic_rows(base, plane, x0, u, lengths, 12, lambda m: 2.0 ** -(m + 1)))
-        self.assert_rows_equal(
-            thm3_sequence(base, plane, x0, u, lengths, 12, 0.37),
-            dyadic_rows(base, plane, x0, u, lengths, 12,
-                        lambda m: (0.37 / 4.0) * 2.0 ** -(m + 1)))
+            seq, dyadic_rows(base, plane, x0, u, 12, lambda m: scale * 2.0 ** -(m + 1)))
 
     def test_needles_are_validated(self):
         base = unit_cube(3, 2)
@@ -327,9 +325,7 @@ class TestStackedSequences:
         with pytest.raises(ValueError, match="unit vector"):
             thm1_sequence(base, E3, x0, 2.0 * U3, 2.0, 3)
         with pytest.raises(ValueError, match="construction plane"):
-            thm2_sequence(base, E3, x0, np.array([0.6, 0.0, 0.8]), None, 3)
-        with pytest.raises(ValueError, match="positive"):
-            thm2_sequence(base, E3, x0, U3, [1.0, -1.0], 2)
+            thm2_sequence(base, E3, x0, np.array([0.6, 0.0, 0.8]), 3)
 
 
 class TestBlockBounds:

@@ -159,18 +159,12 @@ class TestTables:
         for name, table in reproduce_tables().items():
             assert table.to_bytes() == reference_bytes(table), name
 
-    @pytest.mark.parametrize("transverse", [1, 2])
-    def test_bytes_match_csv_writer_on_fibers(self, monkeypatch, transverse):
+    def test_bytes_match_csv_writer_on_fibers(self):
         rng = np.random.default_rng(2)
         small = VPolytope(rng.uniform(-1, 1, size=(6, 3)))
         big = VPolytope(np.vstack([small.vertices, rng.uniform(-2, 2, size=(4, 3))]))
-        if transverse == 2:  # profile over all of R^3: (y1, y2) points, ';'-joined
-            monkeypatch.setattr(runners, "fiber_profile",
-                                lambda a, b, h, u, n, tube=None:
-                                metrics.fiber_profile(a, b, full_space(3), u, n, tube=tube))
         table = run_fibers(big, small, "random:7", 30)
-        assert table.columns[0].shape[1] == transverse
-        assert (";" in table.rows[0][0]) == (transverse == 2)
+        assert table.columns[0].ndim == 1  # a 2-plane's one transverse coordinate
         assert table.to_bytes() == reference_bytes(table)
 
     @pytest.mark.parametrize("header,rows", [
@@ -394,7 +388,7 @@ def thm2_row_loop(cfg: ExperimentConfig):
     plan = SamplingPlan(n_subspaces=cfg.n_subspaces, n_points=cfg.n_points,
                         seed=cfg.seed, mode=cfg.mode)
     c2 = needle_bound_constant(cfg.d, cfg.j, "two_sided")
-    seq = thm2_sequence(base, plane, x0, u, None, cfg.steps)
+    seq = thm2_sequence(base, plane, x0, u, cfg.steps)
     passing = []
     for basis in haar_frames(cfg.d, cfg.j, cfg.seed,
                              AUX_STREAM_BASE // 2 + np.arange(cfg.n_subspaces)):
@@ -870,6 +864,9 @@ class TestCli:
         assert main(["metric", "--body-a", "missing.body", "--empty",
                      "-d", "2", "-j", "1"]) == 3
         assert main(["nonsense"]) == 3
+        # reproduce runs only exact tables, so it takes no worker count
+        assert main(["reproduce", "--out-dir", str(tmp_path / "r"), "--workers", "1"]) == 3
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("grid", ["0", "-3"])
     def test_fibers_grid_below_one_is_a_config_error(self, tmp_path, bodies, capsys, grid):

@@ -1,7 +1,8 @@
 """The package's import layering, checked on the source with ast: the
 experiment layer uses only public library names, scripts reach the
 experiments only through the CLI, every public library name has a caller
-in the library, qhull is called from one place, one padding rule and one
+in the library, every default of a public function is overridden by some
+library call, qhull is called from one place, one padding rule and one
 leading-rows test serve the stacked passes, one helper sizes every row
 block, one module formats table cells, and every name the
 benchmark's traced mode looks up still resolves."""
@@ -24,6 +25,17 @@ KEPT_WITHOUT_CALLER = {
     "read_csv": "the reader for the CLI's CSV tables",
     "spindle_needle": "the one-needle builder of the spindle kind; the dyadic sequences "
                       "build the same vertices from one transverse frame per sequence",
+}
+
+# (public top-level function, defaulted parameter) pairs that no library call
+# passes, each kept for a reason
+KEPT_DEFAULTS = {
+    ("main", "argv"): "the console-script entry point, which reads sys.argv",
+    ("line_fiber", "tol"): "the one-row case of line_fibers, a layer that "
+                           "perfbench/spans.py traces by name",
+    ("mc_volume", "exclusion_radius"): "the one-row case of mc_volume_stack's radii, "
+                                       "which the thm2 row-loop reference in the tests "
+                                       "passes",
 }
 
 
@@ -77,6 +89,40 @@ def test_every_public_library_name_has_a_library_caller():
     assert sorted(public - used - KEPT_WITHOUT_CALLER.keys()) == []
     # the allow-list holds only names that exist and still lack a caller
     assert sorted(KEPT_WITHOUT_CALLER.keys() - (public - used)) == []
+
+
+def test_every_public_default_is_passed_by_a_library_call():
+    # a default that no call overrides is a setting nothing varies: drop the
+    # parameter, or keep it in KEPT_DEFAULTS with a reason
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(LIBRARY.rglob("*.py"))]
+    defaulted = {}  # (function, parameter): its position, None if keyword-only
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                for k, arg in enumerate(positional[first:], first):
+                    defaulted[node.name, arg.arg] = k
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        defaulted[node.name, arg.arg] = None
+    passed = set()
+    for tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            keywords = {kw.arg for kw in call.keywords}  # None: a **mapping
+            starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+            passed |= {(fn, param) for (fn, param), k in defaulted.items()
+                       if fn == name and (param in keywords or None in keywords or starred
+                                          or (k is not None and len(call.args) > k))}
+    unpassed = defaulted.keys() - passed
+    assert sorted(unpassed - KEPT_DEFAULTS.keys()) == []
+    # the allow-list holds only parameters that exist and still lack a call
+    assert sorted(KEPT_DEFAULTS.keys() - unpassed) == []
 
 
 def references(name: str) -> set[tuple[str, str]]:

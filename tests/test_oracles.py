@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_convex_polygon, unit_cube
-from projmetrics.bodies import bounding_radius, hull_2d, polygon_area
+from projmetrics.bodies import VPolytope, _FACET_BLOCK, bounding_radius, hull_2d, polygon_area
 from projmetrics.numerics import RngStream
 from projmetrics.oracles import (
     _outside_parts,
@@ -74,6 +75,25 @@ class TestExactOracles:
         sym, sym_se = mc_symdiff(a, b, j, n, RngStream(3, j))
         exact = exact_volume(a, j) - exact_volume(b, j) if j >= 3 else exact_symdiff(a, b, j)
         assert abs(sym - exact) <= 4.0 * sym_se
+
+    def test_box_mc_tests_facets_over_row_blocks(self):
+        # 20 000 samples against the 996 facets of a 500-point sphere's hull:
+        # one (samples, facets) product would take about 150 MiB, so the
+        # facet test runs block by block
+        rng = np.random.default_rng(0)
+        v = rng.normal(size=(500, 3))
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        n = 20_000
+        n_facets = len(VPolytope(v)._chart.hull[1])
+        assert n * n_facets > 64 * _FACET_BLOCK
+        tracemalloc.start()
+        try:
+            vol, vol_se = mc_volume(v, 3, n, RngStream(1, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert abs(vol - exact_volume(v, 3)) <= 4.0 * vol_se
 
 
 def outside_mass_rows(j: int) -> list:
