@@ -213,7 +213,11 @@ def _min_norm_point(pts: np.ndarray, start: int, max_iter: int) -> np.ndarray | 
             kkt = np.zeros((k + 1, k + 1))
             kkt[0, 1:] = 1.0
             kkt[1:, 0] = 1.0
-            kkt[1:, 1:] = corral @ corral.T
+            # Gram of the corral less the constant |corral[0]|^2 in every entry,
+            # which leaves alpha unchanged and keeps far points' |p|^2 out
+            off = corral - corral[0]
+            c = off @ corral[0]
+            kkt[1:, 1:] = off @ off.T + c[:, None] + c[None, :]
             rhs = np.zeros(k + 1)
             rhs[0] = 1.0
             sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import VPolytope
-from .grassmann import GoodnessCertificate, Subspace, complete_to_basis
+from .grassmann import GoodnessCertificate, Subspace, axis_split
 from .numerics import needle_bound_constant
 
 __all__ = [
@@ -98,11 +98,7 @@ def _transverse_frame(plane: Subspace, u: np.ndarray) -> np.ndarray:
     a sequence builds it once and scales it by each row's eps."""
     if plane.dim < 2:
         raise ValueError("cross-section needs a plane of dimension >= 2")
-    u_plane = plane.basis.T @ np.asarray(u, dtype=float)
-    nrm = float(np.linalg.norm(u_plane))
-    if nrm <= 1e-12:
-        raise ValueError("axis u must have a component in the plane")
-    return (plane.basis @ complete_to_basis(u_plane / nrm)).T
+    return (plane.basis @ axis_split(plane, u)[1]).T
 
 
 def _sections(frame: np.ndarray, eps) -> np.ndarray:

@@ -38,7 +38,6 @@ from ..grassmann import (
 from ..metrics import (
     AUX_STREAM_BASE,
     SamplingPlan,
-    delta_j,
     delta_j_stack,
     fiber_profile,
     hausdorff_stack,
@@ -270,20 +269,16 @@ def run_thm3(cfg: ExperimentConfig, a0: float | None = None) -> CsvTable:
     """Empty-set floor experiment: dyadic spindles with a0-scaled targets.
 
     a0 defaults to the measured distance of the base body to the empty set,
-    which must agree bit-for-bit with the intrinsic volume (shared path).
-    The claimed floor and steps are recorded, not asserted.  The distance to
-    the empty set grows with the needle, 1.5 -> 32.5 at seed 1 and (d, j) =
-    (3, 2): the sequence is unbounded in delta_j, so it is not the
-    delta_j-Cauchy sequence its claimed steps describe."""
+    its intrinsic volume V_j.  The claimed floor and steps are recorded, not
+    asserted.  The distance to the empty set grows with the needle, 1.5 ->
+    32.5 at seed 1 and (d, j) = (3, 2): the sequence is unbounded in
+    delta_j, so it is not the delta_j-Cauchy sequence its claimed steps
+    describe."""
     if cfg.j >= cfg.d:
         raise ConfigError(f"thm3 requires j <= d-1, got (d={cfg.d}, j={cfg.j})")
     base, plane, x0, u = unit_cube_body(cfg.d, cfg.j)
     plan = _plan(cfg)
-    a0_est = delta_j(base, None, cfg.j, plan, workers=cfg.workers)
-    iv = intrinsic_volume(base, cfg.j, plan, workers=cfg.workers)
-    if a0_est.value != iv.value or a0_est.std_error != iv.std_error:
-        raise AssertionFailure("thm3: delta to the empty set and intrinsic volume "
-                               "disagree bitwise for the same plan")
+    a0_est = intrinsic_volume(base, cfg.j, plan, workers=cfg.workers)
     a0_used = a0 if a0 is not None else a0_est.value
     c2 = needle_bound_constant(cfg.d, cfg.j, "two_sided")
     seq = thm3_sequence(base, plane, x0, u, cfg.steps, a0_used)

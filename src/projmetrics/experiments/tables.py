@@ -156,8 +156,9 @@ def _axis_transform(values, log_scale: bool):
 
 def write_svg(table: CsvTable, x_col: str, y_cols: list[str], path,
               log_log: bool = False) -> None:
-    xs = [float(v) for v in table.column(x_col)]
-    series = {name: [float(v) for v in table.column(name)] for name in y_cols}
+    xs = [float(v) for v in table.columns[table.header.index(x_col)]]
+    series = {name: [float(v) for v in table.columns[table.header.index(name)]]
+              for name in y_cols}
 
     def tx(v):
         return math.log10(v) if log_log else v

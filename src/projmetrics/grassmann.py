@@ -188,19 +188,15 @@ class GoodnessCertificate(NamedTuple):
     arrays with one row per frame for an (n, d, j) stack (goodness_stack).
 
     sigma_min is the smallest singular value of the projection restricted to
-    the plane; ell is the length of the projected axis; the transverse map
-    acts on the axis-complement inside the plane, and its Jacobian scales
-    the transverse cross-section volume.  c = 2 * ell * b by construction.
-    Per frame, u_h is (j,), e_h_basis (j, j-1) and transverse_map
-    (j-1, j-1); a stack adds a leading axis of length n to every field."""
+    the plane; ell is the length of the projected axis; jacobian is the
+    product of the singular values of the transverse map, which sends the
+    axis-complement inside the plane to the axis-complement inside the
+    subspace, so it scales the transverse cross-section volume; and
+    c = 2 * ell * jacobian * ball_volume(j - 1)."""
 
     sigma_min: np.ndarray
     ell: np.ndarray
-    u_h: np.ndarray
-    e_h_basis: np.ndarray
-    transverse_map: np.ndarray
     jacobian: np.ndarray
-    b: np.ndarray
     c: np.ndarray
 
 
@@ -218,9 +214,10 @@ def goodness_stack(frames: np.ndarray, plane: Subspace, u: np.ndarray) -> Goodne
     one batched SVD for sigma_min, one stacked Householder completion of the
     projected axes and one batched SVD of the transverse maps.
 
-    A degenerate projected axis is reported, never resampled: its row
-    carries sigma_min and ell with zero u_h, e_h_basis and transverse map
-    and jacobian = b = c = 0."""
+    The unit projected axis, the frame of its complement inside each
+    subspace and the transverse maps are formed here and not returned.  A
+    degenerate projected axis is reported, never resampled: its row carries
+    sigma_min and ell with jacobian = c = 0."""
     f = np.asarray(frames, dtype=float)
     if f.ndim != 3 or f.shape[1] != plane.ambient_dim:
         raise ValueError(f"frames must be (n, {plane.ambient_dim}, j), got {f.shape}")
@@ -246,14 +243,12 @@ def goodness_stack(frames: np.ndarray, plane: Subspace, u: np.ndarray) -> Goodne
     e_h_basis = np.zeros(f.shape[:1] + (j, j - 1))
     e_h_basis[live] = complete_to_basis(u_h[live])
     # orthonormal frame of the axis complement inside the plane, in ambient coords
-    u_plane = plane.basis.T @ u
-    plane_comp = plane.basis @ complete_to_basis(u_plane / np.linalg.norm(u_plane))
+    plane_comp = plane.basis @ axis_split(plane, u)[1]
     transverse = np.swapaxes(e_h_basis, 1, 2) @ (ft @ plane_comp)  # (n, j-1, j-1)
     # product of singular values; the empty product 1 is the 0-dimensional Jacobian
     jac = np.where(live, np.prod(np.linalg.svd(transverse, compute_uv=False), axis=1), 0.0)
-    b = jac * ball_volume(j - 1)
-    return GoodnessCertificate(sigma_min=sigma, ell=ell, u_h=u_h, e_h_basis=e_h_basis,
-                               transverse_map=transverse, jacobian=jac, b=b, c=2.0 * ell * b)
+    return GoodnessCertificate(sigma_min=sigma, ell=ell, jacobian=jac,
+                               c=2.0 * ell * (jac * ball_volume(j - 1)))
 
 
 def goodness(h: Subspace, plane: Subspace, u: np.ndarray) -> GoodnessCertificate:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_convex_polygon
+from conftest import random_convex_polygon, unit_cube
+from projmetrics import bodies
 from projmetrics.bodies import (
     BodyParseError,
     NonConvergenceError,
@@ -446,6 +447,40 @@ class TestCertifiedDistance:
         p = np.array([2.0, 0.5, 0.5])
         assert distance_to_hull(p, cube3) == wolfe_distance(p, cube3)
         assert cube3._chart.facets is None
+
+
+class TestWolfeDistance:
+    """Above chart dimension 3 a point off the body gets Wolfe's min-norm
+    point, with one restart from the farthest vertex before it gives up."""
+
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_far_points_from_a_cube(self, d):
+        # the corral's Gram is formed from offsets to its first point: from
+        # the points themselves its entries, about |p|^2, swamped the cube's
+        # extent, and at 6000 the solve no longer converged
+        cube = unit_cube(d, d)
+        for x in (6e3, 1e4, 1e5, 1e6):
+            p = np.full(d, 0.5)
+            p[0] = x
+            assert distance_to_hull(p, cube) == pytest.approx(x - 1.0, rel=1e-14)
+
+    def test_restart_from_the_farthest_vertex(self, monkeypatch):
+        cube, p = unit_cube(4, 4), np.array([3.0, 0.5, 0.5, 0.5])
+        starts = []
+
+        def first_fails(pts, start, max_iter):
+            starts.append(start)
+            return None if len(starts) == 1 else _min_norm_point(pts, start, max_iter)
+
+        monkeypatch.setattr(bodies, "_min_norm_point", first_fails)
+        assert distance_to_hull(p, cube) == pytest.approx(2.0, rel=1e-14)
+        norms2 = np.sum((cube.vertices - p) ** 2, axis=1)
+        assert starts == [int(np.argmin(norms2)), int(np.argmax(norms2))]
+
+    def test_failure_after_the_restart(self, monkeypatch):
+        monkeypatch.setattr(bodies, "_min_norm_point", lambda pts, start, max_iter: None)
+        with pytest.raises(NonConvergenceError, match="did not converge in 360 iterations"):
+            distance_to_hull(np.array([3.0, 0.5, 0.5, 0.5]), unit_cube(4, 4))
 
 
 class TestHull2d:

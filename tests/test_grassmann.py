@@ -186,7 +186,7 @@ class TestGoodness:
             assert cert.sigma_min == pytest.approx(1.0, abs=1e-12)
             assert cert.ell == pytest.approx(1.0, abs=1e-12)
             assert cert.jacobian == pytest.approx(1.0, abs=1e-12)
-            assert cert.b == pytest.approx(ball_volume(j - 1), abs=1e-12)
+            assert cert.c == 2.0 * cert.ell * (cert.jacobian * ball_volume(j - 1))
             assert cert.c == pytest.approx(2.0 * ball_volume(j - 1), abs=1e-12)
 
     def test_rank_drop_certificate(self):
@@ -200,7 +200,7 @@ class TestGoodness:
         h = axis_subspace(3, [1, 2])
         cert = goodness(h, plane, np.array([1.0, 0.0, 0.0]))
         assert cert.ell == 0.0
-        assert cert.jacobian == cert.b == cert.c == 0.0
+        assert cert.jacobian == cert.c == 0.0
 
     def test_random_certificates(self):
         plane = axis_subspace(4, [0, 1])
@@ -214,7 +214,7 @@ class TestGoodness:
                 continue
             assert cert.jacobian > 0.0
             assert cert.jacobian <= 1.0 + 1e-12  # composition of contractions
-            assert cert.c == 2.0 * cert.ell * cert.b
+            assert cert.c == 2.0 * cert.ell * (cert.jacobian * ball_volume(1))
         assert near_singular == 0
 
     def test_axis_must_be_in_plane(self):
@@ -240,19 +240,19 @@ def reference_completion(v):
 
 
 def reference_certificate(basis, plane, u):
-    """(sigma_min, ell, e_h_basis, jacobian, c) of one frame, computed frame by frame."""
+    """(sigma_min, ell, jacobian, c) of one frame, computed frame by frame."""
     j = basis.shape[1]
     sigma = float(np.linalg.svd(basis.T @ plane.basis, compute_uv=False)[-1])
     pu = basis.T @ u
     ell = float(np.linalg.norm(pu))
     if ell <= 1e-12:
-        return sigma, ell, np.zeros((j, j - 1)), 0.0, 0.0
+        return sigma, ell, 0.0, 0.0
     e_h_basis = reference_completion(pu / ell)
     u_plane = plane.basis.T @ u
     plane_comp = plane.basis @ reference_completion(u_plane / np.linalg.norm(u_plane))
     # the Gram Jacobian: the product of the transverse map's singular values
     jac = float(np.prod(np.linalg.svd(e_h_basis.T @ (basis.T @ plane_comp), compute_uv=False)))
-    return sigma, ell, e_h_basis, jac, 2.0 * ell * (jac * ball_volume(j - 1))
+    return sigma, ell, jac, 2.0 * ell * (jac * ball_volume(j - 1))
 
 
 class TestGoodnessStack:
@@ -265,10 +265,9 @@ class TestGoodnessStack:
         certs = goodness_stack(frames, plane, u)
         assert certs.sigma_min.shape == certs.ell.shape == certs.c.shape == (400,)
         for k, frame in enumerate(frames):
-            sigma, ell, e_h_basis, jac, c = reference_certificate(frame, plane, u)
+            sigma, ell, jac, c = reference_certificate(frame, plane, u)
             assert certs.sigma_min[k] == sigma
             assert certs.ell[k] == ell
-            assert np.array_equal(certs.e_h_basis[k], e_h_basis)
             assert certs.jacobian[k] == jac
             assert certs.c[k] == c
             one = goodness(Subspace(frame), plane, u)
@@ -281,8 +280,7 @@ class TestGoodnessStack:
         mixed = np.concatenate([frames[:3], axis_subspace(3, [1, 2]).basis[None], frames[3:]])
         certs = goodness_stack(mixed, plane, u)
         assert certs.ell[3] == 0.0
-        assert certs.jacobian[3] == certs.b[3] == certs.c[3] == 0.0
-        assert not np.any(certs.e_h_basis[3]) and not np.any(certs.transverse_map[3])
+        assert certs.jacobian[3] == certs.c[3] == 0.0
         rest = np.arange(7) != 3
         assert np.all(certs.ell[rest] > 0) and np.all(certs.c[rest] > 0)
         assert np.array_equal(certs.c[rest], goodness_stack(frames, plane, u).c)

@@ -4,13 +4,17 @@ experiments only through the CLI, every public library name has a caller
 in the library, every default of a public function is overridden by some
 library call, qhull is called from one place, one padding rule and one
 leading-rows test serve the stacked passes, one helper sizes every row
-block, one module formats table cells, and every name the
-benchmark's traced mode looks up still resolves."""
+block, one module formats table cells, every name the benchmark's
+traced mode looks up still resolves, and the commands at j <= 2 run
+without importing scipy."""
 
 import ast
 import importlib
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 LIBRARY = ROOT / "src" / "projmetrics"
@@ -201,3 +205,33 @@ def test_benchmark_trace_names_resolve():
     assert missing == []
     metrics = importlib.import_module("projmetrics.metrics")
     assert callable(getattr(metrics, "ProcessPoolExecutor", None))
+
+
+def test_paths_at_j2_import_no_scipy(tmp_path):
+    # the exact 2-D oracles and the in-flat charts serve every command at
+    # j <= 2, so none of them pays the scipy import; the commands run in turn
+    # in one fresh interpreter, and the first after which scipy is loaded is
+    # named
+    (tmp_path / "a.body").write_text("d 2\nn 4\n0 0\n1 0\n1 1\n0 1\n")
+    (tmp_path / "b.body").write_text("d 2\nn 3\n0.2 0.1\n2 0.5\n0.5 1.5\n")
+    small = ["-d", "3", "-j", "2", "--steps", "3", "--subspaces", "50", "--points", "100"]
+    pair = ["--body-a", "a.body", "--body-b", "b.body"]
+    runs = [["thm1", *small, "--out", "t1.csv"], ["thm2", *small, "--out", "t2.csv"],
+            ["thm3", *small, "--out", "t3.csv"],
+            ["lemma", "-d", "4", "-j", "2", "--samples", "100", "--out", "l.csv"],
+            ["reproduce", "--out-dir", "rep"], ["hausdorff", *pair],
+            ["metric", *pair, "-d", "2", "-j", "1", "--subspaces", "50"],
+            ["metric", *pair, "-d", "2", "-j", "2"],
+            ["intrinsic", "--body", "b.body", "-j", "1", "--subspaces", "50"],
+            ["intrinsic", "--body", "b.body", "-j", "2"]]
+    code = ("import sys\n"
+            "from projmetrics.experiments.cli import main\n"
+            f"for argv in {runs!r}:\n"
+            "    code = main(argv)\n"
+            "    if code or 'scipy' in sys.modules:\n"
+            "        sys.exit(f'{argv[0]}: exit {code}, scipy loaded: {\"scipy\" in sys.modules}')\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr

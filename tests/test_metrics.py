@@ -815,11 +815,16 @@ class TestIntrinsicVolume:
         assert est.value == pytest.approx(1.0, rel=1e-12)
 
     def test_shares_bits_with_empty_distance(self, cube3):
-        plan = SamplingPlan(n_subspaces=60, seed=21)
-        a = intrinsic_volume(cube3, 2, plan)
-        b = delta_j(cube3, None, 2, plan)
-        assert a.value == b.value and a.std_error == b.std_error
-        assert a.per_subspace == b.per_subspace
+        # thm3 takes its a0, the base's distance to the empty set, from
+        # intrinsic_volume: flat and solid bodies, exact and sampled paths
+        for mode in ("auto", "monte_carlo"):
+            plan = SamplingPlan(n_subspaces=60, n_points=200, seed=21, mode=mode)
+            for body in (cube3, unit_cube(4, 3), unit_cube(4, 4)):
+                for j in (2, 3):
+                    a = intrinsic_volume(body, j, plan)
+                    b = delta_j(body, None, j, plan)
+                    assert a.value == b.value and a.std_error == b.std_error
+                    assert a.per_subspace == b.per_subspace
 
     def test_solid_at_j3_takes_a_qhull_volume_per_sample(self, monkeypatch):
         # a single operand that spans more than a j-flat at 3 <= j < d: each
