@@ -46,12 +46,19 @@ MODE_HELP = ("auto: the exact in-flat value, with no subspace drawn, for a singl
              "for a single operand, and Monte Carlo for a pair at j >= 3; mc: per-sample "
              "Monte Carlo everywhere (a cross-check)")
 
-# the SVG of each thm table: x column, y columns, log-log axes
-THM_SVG = {
-    "thm1": ("L_i", ["delta_hat", "claimed_bound"], True),
-    "thm2": ("m", ["step_delta_hat", "claimed_step"], False),
-    "thm3": ("m", ["delta_to_empty_hat", "claimed_floor"], False),
-}
+
+def _thm_commands() -> dict:
+    """Each thm command: its help, its runner, and its SVG's x column, y
+    columns and log-log axes.  Built on each call, so each runner is the one
+    bound to its name here at that moment: perfbench's span tracer rebinds
+    those names."""
+    return {
+        "thm1": ("drift experiment", run_thm1, "L_i", ["delta_hat", "claimed_bound"], True),
+        "thm2": ("dyadic-Cauchy experiment", run_thm2,
+                 "m", ["step_delta_hat", "claimed_step"], False),
+        "thm3": ("empty-set floor experiment", run_thm3,
+                 "m", ["delta_to_empty_hat", "claimed_floor"], False),
+    }
 
 
 @functools.cache  # one tree per process: parse_args leaves the parser unchanged
@@ -95,11 +102,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--workers", type=int, default=1)
         sampling_flags(p)
 
-    runner_flags(sub.add_parser("thm1", help="drift experiment"))
-    runner_flags(sub.add_parser("thm2", help="dyadic-Cauchy experiment"))
-    p = sub.add_parser("thm3", help="empty-set floor experiment")
-    runner_flags(p)
-    p.add_argument("--a0", default="auto")
+    for command, (help_text, *_) in _thm_commands().items():
+        runner_flags(sub.add_parser(command, help=help_text))
 
     p = sub.add_parser("lemma", help="good-subspace statistics")
     p.add_argument("-d", type=int, required=True)
@@ -170,21 +174,15 @@ def _dispatch(args) -> int:
         print(f"d_H = {hausdorff(a, b):.17g}")
         return EXIT_OK
 
-    if args.command in ("thm1", "thm2", "thm3"):
-        cfg = ExperimentConfig(d=args.d, j=args.j, seed=args.seed,
-                               n_subspaces=args.subspaces, n_points=args.points,
-                               steps=args.steps, l0=args.l0, workers=args.workers,
-                               mode=_mode(args.mode))
-        if args.command == "thm1":
-            table = run_thm1(cfg)
-        elif args.command == "thm2":
-            table = run_thm2(cfg)
-        else:
-            a0 = None if args.a0 == "auto" else float(args.a0)
-            table = run_thm3(cfg, a0=a0)
+    thm = _thm_commands().get(args.command)
+    if thm is not None:
+        _, run, x_col, y_cols, log_log = thm
+        table = run(ExperimentConfig(d=args.d, j=args.j, seed=args.seed,
+                                     n_subspaces=args.subspaces, n_points=args.points,
+                                     steps=args.steps, l0=args.l0, workers=args.workers,
+                                     mode=_mode(args.mode)))
         write_csv(table, args.out)
         if args.svg:
-            x_col, y_cols, log_log = THM_SVG[args.command]
             write_svg(table, x_col, y_cols, args.svg, log_log=log_log)
         return EXIT_OK
 

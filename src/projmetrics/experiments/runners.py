@@ -114,6 +114,24 @@ def _slope_footer(labels, xs, ys) -> str:
     return f"loglog slope delta_hat vs L_i: slope={slope:.6g} {err}"
 
 
+def _low_precision_footer(labels, ests) -> list[str]:
+    """The footer line naming the rows whose relative se exceeds 5% (a zero
+    estimate counts as precise), or no line when there is none."""
+    noisy = [str(m) for m, est in zip(labels, ests)
+             if (est.std_error / est.value if est.value > 0 else 0.0) > LOW_PRECISION_REL_SE]
+    return ["low-precision rows (relative se > 5%): " + ",".join(noisy)] if noisy else []
+
+
+def _check_schedule(command: str, cfg: ExperimentConfig, row, target: float,
+                    scale: float) -> None:
+    """Hard assertion: the row's needle meets its step target, c2 eps^(j-1)
+    L = target, to SCHEDULE_TOL times scale."""
+    ident = needle_bound_constant(cfg.d, cfg.j, "two_sided") * row.eps ** (cfg.j - 1) * row.length
+    if abs(ident - target) > SCHEDULE_TOL * scale:
+        raise AssertionFailure(f"{command} row m={row.m}: schedule identity off by "
+                               f"{abs(ident - target):.3e}")
+
+
 def run_thm1(cfg: ExperimentConfig) -> CsvTable:
     """Drift experiment: doubling prism needles attached to the unit j-cube.
 
@@ -136,24 +154,19 @@ def run_thm1(cfg: ExperimentConfig) -> CsvTable:
 
     table = CsvTable(header=["i", "L_i", "eps_i", "claimed_bound", "delta_hat", "delta_se",
                              "d_hausdorff", "drift_floor", "bound_ratio"])
-    low_precision = []
     for (row, _), est, dh in zip(seq, ests, dhs):
         floor = row.length - x0n - r_base
         if dh < floor - 1e-9:
             raise AssertionFailure(
                 f"thm1 row i={row.m}: d_hausdorff {dh:.6g} < drift floor {floor:.6g}")
-        rel = est.std_error / est.value if est.value > 0 else 0.0
-        if rel > LOW_PRECISION_REL_SE:
-            low_precision.append(row.m)
         table.add_row([row.m, row.length, row.eps, row.claimed_step_bound,
                        est.value, est.std_error, dh, floor,
                        est.value / row.claimed_step_bound])
 
+    labels = [row.m for row, _ in seq]
     table.footer_comments.append(_slope_footer(
-        [row.m for row, _ in seq], [row.length for row, _ in seq], [est.value for est in ests]))
-    if low_precision:
-        table.footer_comments.append(
-            "low-precision rows (relative se > 5%): " + ",".join(map(str, low_precision)))
+        labels, [row.length for row, _ in seq], [est.value for est in ests]))
+    table.footer_comments += _low_precision_footer(labels, ests)
     return table
 
 
@@ -208,7 +221,6 @@ def run_thm2(cfg: ExperimentConfig) -> CsvTable:
         raise ConfigError(f"thm2 requires j <= d-1, got (d={cfg.d}, j={cfg.j})")
     base, plane, x0, u = unit_cube_body(cfg.d, cfg.j)
     plan = _plan(cfg)
-    c2 = needle_bound_constant(cfg.d, cfg.j, "two_sided")
     seq = thm2_sequence(base, plane, x0, u, cfg.steps)
     good_fraction, (h_good, cert) = _good_subspace_scan(cfg, plane, u)
     bodies = [body for _, body in seq]
@@ -232,10 +244,7 @@ def run_thm2(cfg: ExperimentConfig) -> CsvTable:
                              "outside_mass_hat"])
     prev = base
     for idx, ((row, body), est, (out_mass, out_se)) in enumerate(zip(seq, ests, outside)):
-        ident = c2 * row.eps ** (cfg.j - 1) * row.length
-        if abs(ident - 2.0 ** -(row.m + 1)) > SCHEDULE_TOL:
-            raise AssertionFailure(f"thm2 row m={row.m}: schedule identity off by "
-                                   f"{abs(ident - 2.0 ** -(row.m + 1)):.3e}")
+        _check_schedule("thm2", cfg, row, 2.0 ** -(row.m + 1), 1.0)
         spec = NeedleSpec(x0=row.x_m, u=u, plane=plane, length=row.length,
                           eps=row.eps, kind="spindle")
         needle = VPolytope(body.vertices[prev.n_vertices:])  # this row's spindle
@@ -265,49 +274,39 @@ def run_thm2(cfg: ExperimentConfig) -> CsvTable:
     return table
 
 
-def run_thm3(cfg: ExperimentConfig, a0: float | None = None) -> CsvTable:
+def run_thm3(cfg: ExperimentConfig) -> CsvTable:
     """Empty-set floor experiment: dyadic spindles with a0-scaled targets.
 
-    a0 defaults to the measured distance of the base body to the empty set,
-    its intrinsic volume V_j.  The claimed floor and steps are recorded, not
-    asserted.  The distance to the empty set grows with the needle, 1.5 ->
-    32.5 at seed 1 and (d, j) = (3, 2): the sequence is unbounded in
-    delta_j, so it is not the delta_j-Cauchy sequence its claimed steps
-    describe."""
+    a0 is always the measured distance of the base body to the empty set,
+    delta_j(K, empty) = V_j(K), the value the footer prints: the schedule,
+    the claimed floor 3/4 a0 and the footer's `used` all take this one
+    number.  The claimed floor and steps are recorded, not asserted.  The
+    distance to the empty set grows with the needle, 1.5 -> 32.5 at seed 1
+    and (d, j) = (3, 2): the sequence is unbounded in delta_j, so it is not
+    the delta_j-Cauchy sequence its claimed steps describe."""
     if cfg.j >= cfg.d:
         raise ConfigError(f"thm3 requires j <= d-1, got (d={cfg.d}, j={cfg.j})")
     base, plane, x0, u = unit_cube_body(cfg.d, cfg.j)
     plan = _plan(cfg)
     a0_est = intrinsic_volume(base, cfg.j, plan, workers=cfg.workers)
-    a0_used = a0 if a0 is not None else a0_est.value
-    c2 = needle_bound_constant(cfg.d, cfg.j, "two_sided")
-    seq = thm3_sequence(base, plane, x0, u, cfg.steps, a0_used)
+    a0 = a0_est.value
+    seq = thm3_sequence(base, plane, x0, u, cfg.steps, a0)
 
     table = CsvTable(header=["m", "eps_m", "claimed_step", "delta_to_empty_hat",
                              "se", "claimed_floor"])
-    floor = 0.75 * a0_used
-    low_precision = []
+    floor = 0.75 * a0
     ests = delta_j_stack([(body, None) for _, body in seq], cfg.j, plan, workers=cfg.workers)
     for (row, _), est in zip(seq, ests):
-        ident = c2 * row.eps ** (cfg.j - 1) * row.length
-        target = (a0_used / 4.0) * 2.0 ** -(row.m + 1)
-        if abs(ident - target) > SCHEDULE_TOL * max(1.0, a0_used):
-            raise AssertionFailure(f"thm3 row m={row.m}: schedule identity off by "
-                                   f"{abs(ident - target):.3e}")
-        rel = est.std_error / est.value if est.value > 0 else 0.0
-        if rel > LOW_PRECISION_REL_SE:
-            low_precision.append(row.m)
+        _check_schedule("thm3", cfg, row, (a0 / 4.0) * 2.0 ** -(row.m + 1), max(1.0, a0))
         table.add_row([row.m, row.eps, row.claimed_step_bound, est.value,
                        est.std_error, floor])
     claimed_sum = sum(r.claimed_step_bound for r, _ in seq)
-    if claimed_sum > a0_used / 4.0 + 1e-12:
+    if claimed_sum > a0 / 4.0 + 1e-12:
         raise AssertionFailure(f"thm3: claimed step sum {claimed_sum:.6g} exceeds a0/4")
     table.footer_comments.append(
-        f"a0={a0_est.value:.17g} se={a0_est.std_error:.17g} used={a0_used:.17g}")
+        f"a0={a0:.17g} se={a0_est.std_error:.17g} used={a0:.17g}")
     table.footer_comments.append(f"claimed_step sum: {claimed_sum:.17g}")
-    if low_precision:
-        table.footer_comments.append(
-            "low-precision rows (relative se > 5%): " + ",".join(map(str, low_precision)))
+    table.footer_comments += _low_precision_footer([row.m for row, _ in seq], ests)
     return table
 
 
@@ -380,8 +379,10 @@ def run_fibers(body_a: VPolytope, body_b: VPolytope, plane: str, grid_n: int,
                tube: VPolytope | None = None) -> CsvTable:
     """Fiber-difference profile of body_b inside body_a over a 2-plane.
 
-    `plane` is either 'e1e2' or 'random:<seed>'.  The axis direction is the
-    first canonical axis with a nonvanishing projection; y is the other."""
+    `plane` is either 'e1e2' or 'random:<seed>'.  The axis direction is e1
+    for both: its projection is 1 into e1e2 and vanishes with probability 0
+    in a Haar plane, where a degenerate one raises DegenerateDirectionError;
+    y is the other coordinate of the plane."""
     if body_a.ambient_dim != body_b.ambient_dim:
         raise ValueError("bodies live in different dimensions")
     d = body_a.ambient_dim
@@ -393,17 +394,7 @@ def run_fibers(body_a: VPolytope, body_b: VPolytope, plane: str, grid_n: int,
         h = haar_sample(d, 2, RngStream(int(plane.split(":", 1)[1]), AUX_STREAM_BASE))
     else:
         raise ValueError(f"plane must be 'e1e2' or 'random:<seed>', got {plane!r}")
-    u = None
-    for k in range(d):
-        cand = np.zeros(d)
-        cand[k] = 1.0
-        if float(np.linalg.norm(h.basis.T @ cand)) > 1e-6:
-            u = cand
-            break
-    if u is None:
-        raise ValueError("no canonical axis has a usable projection in the plane")
-
-    profile = fiber_profile(body_a, body_b, h, u, grid_n, tube=tube)
+    profile = fiber_profile(body_a, body_b, h, np.eye(d)[0], grid_n, tube=tube)
     table = CsvTable(header=["y", "fiber_diff_length", "in_tube"],
                      columns=[profile.y[:, 0], profile.diff_length, profile.in_tube])
     table.footer_comments.append(f"diff_measure: {profile.diff_measure:.17g}")

@@ -4,6 +4,7 @@ import io
 import math
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 import warnings
@@ -40,7 +41,7 @@ from projmetrics.experiments import (
     write_csv,
     write_svg,
 )
-from projmetrics.experiments.cli import main
+from projmetrics.experiments.cli import _build_parser, main
 from projmetrics.experiments.runners import (
     AUX_STREAM_BASE,
     GOOD_SIGMA,
@@ -271,6 +272,17 @@ class TestThm1Runner:
                                  [1.0, 0.0, 4.0, -1.0])
             assert line.endswith("slope undefined: rows 1,3 non-positive")
             assert "slope=" in _slope_footer(["0", "1"], [2.0, 4.0], [1.0, 2.0])
+
+    def test_low_precision_footer(self):
+        # box MC with 100 points per plane: the footer names every row whose
+        # relative se exceeds 5%, after the slope line
+        table = run_thm1(ExperimentConfig(d=3, j=2, seed=1, n_subspaces=10, n_points=100,
+                                          steps=3, mode="monte_carlo"))
+        noisy = [i for i, v, se in zip(table.column("i"), table.column("delta_hat"),
+                                       table.column("delta_se")) if float(se) > 0.05 * float(v)]
+        assert noisy == ["0", "1", "2"]
+        assert table.footer_comments[0].startswith("loglog slope delta_hat vs L_i: ")
+        assert table.footer_comments[1:] == ["low-precision rows (relative se > 5%): 0,1,2"]
 
     def test_deterministic_rerun(self):
         a = run_thm1(ExperimentConfig(**SMALL))
@@ -594,12 +606,18 @@ class TestThm3Runner:
         assert float(floors.pop()) == pytest.approx(0.75 * a0, rel=1e-12)
 
     def test_explicit_a0(self):
-        table = run_thm3(ExperimentConfig(**SMALL), a0=1.0)
+        # the one a0 is the footer's delta_j(K, empty), exactly 1 for the flat
+        # unit square, and the claimed steps are (a0/4) 2^-(m+1)
+        table = run_thm3(ExperimentConfig(**SMALL))
+        a0_comment = next(c for c in table.footer_comments if c.startswith("a0="))
+        fields = dict(kv.split("=") for kv in a0_comment.split())
+        a0 = float(fields["a0"])
+        assert a0 == 1.0 and float(fields["used"]) == a0
         for row in table.rows:
             record = dict(zip(table.header, row))
             m = int(record["m"])
             assert float(record["claimed_step"]) == pytest.approx(
-                0.25 * 2.0 ** -(m + 1), abs=1e-12)
+                (a0 / 4.0) * 2.0 ** -(m + 1), abs=1e-12)
 
     @pytest.mark.parametrize("j,ds", [(2, (3, 4, 6)), (3, (4, 6))])
     def test_flat_column_does_not_depend_on_d(self, j, ds):
@@ -852,10 +870,33 @@ class TestCli:
         svg3 = tmp_path / "t3.svg"
         assert main(["thm3", "-d", "3", "-j", "2", "--steps", "3", "--l0", "1",
                      "--seed", "42", "--out", str(out3), "--svg", str(svg3),
-                     "--subspaces", "60", "--a0", "1.0"]) == 0
+                     "--subspaces", "60"]) == 0
         ET.parse(svg3)
         assert main(["thm2", "-d", "3", "-j", "3", "--steps", "2", "--l0", "1",
                      "--seed", "1", "--out", str(tmp_path / "bad.csv")]) == 3
+
+    def test_a0_is_not_an_option(self, tmp_path, capsys):
+        # thm3 takes its a0 from delta_j(K, empty) alone
+        out = tmp_path / "t3.csv"
+        assert main(["thm3", "-d", "3", "-j", "2", "--steps", "2", "--out", str(out),
+                     "--a0", "1"]) == 3
+        assert capsys.readouterr().err == (
+            "configuration error: unrecognized arguments: --a0 1\n")
+        assert not out.exists()
+
+    def test_readme_commands_parse(self):
+        # every command of README's CLI block, continuations joined, is one
+        # the parser accepts: a removed flag left in the README fails here
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = [b.split("```", 1)[0] for b in readme.split("```sh\n")[1:]]
+        block = next(b for b in blocks if "projmetrics metric" in b)
+        lines = block.replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line)[1:] for line in lines if line.startswith("projmetrics ")]
+        assert [argv[0] for argv in commands] == [
+            "metric", "metric", "intrinsic", "hausdorff", "thm1", "thm2", "thm3", "lemma",
+            "validate", "fibers", "reproduce"]
+        for argv in commands:
+            _build_parser().parse_args(argv)
 
     def test_lemma_and_validate(self, tmp_path):
         out = tmp_path / "lem.csv"
@@ -943,7 +984,7 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    @pytest.mark.parametrize("command,flag", [("thm1", "l0"), ("thm3", "a0")])
+    @pytest.mark.parametrize("command,flag", [("thm1", "l0")])
     def test_non_finite_length_or_floor_is_named(self, tmp_path, capsys, command, flag, value):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy RuntimeWarning on the way

@@ -695,6 +695,34 @@ class TestStackedForms:
             hausdorff_stack([shared, VPolytope(rng.normal(size=(4, 2)))], shared)
 
 
+class TestCalibration:
+    """The sampled se is calibrated: over 40 seeds, z = (estimate - exact) /
+    se has a spread near 1 and a mean near 0.  Each exact reference is auto's
+    in-flat value; at j >= 3 auto is exact only for a nested pair."""
+
+    @pytest.mark.parametrize("d,j,nested", [(3, 2, False), (4, 2, False), (4, 3, True)])
+    def test_z_over_seeds(self, d, j, nested):
+        rng = np.random.default_rng(d + 10 * j)
+        if nested:
+            a = flat_family(rng, d, j, 1, 8)[0]
+            b = VPolytope(0.6 * a.vertices + 0.4 * a.vertices.mean(axis=0))
+        else:
+            a, b = flat_family(rng, d, j, 2, 6)
+        exact = delta_j(a, b, j, SamplingPlan(seed=0))
+        assert exact.exact and exact.value > 0.0
+        if not nested:  # overlapping, and neither holds the other
+            va, vb = (intrinsic_volume(body, j, SamplingPlan(seed=0)).value for body in (a, b))
+            assert abs(va - vb) < exact.value < va + vb
+        z = []
+        for seed in range(40):
+            est = delta_j(a, b, j, SamplingPlan(n_subspaces=25, n_points=300, seed=seed,
+                                                mode="monte_carlo"))
+            assert not est.exact and est.std_error > 0.0
+            z.append((est.value - exact.value) / est.std_error)
+        assert 0.7 <= float(np.std(z, ddof=1)) <= 1.4
+        assert abs(float(np.mean(z))) <= 0.5
+
+
 class TestTinyBodies:
     """hull_2d tests each turn against the rounding error of its own cross
     product, and polygon_clip measures collinearity against the point set's
