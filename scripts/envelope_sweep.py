@@ -1,25 +1,32 @@
 #!/usr/bin/env python3
-"""Run thm1, thm2 and thm3 through the CLI at every accepted 2 <= j <= d <= 8.
+"""Run thm1, thm2 and thm3 through the CLI at every accepted 2 <= j <= d <= 8,
+then fibers at every 2 <= d <= 8.
 
-Each cell runs at --steps 12, 50 subspaces and 500 points, with
-RuntimeWarnings turned into errors: thm1 at seed 1 and at --l0 2 and 10 (the
-longer needles put its Hausdorff column's far points 5 times farther out),
-thm2 and thm3 at seeds 1, 2 and 7 (seed 1 alone misses good subspaces that
-see the last spindles as slivers).  thm1 at (8, 8) runs at --l0 2 alone: its
-8-D qhull step takes about 27 s and fails.  One line per cell gives the exit
-code, the seconds taken and the process's peak RSS in MB so far (ru_maxrss);
-the peak is a running maximum, so a jump marks the cell that caused it.
-After the count of failed cells, the last line gives each command's seconds
-summed over its cells.  The script exits 1 if any cell did not exit 0.  An
-exception that escapes the CLI is printed with its traceback and reported
-as the cell's exit code "exception".
+Each thm cell runs at --steps 12, 50 subspaces and 500 points: thm1 at seed 1
+and at --l0 2 and 10 (the longer needles put its Hausdorff column's far
+points 5 times farther out), thm2 and thm3 at seeds 1, 2 and 7 (seed 1 alone
+misses good subspaces that see the last spindles as slivers).  thm1 at
+(8, 8) runs at --l0 2 alone: its 8-D qhull step takes about 27 s and fails.
+Each fibers cell profiles the unit d-cube grown by a prism needle (length 8,
+radius 0.01, from the centroid along e1, the needle of `reproduce`) at grid
+400 with the needle's cross-section as tube, over --plane e1e2 and
+random:1.  Every cell runs with RuntimeWarnings turned into errors, so a
+division by zero or a NaN in a kernel fails its cell.  One line per cell
+gives the exit code, the seconds taken and the process's peak RSS in MB so
+far (ru_maxrss); the peak is a running maximum, so a jump marks the cell
+that caused it.  After the count of failed cells, the last line gives each
+command's seconds summed over its cells.  The script exits 1 if any cell did
+not exit 0.  An exception that escapes the CLI is printed with its traceback
+and reported as the cell's exit code "exception".
 
 Usage: PYTHONPATH=src python scripts/envelope_sweep.py
 About a minute end to end, most of it thm1 at (8, 8), whose 8-D qhull
 volumes take seconds each; the thm2 and thm3 cells take about 20 s
-together.  The tables go to a temporary directory.
+together, and the fibers cells well under a second.  The tables go to a
+temporary directory.
 """
 
+import itertools
 import pathlib
 import resource
 import sys
@@ -28,26 +35,53 @@ import time
 import traceback
 import warnings
 
+import numpy as np
+
+from projmetrics.bodies import VPolytope, save_body
+from projmetrics.constructions import NeedleSpec, augment, cross_section, prism_needle
 from projmetrics.experiments.cli import main as cli_main
+from projmetrics.grassmann import full_space
 
 
-def cells():
-    """(command, d, j, seed, l0) for every cell the CLI accepts: thm2 and
-    thm3 need j < d, and they ignore l0."""
+def thm_cells(out: pathlib.Path):
+    """(label, argv) for every thm cell the CLI accepts: thm2 and thm3 need
+    j < d, and they ignore l0."""
+    def cell(command, d, j, seed, l0):
+        argv = [command, "-d", str(d), "-j", str(j), "--steps", "12", "--subspaces", "50",
+                "--points", "500", "--seed", str(seed), "--l0", str(l0),
+                "--out", str(out / f"{command}_d{d}_j{j}_s{seed}_l{l0}.csv")]
+        return f"{command} d={d} j={j} seed={seed} l0={l0}", argv
+
     for d in range(2, 9):
         for j in range(2, d + 1):
             for l0 in (2, 10) if (d, j) != (8, 8) else (2,):
-                yield "thm1", d, j, 1, l0
+                yield cell("thm1", d, j, 1, l0)
             if j < d:
                 for command in ("thm2", "thm3"):
                     for seed in (1, 2, 7):
-                        yield command, d, j, seed, 2
+                        yield cell(command, d, j, seed, 2)
 
 
-def run_cell(command: str, d: int, j: int, seed: int, l0: int, out: pathlib.Path):
-    argv = [command, "-d", str(d), "-j", str(j), "--steps", "12", "--subspaces", "50",
-            "--points", "500", "--seed", str(seed), "--l0", str(l0),
-            "--out", str(out / f"{command}_d{d}_j{j}_s{seed}_l{l0}.csv")]
+def fibers_cells(out: pathlib.Path):
+    """(label, argv) for the fibers cells, each d's body files written to
+    out on the way."""
+    for d in range(2, 9):
+        cube = VPolytope(list(itertools.product((0.0, 1.0), repeat=d)))
+        plane, x0, u = full_space(d), np.full(d, 0.5), np.eye(d)[0]
+        spec = NeedleSpec(x0=x0, u=u, plane=plane, length=8.0, eps=0.01, kind="prism")
+        bodies = {"cube": cube, "grown": augment(cube, prism_needle(spec)),
+                  "tube": VPolytope(x0 + cross_section(plane, u, spec.eps).vertices)}
+        path = {name: str(out / f"{name}_d{d}.body") for name in bodies}
+        for name, body in bodies.items():
+            save_body(body, path[name])
+        for h in ("e1e2", "random:1"):
+            yield f"fibers d={d} plane={h}", [
+                "fibers", "--body-a", path["grown"], "--body-b", path["cube"],
+                "--tube", path["tube"], "--plane", h, "--grid", "400",
+                "--out", str(out / f"fibers_d{d}_{h.replace(':', '')}.csv")]
+
+
+def run_cell(argv: list[str]):
     start = time.perf_counter()
     try:
         with warnings.catch_warnings():
@@ -61,16 +95,17 @@ def run_cell(command: str, d: int, j: int, seed: int, l0: int, out: pathlib.Path
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp)
         failed = []
         totals = {}
-        for command, d, j, seed, l0 in cells():
-            code, seconds = run_cell(command, d, j, seed, l0, pathlib.Path(tmp))
+        for label, argv in itertools.chain(thm_cells(out), fibers_cells(out)):
+            code, seconds = run_cell(argv)
             peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-            print(f"{command} d={d} j={j} seed={seed} l0={l0} exit={code} "
-                  f"seconds={seconds:.2f} peak_rss_mb={peak_mb:.0f}", flush=True)
-            totals[command] = totals.get(command, 0.0) + seconds
+            print(f"{label} exit={code} seconds={seconds:.2f} peak_rss_mb={peak_mb:.0f}",
+                  flush=True)
+            totals[argv[0]] = totals.get(argv[0], 0.0) + seconds
             if code != 0:
-                failed.append(f"{command}({d},{j},seed {seed},l0 {l0})")
+                failed.append(f"{argv[0]}({label.partition(' ')[2]})")
     print(f"{len(failed)} failed cell(s)" + (": " + " ".join(failed) if failed else ""))
     print("seconds per command: " + " ".join(f"{c}={s:.2f}" for c, s in totals.items()))
     return 1 if failed else 0

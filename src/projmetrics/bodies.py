@@ -299,10 +299,14 @@ def line_fibers(body: VPolytope, bases: np.ndarray, direction: np.ndarray,
     tol of its half-space, and a line that misses the hull by at most tol
     gets a chord of length 0.
 
-    A lower-dimensional hull is taken in the frame of its affine hull: a line
-    leaving that flat meets it in one point at most (a chord of length 0),
-    and a line inside it (to within tol) gets the same facet algebra in
-    flat coordinates.  Each row's bits do not depend on the other rows.
+    A full-dimensional hull, as every generic projection is, goes straight
+    to that facet algebra.  A lower-dimensional hull is taken in the frame
+    of its affine hull: a line leaving that flat meets it in one point at
+    most (a chord of length 0), and a line inside it (to within tol) gets
+    the same facet algebra in flat coordinates.  Either way the bases reach
+    the facets through the chart's to_flat, a coordinate-by-coordinate sum,
+    so each row's bits, signs of zero included, do not depend on the other
+    rows.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -317,8 +321,10 @@ def line_fibers(body: VPolytope, bases: np.ndarray, direction: np.ndarray,
         raise ValueError("direction must be nonzero")
     c = body._chart
     a, b, _ = c.hull
-    xo, uo = c.off_flat(x), _rowdot(u[None], c.normal)[0]
     xf, uf = c.to_flat(x), _rowdot(u[None], c.frame)[0]
+    if not len(c.normal):  # a full-dimensional hull: no flat for the line to leave
+        return _chords(xf, uf, a, b, tol)
+    xo, uo = c.off_flat(x), _rowdot(u[None], c.normal)[0]
     if float(np.linalg.norm(uo)) > _PARALLEL * un:
         # the line crosses the flat once, at the t nearest to it
         t = -_rowdot(xo, uo[None])[:, 0] / float(uo @ uo)
@@ -334,12 +340,17 @@ def line_fibers(body: VPolytope, bases: np.ndarray, direction: np.ndarray,
 def contains(body: VPolytope, pts: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Membership of the rows of pts in conv(body) by its facet equations: a
     point within tol of every facet's half-space (and, for a
-    lower-dimensional body, of its affine hull) is inside."""
+    lower-dimensional body, of its affine hull) is inside.  A
+    full-dimensional body, as every generic projection is, has no affine
+    hull to test, and its facets alone decide."""
     p = np.asarray(pts, dtype=float)
     if p.ndim != 2 or p.shape[1] != body.ambient_dim:
         raise ValueError(f"need an (n, {body.ambient_dim}) point array, got {p.shape}")
     c = body._chart
-    return _within(c.off_flat(p), tol) & _in_facets(c.to_flat(p), *c.hull[:2], tol)
+    inside = _in_facets(c.to_flat(p), *c.hull[:2], tol)
+    if len(c.normal):
+        inside &= _within(c.off_flat(p), tol)
+    return inside
 
 
 # charts up to this dimension certify distances from their facets
@@ -402,16 +413,16 @@ def _chords(x, u, a, b, tol):
     au = _rowdot(u[None], a)[0]
     un = float(np.linalg.norm(u))
     cross = np.abs(au) > _PARALLEL * un
-    down, up = cross & (au < 0), cross & (au > 0)
+    across = au[cross]  # no zero divisor: t is formed on crossing facets only
+    down, up = across < 0, across > 0
     n = x.shape[0]
     lo, hi, empty = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
     for r in _row_blocks(n, a.shape[0]):
         s = _rowdot(x[r], a) + b
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = -s / au
-        lo[r] = np.max(t, axis=1, initial=-np.inf, where=down)
-        hi[r] = np.min(t, axis=1, initial=np.inf, where=up)
-        empty[r] = np.any((s > tol) & ~cross, axis=1)
+        t = -s[:, cross] / across
+        lo[r] = np.max(t[:, down], axis=1, initial=-np.inf)
+        hi[r] = np.min(t[:, up], axis=1, initial=np.inf)
+        empty[r] = np.any(s[:, ~cross] > tol, axis=1)
     empty |= lo > hi + tol / un
     hi = np.maximum(hi, lo)
     lo[empty] = hi[empty] = 0.0
@@ -518,9 +529,9 @@ class _Chart:
             return np.array([[-1.0], [1.0]]), np.array([lo, -hi]), hi - lo
         if r == 2:
             ring = self._ring
-            edge = np.roll(ring, -1, axis=0) - ring
-            a = np.stack([edge[:, 1], -edge[:, 0]], axis=1)  # outward for a CCW ring
-            a /= np.linalg.norm(a, axis=1)[:, None]
+            edge = np.concatenate((ring[1:], ring[:1])) - ring
+            a = edge[:, ::-1] * (1.0, -1.0)  # (e1, -e0): outward for a CCW ring
+            a /= np.sqrt(a[:, 0] * a[:, 0] + a[:, 1] * a[:, 1])[:, None]
             return a, -np.sum(a * ring, axis=1), self.volume
         # the coordinates span the chart: no rank check needed
         return _qhull(y)

@@ -1,15 +1,19 @@
 """CSV (RFC-4180) and single-chart SVG emission.
 
 A table keeps its cells column by column, as lists or whole arrays, and
-formats each column in one pass when it is written or read through column()
-and rows: floats with format(x, '.17g') ('.' decimal separator, bit-exact
-round trips) and bools as true/false; a column of other or mixed kinds
-cell by cell, by the same rules, ints and anything else with str.  Lines
-are joined directly and end in CRLF.  A text cell is quoted where
-csv.writer's QUOTE_MINIMAL quotes it, and also when it is a row's first
-cell and starts with '# '.  Footer comments (slope fits, low-precision
-flags) follow the data rows as lines starting with '# ', which the reader
-skips outside quoted fields.
+classifies each column in one pass when it is written or read through
+column() and rows: floats format with '%.17g', the bytes of
+format(x, '.17g') ('.' decimal separator, bit-exact round trips), and bools
+read true/false; a column of other or mixed kinds is formatted cell by
+cell, by the same rules, ints and anything else with str.  A text cell is
+quoted where csv.writer's QUOTE_MINIMAL quotes it, and also when it is a
+row's first cell and starts with '# '.  to_bytes encodes all data rows
+with one printf-style call: the columns' values are interleaved row by row
+into one flat tuple, and each line's format is the columns' specs joined by
+commas, '%.17g' for a float column and '%s' for any other, whose cells are
+already text; every line ends in CRLF.  Footer comments (slope fits,
+low-precision flags) follow the data rows as lines starting with '# ',
+which the reader skips outside quoted fields.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import io
 import math
 from dataclasses import dataclass, field
 from html import escape  # xml.sax.saxutils would import urllib, http.client and ssl
-from itertools import repeat
 
 __all__ = ["CsvTable", "write_csv", "read_csv", "write_svg"]
 
@@ -37,16 +40,25 @@ def _cell(x) -> str:
     return str(x)
 
 
-def _cells(column) -> tuple[list[str], bool]:
-    """The text of a column's cells, formatted in one pass, and whether it
-    may hold text that needs quoting (formatted numbers never do)."""
+def _cells(column) -> tuple[str, list, bool]:
+    """A column classified in one pass: (spec, values, text), where the
+    printf-style spec formats each value to its cell, and text says whether
+    a cell may need quoting (formatted numbers never do).  A float column
+    keeps its floats under '%.17g'; a bool column, and any other, is its
+    cells' text under '%s'."""
     values = column.tolist() if hasattr(column, "tolist") else column
     kinds = set(map(type, values))
     if kinds <= {float}:
-        return list(map(format, values, repeat(_FLOAT))), False
+        return "%" + _FLOAT, values, False
     if kinds <= {bool}:
-        return list(map(("false", "true").__getitem__, values)), False
-    return list(map(_cell, values)), True
+        return "%s", list(map(("false", "true").__getitem__, values)), False
+    return "%s", list(map(_cell, values)), True
+
+
+def _texts(column) -> list[str]:
+    """The text of each of a column's cells."""
+    spec, values, _ = _cells(column)
+    return list(map(spec.__mod__, values))
 
 
 def _field(cell: str, first: bool, alone: bool) -> str:
@@ -81,22 +93,24 @@ class CsvTable:
             column.append(value)
 
     def column(self, name: str) -> list[str]:
-        return _cells(self.columns[self.header.index(name)])[0]
+        return _texts(self.columns[self.header.index(name)])
 
     @property
     def rows(self) -> list[list[str]]:
-        return [list(row) for row in zip(*(_cells(c)[0] for c in self.columns))]
+        return [list(row) for row in zip(*map(_texts, self.columns))]
 
     def to_bytes(self) -> bytes:
-        alone = len(self.header) == 1
-        fields = []
+        alone, width = len(self.header) == 1, len(self.columns)
+        n = len(self.columns[0]) if width else 0
+        specs, flat = [], [None] * (n * width)
         for k, column in enumerate(self.columns):
-            cells, text = _cells(column)
-            fields.append([_field(c, k == 0, alone) for c in cells] if text else cells)
-        lines = [",".join(_field(h, k == 0, alone) for k, h in enumerate(self.header)),
-                 *map(",".join, zip(*fields)),
-                 *(f"# {comment}" for comment in self.footer_comments)]
-        return ("\r\n".join(lines) + "\r\n").encode("utf-8")
+            spec, values, text = _cells(column)
+            specs.append(spec)
+            flat[k::width] = [_field(c, k == 0, alone) for c in values] if text else values
+        head = ",".join(_field(h, k == 0, alone) for k, h in enumerate(self.header))
+        body = (",".join(specs) + "\r\n") * n % tuple(flat)
+        tail = "".join(f"# {comment}\r\n" for comment in self.footer_comments)
+        return (head + "\r\n" + body + tail).encode("utf-8")
 
 
 def write_csv(table: CsvTable, path) -> None:

@@ -496,7 +496,10 @@ def fiber_profile(outer: VPolytope, inner: VPolytope, h: Subspace, u: np.ndarray
     (0 when the image spans less).  The grid has round(grid_n ** (1/(j-1)))
     cells per transverse axis, and grid_n must be at least 1.  Chords and
     the containment and tube tests use the fixed DEFAULT_TOL (1e-9), and
-    differences below 100 * DEFAULT_TOL read 0.
+    differences below 100 * DEFAULT_TOL read 0.  Containment is membership
+    of inner's vertices by outer's facets (`contains`), and needs no test
+    when inner's vertex rows lead outer's.  The three projected bodies get
+    their charts in one pass.
     """
     if grid_n < 1:
         raise ValueError(f"fiber grid size must be >= 1, got {grid_n}")
@@ -506,17 +509,16 @@ def fiber_profile(outer: VPolytope, inner: VPolytope, h: Subspace, u: np.ndarray
         raise ValueError("fiber profiling needs a subspace of dimension >= 2")
     led = (inner.n_vertices <= outer.n_vertices
            and _heads_agree([(inner.vertices, outer.vertices)])[0])
-    if not led:  # one certificate, Wolfe for the rows it leaves
-        dist, ok = outer._chart.certified(inner.vertices)
-        if np.any(dist > DEFAULT_TOL) or any(distance_to_hull(v, outer) > DEFAULT_TOL
-                                       for v in inner.vertices[~ok]):
-            raise ValueError("inner body is not contained in the outer body")
+    if not led and not contains(outer, inner.vertices, DEFAULT_TOL).all():
+        raise ValueError("inner body is not contained in the outer body")
     u_h, e_basis = axis_split(h, u)
     j = h.dim
     tdim = j - 1
 
     proj_outer = project_body(h, outer)
     proj_inner = project_body(h, inner)
+    tube_e = None if tube is None else VPolytope((tube.vertices @ h.basis) @ e_basis)
+    _fill_charts([x for x in (proj_outer, proj_inner, tube_e) if x is not None])
     ys_outer = proj_outer.vertices @ e_basis
     lo = ys_outer.min(axis=0)
     hi = ys_outer.max(axis=0)
@@ -533,13 +535,7 @@ def fiber_profile(outer: VPolytope, inner: VPolytope, h: Subspace, u: np.ndarray
     diff = (hi_o - lo_o) - (hi_i - lo_i)  # empty chords have lo = hi = 0
     diff[diff < 100.0 * DEFAULT_TOL] = 0.0
 
-    tube_e: VPolytope | None = None
-    if tube is None:
-        in_tube = np.zeros(mesh.shape[0], dtype=bool)
-    else:
-        tube_e = VPolytope((tube.vertices @ h.basis) @ e_basis)
-        in_tube = contains(tube_e, mesh)
-
+    in_tube = np.zeros(mesh.shape[0], dtype=bool) if tube_e is None else contains(tube_e, mesh)
     tube_measure = 0.0
     if tube_e is not None and tube_e._chart.dim == tdim:
         tube_measure = tube_e._chart.volume

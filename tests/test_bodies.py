@@ -9,13 +9,16 @@ from hypothesis import strategies as st
 from conftest import random_convex_polygon, unit_cube
 from projmetrics import bodies
 from projmetrics.bodies import (
+    DEFAULT_TOL,
     BodyParseError,
     NonConvergenceError,
     VPolytope,
     _FACET_BLOCK,
+    _PARALLEL,
     _charts,
     _min_norm_point,
     _pad_groups,
+    _row_blocks,
     bounding_radius,
     contains,
     distance_to_hull,
@@ -257,6 +260,153 @@ class TestLineFibers:
             line_fibers(square2, np.zeros((3, 2)), np.zeros(2))
         with pytest.raises(ValueError):
             line_fibers(square2, np.zeros((3, 2)), np.array([1.0, 0.0]), tol=0.0)
+
+
+def seq_dot(x: list, m_row: list) -> float:
+    """x . m_row summed coordinate by coordinate from +0.0, one rounding per
+    product and per sum, as the library's facet products are taken."""
+    acc = 0.0
+    for xk, mk in zip(x, m_row):
+        acc += xk * mk
+    return acc
+
+
+def reference_chord(body: VPolytope, base: np.ndarray, direction: np.ndarray,
+                    tol: float = DEFAULT_TOL) -> tuple[float, float, bool]:
+    """One row of line_fibers in plain floats, facet by facet: the chart's
+    coordinates of the line, then either its one crossing of a flat, or
+    the chord [max over a.u < 0, min over a.u > 0] of t = -(a.x + b)/(a.u).
+    Like numpy's maximum and minimum, each max and min here keeps the later
+    of two equal values, so zeros keep the library's signs."""
+    c = body._chart
+    a, b = (x.tolist() for x in c.hull[:2])
+    u = direction.tolist()
+    rel = [x - o for x, o in zip(base.tolist(), c.origin.tolist())]
+    xf, uf = ([seq_dot(v, f) for f in c.frame.tolist()] for v in (rel, u))
+    xo, uo = ([seq_dot(v, n) for n in c.normal.tolist()] for v in (rel, u))
+    un = float(np.linalg.norm(direction))
+
+    def within(v):
+        return math.sqrt(sum(x * x for x in v)) <= tol
+
+    def facet_values(y):
+        return [seq_dot(y, ak) + bk for ak, bk in zip(a, b)]
+
+    if float(np.linalg.norm(uo)) > _PARALLEL * un:
+        t = -seq_dot(xo, uo) / float(np.asarray(uo) @ np.asarray(uo))
+        hit = (within([x + t * w for x, w in zip(xo, uo)])
+               and all(v <= tol for v in facet_values([x + t * w for x, w in zip(xf, uf)])))
+        return (t, t, False) if hit else (0.0, 0.0, True)
+    unf = float(np.linalg.norm(uf))
+    lo, hi, empty = -math.inf, math.inf, False
+    for s, au in zip(facet_values(xf), (seq_dot(uf, ak) for ak in a)):
+        if abs(au) <= _PARALLEL * unf:
+            empty |= s > tol
+        elif au < 0:
+            t = -s / au
+            lo = lo if lo > t else t
+        else:
+            t = -s / au
+            hi = hi if hi < t else t
+    empty |= lo > hi + tol / unf
+    hi = hi if hi > lo else lo
+    if empty or not within(xo):
+        return 0.0, 0.0, True
+    return lo, hi, False
+
+
+def float_bits(*xs) -> bytes:
+    return np.array(xs, dtype=float).tobytes()
+
+
+class TestKernelBits:
+    """Every line_fibers row against its per-facet reference, bit for bit,
+    signs of zero included."""
+
+    def assert_rows_match(self, body, bases, direction):
+        lo, hi, empty = line_fibers(body, bases, direction)
+        for i, base in enumerate(bases):
+            ref_lo, ref_hi, ref_empty = reference_chord(body, base, direction)
+            assert (float_bits(lo[i], hi[i]), empty[i]) == (float_bits(ref_lo, ref_hi), ref_empty)
+            f = line_fiber(body, base, direction)
+            assert (float_bits(f.lo, f.hi), f.empty) == (float_bits(lo[i], hi[i]), empty[i])
+        return lo, hi, empty
+
+    def special_bases(self, rng, body):
+        """Random bases around the body, its vertices, points on its edges,
+        far points, and signed zeros."""
+        v = body.vertices
+        d = body.ambient_dim
+        on_edges = 0.5 * (v[1:] + v[:-1])
+        far = 5.0 * rng.normal(size=(4, d))
+        zeros = np.array([[-0.0] * d, [0.0] * d, [-0.0] + [0.0] * (d - 1)])
+        return np.vstack([rng.uniform(-1.5, 1.5, size=(30, d)), v, on_edges, far, zeros])
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_full_dimensional_hulls(self, seed, d):
+        rng = np.random.default_rng(100 * d + seed)
+        body = VPolytope(rng.uniform(-1, 1, size=(6 + 2 * d, d)))
+        bases = self.special_bases(rng, body)
+        a = body._chart.hull[0]
+        # parallel to a facet (|a.u| at rounding scale), along an axis, and
+        # through two vertices
+        along = rng.normal(size=d)
+        along -= (along @ a[0]) * a[0]
+        for direction in (rng.normal(size=d), along, np.eye(d)[0],
+                          body.vertices[1] - body.vertices[0]):
+            lo, hi, empty = self.assert_rows_match(body, bases, direction)
+            assert empty.any() and not empty.all()
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_flat_bodies_in_space(self, r):
+        # oblique flats in R^3: lines inside the flat get chords, lines
+        # crossing it one point, and lines beside it nothing
+        rng = np.random.default_rng(7 + r)
+        body = flat_body(rng, 3, r)
+        c = body._chart
+        assert len(c.normal) == 3 - r
+        inside = c.origin + rng.normal(size=(20, r)) @ c.frame
+        bases = np.vstack([self.special_bases(rng, body), inside,
+                           inside + 1e-3 * c.normal[0]])
+        for direction in (rng.normal(size=3), c.frame[0], c.frame[0] + 1e-14 * c.normal[0]):
+            self.assert_rows_match(body, bases, direction)
+
+    def test_tangent_lines_keep_signed_zeros(self, square2):
+        # through the corner (0, 0) along (1, -1) the square's chord is the
+        # one point t = 0, where the facet y >= 0 gives t = -0.0; a line
+        # crossing the flat of a square in R^3 at its own base has t = -0.0
+        lo, hi, empty = self.assert_rows_match(
+            square2, np.array([[0.0, 0.0], [-0.0, -0.0], [1.0, 1.0]]), np.array([1.0, -1.0]))
+        assert not empty.any() and np.all(hi == lo)
+        sq = VPolytope([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+        lo, hi, empty = self.assert_rows_match(
+            sq, np.array([[0.25, 0.5, 1.0], [0.25, 0.5, 0.0], [2.0, 0.5, 1.0]]),
+            np.array([0.0, 0.0, 1.0]))
+        assert empty.tolist() == [False, False, True]
+        assert float_bits(lo[0]) == float_bits(-0.0)
+
+    def test_rows_across_a_block_boundary(self):
+        # a polygon of 300 edges takes 109 rows per block
+        t = np.linspace(0.0, 2.0 * math.pi, 300, endpoint=False)
+        body = VPolytope(np.stack([np.cos(t), np.sin(t)], axis=1))
+        rng = np.random.default_rng(4)
+        bases = rng.uniform(-1.2, 1.2, size=(250, 2))
+        assert len(_row_blocks(len(bases), len(body._chart.hull[1]))) == 3
+        self.assert_rows_match(body, bases, rng.normal(size=2))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_polygon_edges_match_roll_and_norm(self, seed):
+        rng = np.random.default_rng(seed)
+        for body in (random_convex_polygon(rng, 12), flat_body(rng, 3, 2)):
+            chart = body._chart
+            ring = chart._ring
+            edge = np.roll(ring, -1, axis=0) - ring
+            a = np.stack([edge[:, 1], -edge[:, 0]], axis=1)
+            a /= np.linalg.norm(a, axis=1)[:, None]
+            got_a, got_b, _ = chart.hull
+            assert got_a.tobytes() == a.tobytes()
+            assert got_b.tobytes() == (-np.sum(a * ring, axis=1)).tobytes()
 
 
 class TestFacets:

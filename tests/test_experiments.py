@@ -13,6 +13,8 @@ from xml.sax.saxutils import escape as sax_escape
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scipy.spatial import ConvexHull
 
@@ -115,8 +117,15 @@ def reference_bytes(table: CsvTable) -> bytes:
 
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
-    writer.writerow(table.header)
-    writer.writerows(zip(*([reference_cell(v) for v in cells(c)] for c in table.columns)))
+    for row in [table.header, *zip(*([reference_cell(v) for v in cells(c)]
+                                     for c in table.columns))]:
+        start = buf.tell()
+        writer.writerow(row)
+        if row and row[0].startswith("# ") and buf.getvalue()[start] != '"':
+            # a first cell that would read back as a footer is quoted too
+            buf.seek(start)
+            line = buf.getvalue()[start:]
+            buf.write('"' + row[0] + '"' + line[len(row[0]):])
     for comment in table.footer_comments:
         buf.write(f"# {comment}\r\n")
     return buf.getvalue().encode("utf-8")
@@ -136,7 +145,57 @@ def reproduce_tables():
     }
 
 
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308]
+table_floats = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
+table_text = st.one_of(st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+                       st.sampled_from(["", "# ", "# x", '# a,"b"', "a\r\nb", ",", '"']))
+
+
+@st.composite
+def table_columns(draw, n):
+    """One column of n cells of one kind, as a list or (numbers, bools and
+    text alike) as an array, or a list mixing kinds and numpy scalars."""
+    kind = draw(st.sampled_from(["float", "int", "bool", "text", "mixed"]))
+    if kind == "mixed":
+        cell = st.one_of(table_floats, st.integers(), st.booleans(), table_text,
+                         table_floats.map(np.float64), st.booleans().map(np.bool_))
+        return draw(st.lists(cell, min_size=n, max_size=n))
+    cell = {"float": table_floats, "int": st.integers(-2**63, 2**63 - 1),
+            "bool": st.booleans(), "text": table_text}[kind]
+    values = draw(st.lists(cell, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        return np.array(values, dtype={"float": float, "int": np.int64, "bool": bool,
+                                       "text": str}[kind])
+    if kind == "float" and draw(st.booleans()):
+        return [np.float64(v) if k % 2 else v for k, v in enumerate(values)]
+    if kind == "bool" and draw(st.booleans()):
+        return [np.bool_(v) if k % 2 else v for k, v in enumerate(values)]
+    return values
+
+
+@st.composite
+def random_tables(draw):
+    header = draw(st.lists(table_text, min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(0, 5))
+    columns = [draw(table_columns(n)) for _ in header]
+    footer = draw(st.lists(st.text(st.characters(blacklist_categories=("Cs", "Cc")),
+                                   max_size=6), max_size=2))
+    return CsvTable(header=header, columns=columns, footer_comments=footer)
+
+
 class TestTables:
+    @settings(max_examples=300, deadline=None)
+    @given(random_tables())
+    def test_bytes_rows_and_columns_match_reference(self, table):
+        expected = [[reference_cell(v) for v in (c.tolist() if isinstance(c, np.ndarray) else c)]
+                    for c in table.columns]
+        before = repr(table.columns)
+        assert table.to_bytes() == reference_bytes(table)
+        assert table.rows == [list(row) for row in zip(*expected)]
+        for name, cells in zip(table.header, expected):
+            assert table.column(name) == cells
+        assert repr(table.columns) == before
+
     def test_round_trip(self, tmp_path):
         table = CsvTable(header=["a", "b"])
         table.add_row([1, 2.5])

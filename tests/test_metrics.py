@@ -1055,22 +1055,24 @@ class TestFiberProfile:
         with pytest.raises(ValueError):
             fiber_profile(square2, outside, full_space(2), np.array([1.0, 0.0]), 10)
 
-    def test_containment_solves_only_uncertified_vertices(self, monkeypatch):
+    def test_containment_is_membership_without_wolfe(self, monkeypatch):
+        # the outer body's facets decide containment at every dimension
         calls = []
         original = bodies._min_norm_point
         monkeypatch.setattr(bodies, "_min_norm_point",
                             lambda *args: calls.append(1) or original(*args))
         u = np.array([1.0, 0.0, 0.0, 0.0])
-        for d, solves in ((3, 0), (4, 16)):  # the 4-cube's chart certifies nothing
+        for d in (3, 4):
             cube = unit_cube(d, d)
             calls.clear()
             fiber_profile(cube, VPolytope(0.5 * cube.vertices + 0.25), full_space(d), u[:d], 8)
-            assert len(calls) == solves
+            assert calls == []
             calls.clear()
             fiber_profile(cube, cube, full_space(d), u[:d], 8)  # leading rows: no check
             assert calls == []
             with pytest.raises(ValueError):
                 fiber_profile(cube, cube.translate(np.full(d, 0.1)), full_space(d), u[:d], 8)
+            assert calls == []
 
     @pytest.mark.parametrize("d,grid_n", [(2, 0), (2, -3), (3, -8)])
     def test_grid_below_one_rejected(self, d, grid_n):
