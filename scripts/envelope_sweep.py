@@ -14,21 +14,29 @@ random:1.  Every cell runs with RuntimeWarnings turned into errors, so a
 division by zero or a NaN in a kernel fails its cell.  One line per cell
 gives the exit code, the seconds taken and the process's peak RSS in MB so
 far (ru_maxrss); the peak is a running maximum, so a jump marks the cell
-that caused it.  After the count of failed cells, the last line gives each
-command's seconds summed over its cells.  The script exits 1 if any cell did
-not exit 0.  An exception that escapes the CLI is printed with its traceback
-and reported as the cell's exit code "exception".
+that caused it.  After the count of failed cells, a line gives each
+command's seconds summed over its cells.  The last lines give the cold
+start a CLI user waits for, which no in-process cell sees: for each of
+`thm1 -d 4 -j 3 --steps 12`, `hausdorff` on two random 20-vertex bodies in
+R^3 and `intrinsic -j 2` on one of them, the median wall time of 5 fresh
+`python -m projmetrics` processes, and their exit codes.  The script exits
+1 if any cell or cold-start process did not exit 0.  An exception that
+escapes the CLI is printed with its traceback and reported as the cell's
+exit code "exception".
 
 Usage: PYTHONPATH=src python scripts/envelope_sweep.py
 About a minute end to end, most of it thm1 at (8, 8), whose 8-D qhull
 volumes take seconds each; the thm2 and thm3 cells take about 20 s
-together, and the fibers cells well under a second.  The tables go to a
-temporary directory.
+together, the fibers cells well under a second, and the cold starts about
+10 s.  The tables and bodies go to a temporary directory.
 """
 
 import itertools
+import os
 import pathlib
 import resource
+import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -81,6 +89,34 @@ def fibers_cells(out: pathlib.Path):
                 "--out", str(out / f"fibers_d{d}_{h.replace(':', '')}.csv")]
 
 
+def cold_start_cells(out: pathlib.Path):
+    """(label, argv) for the cold-start lines, the two random bodies in R^3
+    written to out on the way."""
+    rng = np.random.default_rng(0)
+    a, b = str(out / "cold_a.body"), str(out / "cold_b.body")
+    for path in (a, b):
+        save_body(VPolytope(rng.normal(size=(20, 3))), path)
+    yield "thm1 d=4 j=3", ["thm1", "-d", "4", "-j", "3", "--steps", "12",
+                           "--out", str(out / "cold_thm1.csv")]
+    yield "hausdorff d=3", ["hausdorff", "--body-a", a, "--body-b", b]
+    yield "intrinsic d=3 j=2", ["intrinsic", "--body", a, "-j", "2"]
+
+
+def cold_start(argv: list[str]):
+    """The exit codes of 5 fresh CLI processes and their median wall time,
+    imports included."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    codes, seconds = set(), []
+    for _ in range(5):
+        start = time.perf_counter()
+        codes.add(subprocess.run([sys.executable, "-m", "projmetrics", *argv], env=env,
+                                 capture_output=True).returncode)
+        seconds.append(time.perf_counter() - start)
+    return sorted(codes), statistics.median(seconds)
+
+
 def run_cell(argv: list[str]):
     start = time.perf_counter()
     try:
@@ -106,9 +142,15 @@ def main() -> int:
             totals[argv[0]] = totals.get(argv[0], 0.0) + seconds
             if code != 0:
                 failed.append(f"{argv[0]}({label.partition(' ')[2]})")
-    print(f"{len(failed)} failed cell(s)" + (": " + " ".join(failed) if failed else ""))
-    print("seconds per command: " + " ".join(f"{c}={s:.2f}" for c, s in totals.items()))
-    return 1 if failed else 0
+        print(f"{len(failed)} failed cell(s)" + (": " + " ".join(failed) if failed else ""))
+        print("seconds per command: " + " ".join(f"{c}={s:.2f}" for c, s in totals.items()))
+        cold_failed = False
+        for label, argv in cold_start_cells(out):
+            codes, seconds = cold_start(argv)
+            print(f"cold start {label} exit={','.join(map(str, codes))} "
+                  f"median_s={seconds:.3f} of 5 processes", flush=True)
+            cold_failed |= codes != [0]
+    return 1 if failed or cold_failed else 0
 
 
 if __name__ == "__main__":

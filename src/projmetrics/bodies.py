@@ -6,18 +6,18 @@ ends, hull_2d edges, qhull) and volume of the body inside that flat.  A
 body in a coordinate flat (as many varying coordinates as its rank, as at
 full rank) is charted by those coordinate axes, exactly and with no SVD;
 only a body in an oblique flat gets an SVD frame.  The facets give exact
-line chords, bulk membership and, for a chart of dimension <= 3, exact
-point-to-hull distances: a point's largest facet violation is its distance
-whenever the foot of the perpendicular on that facet passes the facet
-test.  Points that certificate does not settle, and bodies whose chart is
-of higher dimension, get Wolfe's min-norm point.  The volumes give metrics
-its exact in-flat values.  Many bodies' charts can be built in one pass
-(_fill_charts), with one rank SVD for all of them when padding them to one
-stack at most doubles their elements, and one per body otherwise.  Exact
-2-D geometry (a monotone-chain hull whose turns are tested at the rounding
-error of each turn, shoelace area, and convex clipping at a tolerance
-scaled by the point set's own extent) provides the oracle against which
-Monte Carlo estimators are checked.
+line chords, bulk membership (_in_facets, shared with box Monte Carlo)
+and exact point-to-hull distances: a point's largest facet violation is
+its distance whenever the foot of the perpendicular on that facet passes
+the facet test.  Above dimension 3 only a hull already built certifies.
+Points the certificate does not settle get Wolfe's min-norm point.  The
+volumes give metrics its exact in-flat values.  Many bodies' charts can be
+built in one pass (_fill_charts), with one rank SVD for all of them when
+padding them to one stack at most doubles their elements, and one per body
+otherwise.  Exact 2-D geometry (a monotone-chain hull whose turns are
+tested at the rounding error of each turn, shoelace area, and convex
+clipping at a tolerance scaled by the point set's own extent) provides the
+oracle against which Monte Carlo estimators are checked.
 """
 
 from __future__ import annotations
@@ -254,8 +254,8 @@ def distance_to_hull(p: np.ndarray, body: VPolytope) -> float:
     """Euclidean distance from p to conv(vertices).
 
     The facets of the body's chart settle it exactly when they can (see
-    _Chart.certified): at chart dimension <= 3, for a point inside the hull
-    (exactly 0.0) or one whose nearest point lies inside a facet.  Otherwise
+    _Chart.certified and facets): for a point inside the hull (exactly
+    0.0) or one whose nearest point lies inside a facet.  Otherwise
     it is the min-norm point of the shifted vertex set, whose accuracy is
     limited by the duality-gap stop, well below DEFAULT_TOL for desk-scale
     inputs."""
@@ -353,7 +353,7 @@ def contains(body: VPolytope, pts: np.ndarray, tol: float = DEFAULT_TOL) -> np.n
     return inside
 
 
-# charts up to this dimension certify distances from their facets
+# charts up to this dimension build a hull to certify distances (see facets)
 _CERTIFIED_DIM = 3
 
 # a cache-sized block of a (rows x facets) product: the hull of a thm1 row at
@@ -396,20 +396,18 @@ def _within(offsets: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _in_facets(x: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """Rows of x within tol of every facet's half-space, over row blocks."""
-    # contiguous facet columns: _rowdot reads column k of a for every block,
-    # and a strided column of a wide hull is read as the whole matrix
-    a = np.asfortranarray(a)
+    """Rows of x within tol of every facet's half-space, one BLAS product
+    per row block: the one membership kernel, booleans only."""
     ok = np.empty(x.shape[0], dtype=bool)
     for r in _row_blocks(x.shape[0], a.shape[0]):
-        ok[r] = np.all(_rowdot(x[r], a) + b <= tol, axis=1)
+        ok[r] = np.all(x[r] @ a.T + b <= tol, axis=1)
     return ok
 
 
 def _chords(x, u, a, b, tol):
     """Facet algebra of line_fibers for a full-dimensional hull {a.x + b <= 0},
     over row blocks."""
-    a = np.asfortranarray(a)  # contiguous facet columns, as in _in_facets
+    a = np.asfortranarray(a)  # _rowdot reads whole facet columns: make them contiguous
     au = _rowdot(u[None], a)[0]
     un = float(np.linalg.norm(u))
     cross = np.abs(au) > _PARALLEL * un
@@ -481,8 +479,8 @@ def _distinct_rows(v: np.ndarray) -> np.ndarray:
 
 class _Chart:
     """The affine hull of a vertex set, and inside it, built on first use,
-    the facets and volume of the set's convex hull; up to dimension 3 the
-    facets also give certified point-to-hull distances.  A volume needs no
+    the facets and volume of the set's convex hull; the facets also give
+    certified point-to-hull distances (see facets).  A volume needs no
     facets at dimension 2: it comes from the hull_2d ring alone.
 
     x lies in the affine hull iff normal @ (x - origin) = 0, and then
@@ -551,15 +549,20 @@ class _Chart:
             raise NonConvergenceError("the hull of a rank-2 vertex set is flat in its own frame")
         return ring
 
-    @cached_property
+    @property
     def facets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """(a @ frame, b, a) of the hull, for certified distances: its facets
         acting on offsets from the origin, and their in-flat unit normals, of
-        whose Gram matrix certified forms only the rows it reads.  None above
-        dimension _CERTIFIED_DIM, where a qhull can cost more than the Wolfe
-        solves it would replace, and when the hull cannot be built."""
-        if self.dim > _CERTIFIED_DIM:
+        whose Gram matrix certified forms only the rows it reads.  None when
+        the hull cannot be built, and above dimension _CERTIFIED_DIM, where
+        a qhull can cost more than the Wolfe solves it would replace, until
+        the hull is built for another reason: that None is never cached."""
+        if self.dim > _CERTIFIED_DIM and "hull" not in vars(self):
             return None
+        return self._facets
+
+    @cached_property
+    def _facets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         try:
             a, b, _ = self.hull
         except NonConvergenceError:

@@ -9,9 +9,9 @@ volume, keeping every verification self-consistent.
 
 A schedule builds all of its rows at once: the needle vertices of every
 row come from one broadcast array over the row parameters, the needles are
-validated once per sequence, and every row's vertex list, radius and
-schedule fields have the bits of a row-by-row construction from _needle
-and augment.
+validated once per sequence, and every row's vertex list and schedule
+fields have the bits of a row-by-row construction from _needle and
+augment.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ class ScheduleRow:
     offset: float          # base-point shift along the axis
     x_m: np.ndarray
     exclusion_radius: float
-    body_radius: float
     claimed_step_bound: float
 
 
@@ -189,7 +188,7 @@ def thm1_sequence(body: VPolytope, plane: Subspace, x0: np.ndarray, u: np.ndarra
     radii = np.sqrt(np.max(np.einsum("sij,sij->si", verts, verts), axis=1)).tolist()
     return [(ScheduleRow(
         m=i, length=length, eps=e, offset=0.0, x_m=x0,
-        exclusion_radius=rho + 1.0, body_radius=rho,
+        exclusion_radius=rho + 1.0,
         claimed_step_bound=c1 * length * e ** (j - 1),
     ), VPolytope(v)) for i, (length, e, rho, v) in enumerate(zip(lengths, eps, radii, verts))]
 
@@ -209,8 +208,8 @@ def _dyadic_sequence(body: VPolytope, plane: Subspace, x0: np.ndarray, u: np.nda
     """Spindle needles of length 2^m at offsets m * max(1, diameter) along
     u, each row's body the previous one's vertices followed by its needle's:
     every body is a prefix of one vertex array, built by broadcasting, and
-    each row's radius (that of the body before its needle) is a running
-    maximum over the prefix of squared vertex norms."""
+    each row's exclusion radius is 1 more than the radius of the body before
+    its needle, a running maximum over the prefix of squared vertex norms."""
     d, j = plane.ambient_dim, plane.dim
     c2 = needle_bound_constant(d, j, "two_sided")
     lengths = [2.0**m for m in range(steps)]
@@ -227,7 +226,7 @@ def _dyadic_sequence(body: VPolytope, plane: Subspace, x0: np.ndarray, u: np.nda
     radii = np.sqrt(peak[ends[:-1] - 1]).tolist()
     return [(ScheduleRow(
         m=m, length=lengths[m], eps=eps[m], offset=offsets[m], x_m=x_m[m],
-        exclusion_radius=radii[m] + 1.0, body_radius=radii[m],
+        exclusion_radius=radii[m] + 1.0,
         claimed_step_bound=targets[m],
     ), VPolytope(verts[:ends[m + 1]])) for m in range(steps)]
 

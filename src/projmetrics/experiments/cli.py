@@ -73,12 +73,10 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--mode", choices=["auto", "mc"], default="auto", help=MODE_HELP)
 
-    p = sub.add_parser("metric", help="distance between two bodies (or body vs empty)")
+    p = sub.add_parser("metric", help="distance between two bodies of one dimension "
+                                      "(a body's distance to the empty set is `intrinsic`)")
     p.add_argument("--body-a", required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--body-b")
-    group.add_argument("--empty", action="store_true")
-    p.add_argument("-d", type=int, required=True)
+    p.add_argument("--body-b", required=True)
     p.add_argument("-j", type=int, required=True)
     sampling_flags(p)
 
@@ -149,11 +147,8 @@ def _load(path):
 
 def _dispatch(args) -> int:
     if args.command == "metric":
-        _check_dims(args.d, args.j)
-        a = _load(args.body_a)
-        b = None if args.empty else _load(args.body_b)
-        if a.ambient_dim != args.d or (b is not None and b.ambient_dim != args.d):
-            raise ConfigError("body dimension does not match -d")
+        a, b = _load(args.body_a), _load(args.body_b)
+        _check_dims(a.ambient_dim, args.j)
         plan = SamplingPlan(args.subspaces, args.points, args.seed, _mode(args.mode))
         est = delta_j(a, b, args.j, plan)
         print(f"delta_{args.j} = {est.value:.17g} std_error {est.std_error:.17g} "

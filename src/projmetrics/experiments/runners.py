@@ -277,18 +277,19 @@ def run_thm2(cfg: ExperimentConfig) -> CsvTable:
 def run_thm3(cfg: ExperimentConfig) -> CsvTable:
     """Empty-set floor experiment: dyadic spindles with a0-scaled targets.
 
-    a0 is always the measured distance of the base body to the empty set,
-    delta_j(K, empty) = V_j(K), the value the footer prints: the schedule,
-    the claimed floor 3/4 a0 and the footer's `used` all take this one
-    number.  The claimed floor and steps are recorded, not asserted.  The
-    distance to the empty set grows with the needle, 1.5 -> 32.5 at seed 1
-    and (d, j) = (3, 2): the sequence is unbounded in delta_j, so it is not
-    the delta_j-Cauchy sequence its claimed steps describe."""
+    a0 is the base body's distance to the empty set, delta_j(K, empty) =
+    V_j(K), under the auto plan in every mode: exact for the flat base, so
+    the schedule, the claimed floor 3/4 a0 and the footer's `used` never
+    depend on sampling.  The claimed floor and steps are recorded, not
+    asserted.  The distance to the empty set grows with the needle, 1.5 ->
+    32.5 at seed 1 and (d, j) = (3, 2): the sequence is unbounded in
+    delta_j, so it is not the delta_j-Cauchy sequence its claimed steps
+    describe."""
     if cfg.j >= cfg.d:
         raise ConfigError(f"thm3 requires j <= d-1, got (d={cfg.d}, j={cfg.j})")
     base, plane, x0, u = unit_cube_body(cfg.d, cfg.j)
     plan = _plan(cfg)
-    a0_est = intrinsic_volume(base, cfg.j, plan, workers=cfg.workers)
+    a0_est = intrinsic_volume(base, cfg.j, SamplingPlan(seed=cfg.seed), workers=cfg.workers)
     a0 = a0_est.value
     seq = thm3_sequence(base, plane, x0, u, cfg.steps, a0)
 

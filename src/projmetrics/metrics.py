@@ -367,10 +367,10 @@ def hausdorff(a: VPolytope, b: VPolytope) -> float:
     attained at a vertex.  The one-body case of hausdorff_stack.
 
     Every vertex is first put to the facet certificate of the other body's
-    chart (bodies._Chart.certified, at chart dimension <= 3), in one batched
-    call per direction (bodies sizes its row blocks), whose rows have the
-    bits of one-point distance_to_hull calls; a vertex shared by both bodies
-    certifies to exactly 0.0, and a vertex list that leads the other body's
+    chart (bodies._Chart.certified), in one batched call per direction
+    (bodies sizes its row blocks), whose rows have the bits of one-point
+    distance_to_hull calls; a vertex shared by both bodies certifies to
+    exactly 0.0, and a vertex list that leads the other body's
     (as each thm row's previous body does) needs no certificate.  Only the
     vertices left uncertified get a bound, their distance to the nearest
     vertex of the other body, which bounds their distance to its hull from

@@ -3,8 +3,9 @@ difference of vertex sets given in R^j coordinates.
 
 Exact oracles: interval arithmetic at j = 1 and hull_2d / shoelace /
 polygon_clip at j = 2 for all three; at j >= 3 containment and volume read
-the facets and volume of the set's chart (bodies._Chart, one qhull call),
-and the symmetric difference has no exact oracle.  At j = 2 the area of a
+the facets and volume of the set's chart (bodies._Chart, one qhull call;
+containment through bodies._in_facets, the kernel of bodies.contains), and
+the symmetric difference has no exact oracle.  At j = 2 the area of a
 hull outside a centred disc is exact too (exact_outside_area_stack, one
 ring-and-disc pass over many rows).  Membership at j <= 2 is tested at a
 tolerance scaled by the operand's own extent, so a body keeps its samples
@@ -25,7 +26,7 @@ import numpy as np
 from .bodies import (
     _Chart,
     _charts,
-    _row_blocks,
+    _in_facets,
     hull_2d,
     polygon_area,
     polygon_clip,
@@ -65,15 +66,11 @@ def inside(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 
 def _in_chart(c: _Chart, pts: np.ndarray) -> np.ndarray:
-    """The facet test of the chart's hull over the row blocks of bodies,
-    one BLAS product per block: faster than _in_facets' coordinate sums."""
-    hit = np.zeros(pts.shape[0], dtype=bool)
+    """The facet test of a full-rank chart's hull (whose in-flat coordinates
+    are the points' own) at 1e-12 times its scale."""
     if c.dim < pts.shape[1]:  # no j-flat spanned: a hull of volume 0 holds no sample
-        return hit
-    a, b, _ = c.hull
-    for r in _row_blocks(pts.shape[0], a.shape[0]):
-        hit[r] = np.all(pts[r] @ a.T + b <= _INSIDE_TOL * c.scale, axis=1)
-    return hit
+        return np.zeros(pts.shape[0], dtype=bool)
+    return _in_facets(pts, *c.hull[:2], _INSIDE_TOL * c.scale)
 
 
 def exact_volume(verts: np.ndarray, j: int) -> float:

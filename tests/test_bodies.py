@@ -521,8 +521,9 @@ def wolfe_distance(p: np.ndarray, body: VPolytope) -> float:
 
 
 class TestCertifiedDistance:
-    """Up to chart dimension 3, distances come from the chart's facets when
-    the largest facet violation's foot passes the facet test."""
+    """Up to chart dimension 3, and above it once the chart's hull is built,
+    distances come from the chart's facets when the largest facet
+    violation's foot passes the facet test."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_wolfe(self, seed):
@@ -588,6 +589,20 @@ class TestCertifiedDistance:
         p = np.full(d, 5.0)
         assert distance_to_hull(p, body) == pytest.approx(wolfe_distance(p, body), abs=1e-12)
         assert body._chart.facets is None and "hull" not in vars(body._chart)
+
+    @pytest.mark.parametrize("d,r", [(4, 4), (5, 4), (6, 5)])
+    def test_a_built_hull_certifies_above_dimension_three(self, monkeypatch, d, r):
+        # no facets before the hull exists, and that None is not kept: once
+        # the hull is built the same chart certifies, with no Wolfe solve
+        body = flat_body(np.random.default_rng(d), d, r)
+        weights = np.random.default_rng(r).dirichlet(np.ones(body.n_vertices), size=5)
+        pts = np.vstack([body.vertices, weights @ body.vertices])
+        assert body._chart.facets is None
+        body._chart.hull
+        monkeypatch.setattr(bodies, "_min_norm_point", None)  # a solve would raise
+        dist, ok = body._chart.certified(pts)
+        assert ok.all() and not dist.any()
+        assert all(distance_to_hull(p, body) == 0.0 for p in pts)
 
     def test_hull_failure_falls_back_to_wolfe(self, monkeypatch, cube3):
         def fail(verts):

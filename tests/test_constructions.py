@@ -218,9 +218,12 @@ class TestDyadicSchedules:
             prev = body
 
     def test_exclusion_exceeds_body_radius(self):
+        # the exclusion ball reaches 1 past the body before the row's needle
         base = unit_cube(3, 2)
-        for row, _ in thm2_sequence(base, E3, base.vertices.mean(axis=0), U3, 6):
-            assert row.exclusion_radius > row.body_radius
+        prev = base
+        for row, body in thm2_sequence(base, E3, base.vertices.mean(axis=0), U3, 6):
+            assert row.exclusion_radius == bounding_radius(prev) + 1.0
+            prev = body
 
     def test_thm3_requires_positive_a0(self):
         base = unit_cube(3, 2)
@@ -251,7 +254,7 @@ def thm1_rows(body, plane, x0, u, l0, steps):
         spec = NeedleSpec(x0=x0, u=u, plane=plane, length=length, eps=eps, kind="prism")
         grown = augment(body, reference_needle(spec, frame))
         rho = bounding_radius(grown)
-        out.append((length, eps, 0.0, np.asarray(x0, dtype=float), rho + 1.0, rho,
+        out.append((length, eps, 0.0, np.asarray(x0, dtype=float), rho + 1.0,
                     c1 * length * eps ** (j - 1), grown))
     return out
 
@@ -272,7 +275,7 @@ def dyadic_rows(body, plane, x0, u, steps, target):
         spec = NeedleSpec(x0=x_m, u=u, plane=plane, length=length, eps=eps, kind="spindle")
         rho = bounding_radius(current)
         current = augment(current, reference_needle(spec, frame))
-        out.append((length, eps, offset, x_m, rho + 1.0, rho, target(m), current))
+        out.append((length, eps, offset, x_m, rho + 1.0, target(m), current))
     return out
 
 
@@ -280,8 +283,7 @@ class TestStackedSequences:
     """Each sequence builds all of its needle vertices as one broadcast
     array; every byte equals the row-by-row construction."""
 
-    FIELDS = ("length", "eps", "offset", "x_m", "exclusion_radius", "body_radius",
-              "claimed_step_bound")
+    FIELDS = ("length", "eps", "offset", "x_m", "exclusion_radius", "claimed_step_bound")
 
     def assert_rows_equal(self, seq, reference):
         assert len(seq) == len(reference)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from scipy.spatial import ConvexHull
 
-from projmetrics import grassmann, metrics, oracles
+from projmetrics import bodies, grassmann, metrics, oracles
 from projmetrics.bodies import VPolytope, distance_to_hull, save_body
 from projmetrics.constructions import (
     NeedleSpec,
@@ -312,11 +312,26 @@ class TestThm1Runner:
             assert abs(dh - tip) <= 1e-12 * tip
             assert dh >= float(record["drift_floor"]) - 1e-9
 
+    @pytest.mark.parametrize("d,j", [(4, 4), (5, 5), (6, 4)])
+    def test_hausdorff_column_from_the_row_hulls(self, monkeypatch, d, j):
+        # delta_j_stack builds every row body's hull, so the certificate of
+        # the base cube's chart answers the column above dimension 3 too:
+        # each tip's distance L_i - 1/2, to 1 ulp, with no Wolfe solve
+        solves = []
+        original = bodies._min_norm_point
+        monkeypatch.setattr(bodies, "_min_norm_point",
+                            lambda *args: solves.append(1) or original(*args))
+        table = run_thm1(ExperimentConfig(d=d, j=j, seed=1, n_subspaces=20, n_points=20,
+                                          steps=12))
+        assert solves == []
+        for length, dh in zip(table.column("L_i"), table.column("d_hausdorff")):
+            tip = float(length) - 0.5
+            assert abs(float(dh) - tip) <= np.spacing(tip)
+
     @pytest.mark.parametrize("d,j", [(4, 4), (5, 5)])
     def test_long_first_needle_above_dimension_three(self, d, j):
-        # at l0 = 10 the last tip lies about 20480 from the cube, and its Hausdorff
-        # distance is a Wolfe solve: a corral Gram of |p|^2-sized entries
-        # once swamped the cube's extent, and the solve never converged
+        # at l0 = 10 the last tip lies about 20480 from the cube; the Wolfe
+        # solve that once never converged there is TestWolfeDistance's
         table = run_thm1(ExperimentConfig(d=d, j=j, seed=1, n_subspaces=20, n_points=20,
                                           steps=12, l0=10.0))
         assert len(table.rows) == 12
@@ -678,6 +693,18 @@ class TestThm3Runner:
             assert float(record["claimed_step"]) == pytest.approx(
                 (a0 / 4.0) * 2.0 ** -(m + 1), abs=1e-12)
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("d,j", [(3, 2), (4, 3)])
+    def test_monte_carlo_schedule_is_the_auto_schedule(self, d, j, seed):
+        # a0 comes from the auto plan in every mode, so the mc table
+        # describes the auto table's bodies, whatever the sampling draws
+        cfg = dict(d=d, j=j, seed=seed, n_subspaces=40, n_points=300, steps=6)
+        auto = run_thm3(ExperimentConfig(**cfg))
+        mc = run_thm3(ExperimentConfig(**cfg, mode="monte_carlo"))
+        for name in ("eps_m", "claimed_step", "claimed_floor"):
+            assert mc.column(name) == auto.column(name), name
+        assert mc.column("se") != auto.column("se")  # the rows themselves are sampled
+
     @pytest.mark.parametrize("j,ds", [(2, (3, 4, 6)), (3, (4, 6))])
     def test_flat_column_does_not_depend_on_d(self, j, ds):
         columns = [run_thm3(ExperimentConfig(d=d, j=j, seed=1, n_subspaces=50, n_points=500,
@@ -873,16 +900,25 @@ class TestCli:
 
     def test_metric_exact(self, bodies, capsys):
         code = main(["metric", "--body-a", bodies[0], "--body-b", bodies[1],
-                     "-d", "2", "-j", "2", "--subspaces", "10", "--points", "10",
-                     "--seed", "1"])
+                     "-j", "2", "--subspaces", "10", "--points", "10", "--seed", "1"])
         assert code == 0
         assert "delta_2 = 3 " in capsys.readouterr().out
 
-    def test_metric_empty(self, bodies, capsys):
-        code = main(["metric", "--body-a", bodies[0], "--empty", "-d", "2", "-j", "1",
-                     "--subspaces", "200", "--seed", "1"])
-        assert code == 0
-        assert capsys.readouterr().out.startswith("delta_1 = ")
+    def test_metric_reads_d_from_its_bodies(self, bodies, tmp_path, capsys):
+        # V_j is `intrinsic` alone, and d is the bodies' own: --empty and -d
+        # are unknown arguments, and bodies of two dimensions a domain error
+        pair = ["metric", "--body-a", bodies[0], "--body-b", bodies[1], "-j", "2"]
+        for extra in (["--empty"], ["-d", "2"]):
+            assert main(pair + extra) == 3
+            err = capsys.readouterr().err
+            assert err == f"configuration error: unrecognized arguments: {' '.join(extra)}\n"
+        cube = tmp_path / "cube.body"
+        save_body(VPolytope([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                             [0.0, 0.0, 1.0]]), cube)
+        assert main(["metric", "--body-a", str(cube), "--body-b", bodies[1], "-j", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "configuration error: operands live in different dimensions\n"
+        assert captured.out == ""
 
     def test_intrinsic(self, bodies, capsys):
         code = main(["intrinsic", "--body", bodies[0], "-j", "2", "--seed", "1"])
@@ -1007,7 +1043,7 @@ class TestCli:
         with pytest.raises(ValueError):
             SamplingPlan(mode="exact")
         assert main(["metric", "--body-a", bodies[0], "--body-b", bodies[1],
-                     "-d", "2", "-j", "2", "--mode", "exact"]) == 3
+                     "-j", "2", "--mode", "exact"]) == 3
 
     def test_reproduce_matches_the_subcommands(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1025,8 +1061,8 @@ class TestCli:
     def test_config_error_exit_code(self, tmp_path):
         assert main(["thm1", "-d", "9", "-j", "2", "--steps", "2", "--l0", "2",
                      "--seed", "1", "--out", str(tmp_path / "x.csv")]) == 3
-        assert main(["metric", "--body-a", "missing.body", "--empty",
-                     "-d", "2", "-j", "1"]) == 3
+        assert main(["metric", "--body-a", "missing.body", "--body-b", "missing.body",
+                     "-j", "1"]) == 3
         assert main(["nonsense"]) == 3
         # reproduce runs only exact tables, so it takes no worker count
         assert main(["reproduce", "--out-dir", str(tmp_path / "r"), "--workers", "1"]) == 3

@@ -220,8 +220,8 @@ def test_paths_at_j2_import_no_scipy(tmp_path):
             ["thm3", *small, "--out", "t3.csv"],
             ["lemma", "-d", "4", "-j", "2", "--samples", "100", "--out", "l.csv"],
             ["reproduce", "--out-dir", "rep"], ["hausdorff", *pair],
-            ["metric", *pair, "-d", "2", "-j", "1", "--subspaces", "50"],
-            ["metric", *pair, "-d", "2", "-j", "2"],
+            ["metric", *pair, "-j", "1", "--subspaces", "50"],
+            ["metric", *pair, "-j", "2"],
             ["intrinsic", "--body", "b.body", "-j", "1", "--subspaces", "50"],
             ["intrinsic", "--body", "b.body", "-j", "2"]]
     code = ("import sys\n"

@@ -16,6 +16,7 @@ from projmetrics.constructions import (
     cross_section,
     prism_needle,
     thm1_sequence,
+    thm3_sequence,
 )
 from projmetrics.experiments import CsvTable, ExperimentConfig
 from projmetrics.experiments.runners import run_thm1, run_thm2, run_thm3, unit_cube_body
@@ -461,10 +462,10 @@ class TestFlatCharts:
     @pytest.mark.parametrize("d,j", [(3, 2), (4, 3)])
     def test_leading_vertex_rows_nest_without_a_facet_test(self, monkeypatch, runner, d, j):
         # each row's body lists the previous body's vertices first, and a
-        # vertex row lies in its own hull
+        # vertex row lies in its own hull: no pair goes to the nesting test
         calls = []
-        original = bodies._in_facets
-        monkeypatch.setattr(bodies, "_in_facets",
+        original = metrics.contains
+        monkeypatch.setattr(metrics, "contains",
                             lambda *args: calls.append(1) or original(*args))
         runner(ExperimentConfig(d=d, j=j, steps=6, n_subspaces=50, n_points=500, seed=1))
         assert calls == []
@@ -650,6 +651,17 @@ class TestStackedForms:
             pairs, 3, SamplingPlan(n_subspaces=10, n_points=400, seed=seed))
         assert stacked[0].exact and stacked[1].exact and not stacked[2].exact
 
+    @pytest.mark.parametrize("d,j", [(4, 3), (5, 4)])
+    def test_delta_j_along_prefix_chains(self, d, j):
+        # thm3's bodies: each one's vertex list extends the last one's, so a
+        # hull grown along the chain would differ from the standalone hulls
+        base, plane, x0, u = unit_cube_body(d, j)
+        chain = [body for _, body in thm3_sequence(base, plane, x0, u, 12, 1.0)]
+        plan = SamplingPlan(n_subspaces=6, n_points=300, seed=1)
+        singles = self.assert_delta_rows([(body, None) for body in chain], j, plan)
+        steps = self.assert_delta_rows(list(zip(chain, [base, *chain[:-1]])), j, plan)
+        assert all(est.exact for est in singles + steps)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_delta_j_monte_carlo(self, workers):
         rng = np.random.default_rng(11)
@@ -673,7 +685,7 @@ class TestStackedForms:
         monkeypatch.setattr(bodies, "_min_norm_point",
                             lambda *args: solves.append(1) or original(*args))
         rng = np.random.default_rng(8)
-        for d in (3, 5):  # at d = 5 the certificate settles nothing: Wolfe for every row
+        for d in (3, 5):  # at d = 5 no fresh body holds a hull: Wolfe for every row
             shared = VPolytope(rng.normal(size=(12, d)))
             family = [
                 VPolytope(rng.normal(size=(9, d))),
