@@ -10,7 +10,9 @@ misses good subspaces that see the last spindles as slivers).  thm1 at
 Each fibers cell profiles the unit d-cube grown by a prism needle (length 8,
 radius 0.01, from the centroid along e1, the needle of `reproduce`) at grid
 400 with the needle's cross-section as tube, over --plane e1e2 and
-random:1.  Every cell runs with RuntimeWarnings turned into errors, so a
+random:1, and once more over random:1 with the cube's rows reversed, so
+that they do not lead the grown body's and its containment is checked.
+Every cell runs with RuntimeWarnings turned into errors, so a
 division by zero or a NaN in a kernel fails its cell.  One line per cell
 gives the exit code, the seconds taken and the process's peak RSS in MB so
 far (ru_maxrss); the peak is a running maximum, so a jump marks the cell
@@ -77,16 +79,18 @@ def fibers_cells(out: pathlib.Path):
         cube = VPolytope(list(itertools.product((0.0, 1.0), repeat=d)))
         plane, x0, u = full_space(d), np.full(d, 0.5), np.eye(d)[0]
         spec = NeedleSpec(x0=x0, u=u, plane=plane, length=8.0, eps=0.01, kind="prism")
-        bodies = {"cube": cube, "grown": augment(cube, prism_needle(spec)),
+        bodies = {"cube": cube, "reversed": VPolytope(cube.vertices[::-1]),
+                  "grown": augment(cube, prism_needle(spec)),
                   "tube": VPolytope(x0 + cross_section(plane, u, spec.eps).vertices)}
         path = {name: str(out / f"{name}_d{d}.body") for name in bodies}
         for name, body in bodies.items():
             save_body(body, path[name])
-        for h in ("e1e2", "random:1"):
-            yield f"fibers d={d} plane={h}", [
-                "fibers", "--body-a", path["grown"], "--body-b", path["cube"],
+        for h, inner in (("e1e2", "cube"), ("random:1", "cube"), ("random:1", "reversed")):
+            rows = "" if inner == "cube" else f" rows={inner}"
+            yield f"fibers d={d} plane={h}{rows}", [
+                "fibers", "--body-a", path["grown"], "--body-b", path[inner],
                 "--tube", path["tube"], "--plane", h, "--grid", "400",
-                "--out", str(out / f"fibers_d{d}_{h.replace(':', '')}.csv")]
+                "--out", str(out / f"fibers_d{d}_{h.replace(':', '')}_{inner}.csv")]
 
 
 def cold_start_cells(out: pathlib.Path):

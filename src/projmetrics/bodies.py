@@ -9,8 +9,8 @@ only a body in an oblique flat gets an SVD frame.  The facets give exact
 line chords, bulk membership (_in_facets, shared with box Monte Carlo)
 and exact point-to-hull distances: a point's largest facet violation is
 its distance whenever the foot of the perpendicular on that facet passes
-the facet test.  Above dimension 3 only a hull already built certifies.
-Points the certificate does not settle get Wolfe's min-norm point.  The
+the facet test.  Above dimension 2 only a hull built for a volume or a
+chord certifies; the other points get Wolfe's min-norm point.  The
 volumes give metrics its exact in-flat values.  Many bodies' charts can be
 built in one pass (_fill_charts), with one rank SVD for all of them when
 padding them to one stack at most doubles their elements, and one per body
@@ -253,12 +253,12 @@ def _min_norm_point(pts: np.ndarray, start: int, max_iter: int) -> np.ndarray | 
 def distance_to_hull(p: np.ndarray, body: VPolytope) -> float:
     """Euclidean distance from p to conv(vertices).
 
-    The facets of the body's chart settle it exactly when they can (see
-    _Chart.certified and facets): for a point inside the hull (exactly
-    0.0) or one whose nearest point lies inside a facet.  Otherwise
-    it is the min-norm point of the shifted vertex set, whose accuracy is
-    limited by the duality-gap stop, well below DEFAULT_TOL for desk-scale
-    inputs."""
+    The facets of the body's chart, where it has them (_Chart.facets),
+    settle it exactly for a point inside the hull (0.0) or one whose
+    nearest point lies inside a facet.  Otherwise it is the min-norm point
+    of the shifted vertex set, whose accuracy is limited by the duality-gap
+    stop, well below DEFAULT_TOL for desk-scale inputs (1e-16 to 1e-14, not
+    0.0, inside a fresh unit-scale body of dimension >= 3)."""
     p = np.asarray(p, dtype=float)
     if p.shape != (body.ambient_dim,):
         raise ValueError(f"point has dimension {p.shape}, body has {body.ambient_dim}")
@@ -352,9 +352,6 @@ def contains(body: VPolytope, pts: np.ndarray, tol: float = DEFAULT_TOL) -> np.n
         inside &= _within(c.off_flat(p), tol)
     return inside
 
-
-# charts up to this dimension build a hull to certify distances (see facets)
-_CERTIFIED_DIM = 3
 
 # a cache-sized block of a (rows x facets) product: the hull of a thm1 row at
 # d = 8 has about 1.5e5 facets, and one (256 points, all facets) block of
@@ -554,10 +551,10 @@ class _Chart:
         """(a @ frame, b, a) of the hull, for certified distances: its facets
         acting on offsets from the origin, and their in-flat unit normals, of
         whose Gram matrix certified forms only the rows it reads.  None when
-        the hull cannot be built, and above dimension _CERTIFIED_DIM, where
-        a qhull can cost more than the Wolfe solves it would replace, until
-        the hull is built for another reason: that None is never cached."""
-        if self.dim > _CERTIFIED_DIM and "hull" not in vars(self):
+        the hull cannot be built, and above dimension 2, where the hull is a
+        qhull call, until it is built for a volume or a chord: a distance
+        never pays for one, and that None is never cached."""
+        if self.dim > 2 and "hull" not in vars(self):
             return None
         return self._facets
 
@@ -571,9 +568,9 @@ class _Chart:
 
     def certified(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(dist, ok) over the rows of pts: ok marks the rows whose distance
-        to the hull the facets settle, and dist holds those distances (0.0
-        elsewhere), taken over row blocks.  Each row's bits do not depend on
-        the other rows.
+        to the hull the facets settle (none while facets is None), and dist
+        holds those distances (0.0 elsewhere), taken over row blocks.  Each
+        row's bits do not depend on the other rows.
 
         With in-flat coordinates y and facet values s_k = a_k.y + b_k, let
         s = max_k s_k, at facet i.  Every hull point z has a_i.z + b_i <= 0,

@@ -16,8 +16,8 @@ at every j.  The frame belongs to each body: a VPolytope keeps one chart
 and volume), so a table whose rows share a base body builds the base's hull
 once.  A body in a coordinate flat, as every thm body is, and every body at
 j = d, keeps its own coordinates: its chart is its varying columns.
-Operands that span no j-flat give exactly 0, since every projection then
-has j-measure zero.  A single operand gives its chart volume; a pair of
+An operand that spans no j-flat is the empty set, each of its projections
+having j-measure zero.  A single operand gives its chart volume; a pair of
 which one operand's vertex rows lead the other's, or pass bodies.contains
 on it, is nested and gives |vol K - vol L|; a pair in one flat that is not
 nested is clipped at j <= 2 in the chart of its union.
@@ -166,11 +166,11 @@ def _flat_values(j: int, pairs, led) -> list[float | None]:
 
     First every volume the pairs read is taken, so that a table's qhull
     calls run back to back.  A pair with an operand that spans more than a
-    j-flat gives None and builds no hull.  Operands that span no j-flat
-    give exactly 0.0 at every j: each projection then has j-measure zero.
-    One operand gives its chart volume, and a pair whose rows lead, whose
-    shorter list therefore lies in the other's hull, gives |vol K - vol L|
-    with no facet tested.  Only the other pairs go to _flat_value.
+    j-flat gives None and builds no hull.  No operand (delta_j_stack has
+    made None each that spans no j-flat) gives exactly 0.0, one operand its
+    chart volume, and a pair whose rows lead, whose shorter list therefore
+    lies in the other's hull, gives |vol K - vol L| with no facet tested.
+    Only the other pairs go to _flat_value.
 
     A body in a coordinate flat, as every thm body is, keeps its own
     coordinates and vertex order at every j: its chart's coordinates are
@@ -180,13 +180,12 @@ def _flat_values(j: int, pairs, led) -> list[float | None]:
     given one).  Only a body in an oblique flat is charted from its sorted
     distinct vertex rows, and there no bit depends on vertex order."""
     charts = [[x._chart for x in pair if x is not None] for pair in pairs]
-    volumes = [None if any(c.dim > j for c in cs) else [c.volume if c.dim == j else 0.0
-                                                        for c in cs] for cs in charts]
+    volumes = [None if any(c.dim > j for c in cs) else [c.volume for c in cs] for cs in charts]
     out = []
-    for (a, b), cs, vols, lead in zip(pairs, charts, volumes, led):
-        if vols is None or len(vols) == 1:
-            out.append(None if vols is None else vols[0])
-        elif lead or all(c.dim < j for c in cs):
+    for (a, b), vols, lead in zip(pairs, volumes, led):
+        if vols is None or len(vols) < 2:
+            out.append(None if vols is None else sum(vols, 0.0))
+        elif lead:
             out.append(abs(vols[0] - vols[1]))
         else:
             out.append(_flat_value(j, a, b))
@@ -195,18 +194,16 @@ def _flat_values(j: int, pairs, led) -> list[float | None]:
 
 def _flat_value(j: int, a: VPolytope, b: VPolytope) -> float | None:
     """The in-flat value of a pair of _flat_values whose vertex rows do not
-    lead and of which an operand spans a j-flat.  The pair is nested when
-    one operand's vertices pass bodies.contains on the other (in its flat
-    and inside its facets, at 1e-12 times its chart's scale), and then the
-    value is |vol K - vol L|.  A pair that is not nested is clipped at
-    j <= 2 in the chart of its union, which has dimension j exactly when the
-    pair lies in one j-flat; it gets None at j >= 3, as does a pair in no
-    common j-flat."""
+    lead, each operand spanning a j-flat.  The pair is nested when one
+    operand's vertices pass bodies.contains on the other (in its flat and
+    inside the facets its volume built, at 1e-12 times its chart's scale),
+    and then the value is |vol K - vol L|.  A pair that is not nested is
+    clipped at j <= 2 in the chart of its union, which has dimension j
+    exactly when the pair lies in one j-flat; it gets None at j >= 3, as
+    does a pair in no common j-flat."""
     for outer, inner in ((a, b), (b, a)):
-        c = outer._chart
-        if c.dim == j and contains(outer, inner.vertices, 1e-12 * c.scale).all():
-            vol_a, vol_b = (x._chart.volume if x._chart.dim == j else 0.0 for x in (a, b))
-            return abs(vol_a - vol_b)
+        if contains(outer, inner.vertices, 1e-12 * outer._chart.scale).all():
+            return abs(a._chart.volume - b._chart.volume)
     if j >= 3:
         return None
     c = _charts([np.vstack([a.vertices, b.vertices])])[0]
@@ -274,9 +271,9 @@ def delta_j(a: VPolytope | None, b: VPolytope | None, j: int, plan: SamplingPlan
     set is empty, so its per-subspace contribution is the other body's
     projected volume.  delta_j(empty, empty) = 0 exactly, and identical
     operands short-circuit to 0 with no samples drawn.  A single or nested
-    flat operand returns its exact in-flat value, and operands that span no
-    j-flat return exactly 0, also with none drawn.  The one-pair case of
-    delta_j_stack.
+    flat operand returns its exact in-flat value, also with none drawn, and
+    an operand that spans no j-flat counts as the empty set (outside
+    monte_carlo mode).  The one-pair case of delta_j_stack.
     """
     return delta_j_stack([(a, b)], j, plan, workers=workers)[0]
 
@@ -290,7 +287,8 @@ def delta_j_stack(pairs, j: int, plan: SamplingPlan,
     is built in one bodies._charts pass, then every hull that the pairs
     read in one pass, so that a table's qhull calls run back to back, and
     only then is each pair answered (_flat_values), from the cached volumes
-    or by the sampler."""
+    or by the sampler.  There an operand whose chart spans no j-flat is
+    None: delta_j(S, T) = V_j(T), as intrinsic_volume(T) gives it."""
     pairs = list(pairs)
     for a, b in pairs:
         _check_operands(a, b, j)
@@ -300,19 +298,21 @@ def delta_j_stack(pairs, j: int, plan: SamplingPlan,
     # both operands empty, or identical vertex lists: 0 with nothing drawn
     trivial = [(a is None and b is None) or (t and a.n_vertices == b.n_vertices)
                for (a, b), t in zip(pairs, led)]
-    flat = [None] * len(pairs)
+    flat, ops = [None] * len(pairs), list(pairs)
     if plan.mode != "monte_carlo":
         live = [k for k, t in enumerate(trivial) if not t]
         _fill_charts([x for k in live for x in pairs[k] if x is not None])
-        for k, f in zip(live, _flat_values(j, [pairs[k] for k in live], [led[k] for k in live])):
+        for k in live:
+            ops[k] = tuple(None if x is None or x._chart.dim < j else x for x in pairs[k])
+        for k, f in zip(live, _flat_values(j, [ops[k] for k in live], [led[k] for k in live])):
             flat[k] = f
     zero = MetricEstimate(0.0, 0.0, 0, 0, exact=True, per_subspace=())
     out = []
-    for (a, b), t, f in zip(pairs, trivial, flat):
+    for (a, b), (x, y), t, f in zip(pairs, ops, trivial, flat):
         if t:
             out.append(zero)
         elif f is None:
-            out.append(_sampled_pair(a, b, j, plan, workers))
+            out.append(_sampled_pair(x, y, j, plan, workers))
         elif j == (a if a is not None else b).ambient_dim:
             out.append(MetricEstimate(f, 0.0, 1, 0, exact=True, per_subspace=((0, f),)))
         else:
@@ -369,9 +369,10 @@ def hausdorff(a: VPolytope, b: VPolytope) -> float:
     Every vertex is first put to the facet certificate of the other body's
     chart (bodies._Chart.certified), in one batched call per direction
     (bodies sizes its row blocks), whose rows have the bits of one-point
-    distance_to_hull calls; a vertex shared by both bodies certifies to
-    exactly 0.0, and a vertex list that leads the other body's
-    (as each thm row's previous body does) needs no certificate.  Only the
+    distance_to_hull calls; it builds no hull, and every thm table body
+    holds its own by then (_Chart.facets).  A vertex shared by both bodies
+    certifies to exactly 0.0, and a vertex list that leads the other
+    body's (as each thm row's previous body does) needs none.  Only the
     vertices left uncertified get a bound, their distance to the nearest
     vertex of the other body, which bounds their distance to its hull from
     above (0 for a shared vertex).  They go to a branch-and-bound Wolfe
@@ -496,10 +497,11 @@ def fiber_profile(outer: VPolytope, inner: VPolytope, h: Subspace, u: np.ndarray
     (0 when the image spans less).  The grid has round(grid_n ** (1/(j-1)))
     cells per transverse axis, and grid_n must be at least 1.  Chords and
     the containment and tube tests use the fixed DEFAULT_TOL (1e-9), and
-    differences below 100 * DEFAULT_TOL read 0.  Containment is membership
-    of inner's vertices by outer's facets (`contains`), and needs no test
-    when inner's vertex rows lead outer's.  The three projected bodies get
-    their charts in one pass.
+    differences below 100 * DEFAULT_TOL read 0.  Containment needs no test
+    when inner's vertex rows lead outer's; otherwise inner's farthest vertex
+    from outer's hull, found as hausdorff finds it, with no hull built,
+    must lie within it.  The three projected bodies get their charts in
+    one pass.
     """
     if grid_n < 1:
         raise ValueError(f"fiber grid size must be >= 1, got {grid_n}")
@@ -507,10 +509,11 @@ def fiber_profile(outer: VPolytope, inner: VPolytope, h: Subspace, u: np.ndarray
         raise ValueError("bodies and subspace dimensions differ")
     if h.dim < 2:
         raise ValueError("fiber profiling needs a subspace of dimension >= 2")
-    led = (inner.n_vertices <= outer.n_vertices
-           and _heads_agree([(inner.vertices, outer.vertices)])[0])
-    if not led and not contains(outer, inner.vertices, DEFAULT_TOL).all():
-        raise ValueError("inner body is not contained in the outer body")
+    if not (inner.n_vertices <= outer.n_vertices
+            and _heads_agree([(inner.vertices, outer.vertices)])[0]):
+        dist, ok = outer._chart.certified(inner.vertices)
+        if _farthest([(inner.vertices, outer, ok)], float(dist.max())) > DEFAULT_TOL:
+            raise ValueError("inner body is not contained in the outer body")
     u_h, e_basis = axis_split(h, u)
     j = h.dim
     tdim = j - 1

@@ -521,9 +521,17 @@ def wolfe_distance(p: np.ndarray, body: VPolytope) -> float:
 
 
 class TestCertifiedDistance:
-    """Up to chart dimension 3, and above it once the chart's hull is built,
-    distances come from the chart's facets when the largest facet
-    violation's foot passes the facet test."""
+    """Up to chart dimension 2, and above it once the chart's hull is built
+    (for a volume or a chord), distances come from the chart's facets when
+    the largest facet violation's foot passes the facet test.  A distance
+    builds no qhull hull: a fresh chart of dimension >= 3 has no facets."""
+
+    @staticmethod
+    def held(body: VPolytope) -> VPolytope:
+        """The body with its chart's hull built, as a volume or a chord builds
+        it: the certificate's own logic at dimension 3."""
+        body._chart.hull
+        return body
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_wolfe(self, seed):
@@ -531,7 +539,7 @@ class TestCertifiedDistance:
         certified = 0
         for d in range(2, 7):
             for r in range(min(d, 3) + 1):
-                body = flat_body(rng, d, r)
+                body = self.held(flat_body(rng, d, r))
                 pts = 2.0 * rng.normal(size=(12, d))
                 dist, ok = body._chart.certified(pts)
                 certified += int(ok.sum())
@@ -546,7 +554,7 @@ class TestCertifiedDistance:
         rng = np.random.default_rng(seed)
         for d in range(2, 7):
             for r in range(min(d, 3) + 1):
-                body = flat_body(rng, d, r)
+                body = self.held(flat_body(rng, d, r))
                 weights = rng.dirichlet(np.ones(body.n_vertices), size=5)
                 pts = np.vstack([body.vertices, weights @ body.vertices])
                 dist, ok = body._chart.certified(pts)
@@ -590,6 +598,21 @@ class TestCertifiedDistance:
         assert distance_to_hull(p, body) == pytest.approx(wolfe_distance(p, body), abs=1e-12)
         assert body._chart.facets is None and "hull" not in vars(body._chart)
 
+    @pytest.mark.parametrize("d,r", [(3, 3), (5, 3)])
+    def test_no_hull_at_dimension_three(self, monkeypatch, d, r):
+        # an interior point of a fresh 3-D body gets Wolfe's rounding-level
+        # distance, not the certificate's exact 0.0
+        def fail(verts):
+            raise AssertionError("qhull called")
+
+        monkeypatch.setattr("projmetrics.bodies._qhull", fail)
+        body = flat_body(np.random.default_rng(d), d, r)
+        assert body._chart.facets is None
+        assert distance_to_hull(body.vertices.mean(axis=0), body) <= 1e-12
+        p = np.full(d, 5.0)
+        assert distance_to_hull(p, body) == pytest.approx(wolfe_distance(p, body), abs=1e-12)
+        assert "hull" not in vars(body._chart)
+
     @pytest.mark.parametrize("d,r", [(4, 4), (5, 4), (6, 5)])
     def test_a_built_hull_certifies_above_dimension_three(self, monkeypatch, d, r):
         # no facets before the hull exists, and that None is not kept: once
@@ -610,6 +633,8 @@ class TestCertifiedDistance:
 
         monkeypatch.setattr("projmetrics.bodies._qhull", fail)
         p = np.array([2.0, 0.5, 0.5])
+        with pytest.raises(NonConvergenceError):  # a chord asks for the hull
+            line_fiber(cube3, p, np.array([1.0, 0.0, 0.0]))
         assert distance_to_hull(p, cube3) == wolfe_distance(p, cube3)
         assert cube3._chart.facets is None
 

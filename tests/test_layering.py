@@ -5,8 +5,8 @@ in the library, every default of a public function is overridden by some
 library call, qhull is called from one place, one padding rule and one
 leading-rows test serve the stacked passes, one helper sizes every row
 block, one module formats table cells, every name the benchmark's
-traced mode looks up still resolves, and the commands at j <= 2 run
-without importing scipy."""
+traced mode looks up still resolves, and the commands at j <= 2 and the
+distance and containment questions in R^3 run without importing scipy."""
 
 import ast
 import importlib
@@ -209,9 +209,7 @@ def test_benchmark_trace_names_resolve():
 
 def test_paths_at_j2_import_no_scipy(tmp_path):
     # the exact 2-D oracles and the in-flat charts serve every command at
-    # j <= 2, so none of them pays the scipy import; the commands run in turn
-    # in one fresh interpreter, and the first after which scipy is loaded is
-    # named
+    # j <= 2, so none of them pays the scipy import
     (tmp_path / "a.body").write_text("d 2\nn 4\n0 0\n1 0\n1 1\n0 1\n")
     (tmp_path / "b.body").write_text("d 2\nn 3\n0.2 0.1\n2 0.5\n0.5 1.5\n")
     small = ["-d", "3", "-j", "2", "--steps", "3", "--subspaces", "50", "--points", "100"]
@@ -224,6 +222,29 @@ def test_paths_at_j2_import_no_scipy(tmp_path):
             ["metric", *pair, "-j", "2"],
             ["intrinsic", "--body", "b.body", "-j", "1", "--subspaces", "50"],
             ["intrinsic", "--body", "b.body", "-j", "2"]]
+    assert_no_scipy(runs, tmp_path)
+
+
+def test_distance_questions_import_no_scipy(tmp_path):
+    # a distance or containment question builds no qhull hull: hausdorff on
+    # two fresh bodies in R^3, then fibers on a pair in R^3 whose rows do
+    # not lead (a cube around its half-size copy, rows reversed), so the
+    # containment check runs
+    cube = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    bodies = {"cube": cube, "inner": [tuple(0.5 * c + 0.25 for c in v) for v in cube[::-1]],
+              "tetra": [(0.5, 0.5, 2.0), (2.0, 0.2, 0.3), (-0.5, 0.4, 0.6), (0.3, -1.0, 0.5)]}
+    for name, rows in bodies.items():
+        (tmp_path / f"{name}.body").write_text(
+            f"d 3\nn {len(rows)}\n" + "".join(" ".join(map(str, v)) + "\n" for v in rows))
+    runs = [["hausdorff", "--body-a", "cube.body", "--body-b", "tetra.body"],
+            ["fibers", "--body-a", "cube.body", "--body-b", "inner.body", "--grid", "50",
+             "--out", "f.csv"]]
+    assert_no_scipy(runs, tmp_path)
+
+
+def assert_no_scipy(runs: list[list[str]], cwd: pathlib.Path) -> None:
+    """Run the CLI commands in turn in one fresh interpreter, and name the
+    first that fails or after which scipy is loaded."""
     code = ("import sys\n"
             "from projmetrics.experiments.cli import main\n"
             f"for argv in {runs!r}:\n"
@@ -233,5 +254,5 @@ def test_paths_at_j2_import_no_scipy(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, cwd=tmp_path)
+                          env=env, cwd=cwd)
     assert proc.returncode == 0, proc.stderr

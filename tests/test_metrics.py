@@ -802,6 +802,35 @@ class TestDegenerateOperands:
                                      per_subspace=((0, 0.0),) * drawn)
 
 
+class TestOneDegenerateOperand:
+    """An operand that spans no j-flat counts as the empty set: its
+    projections have j-measure zero, so delta_j(S, T) = V_j(T)."""
+
+    SEG3 = VPolytope([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    TRI3 = VPolytope([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    SEG4 = VPolytope([[0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0]])
+    TET4 = VPolytope(np.vstack([np.zeros(4), np.eye(4)[:3]]))  # conv(0, e1, e2, e3)
+
+    def test_against_a_flat_body_is_exact(self):
+        # sampled, these read 0.49484 +- 0.0046 at 4000 planes and
+        # 0.1664 +- 0.0102 in box Monte Carlo at 200 x 500
+        for seg, body, j, value in ((self.SEG3, self.TRI3, 2, 0.5),
+                                    (self.SEG4, self.TET4, 3, 1.0 / 6.0)):
+            for a, b in ((seg, body), (body, seg)):
+                est = delta_j(a, b, j, SamplingPlan(n_subspaces=200, n_points=500, seed=1))
+                assert est.exact and est.n_subspaces == 0 and est.std_error == 0.0
+                assert est.value == pytest.approx(value, rel=1e-15)
+
+    @pytest.mark.parametrize("d,j", [(3, 2), (4, 3)])
+    def test_against_a_solid_equals_its_intrinsic_volume(self, d, j):
+        body = VPolytope(np.random.default_rng(d).normal(size=(9, d)))
+        seg = VPolytope(np.random.default_rng(j).normal(size=(2, d)))
+        plan = SamplingPlan(n_subspaces=40, n_points=200, seed=3)
+        v_j = intrinsic_volume(body, j, plan)
+        assert not v_j.exact
+        assert delta_j(seg, body, j, plan) == v_j == delta_j(body, seg, j, plan)
+
+
 class TestKubotaCrossCheck:
     """flag(d, j) E_H |det(H^T Q)| = 1 for any orthonormal d x j frame Q: the
     identity behind the exact flat path, which no longer samples it, and the
@@ -1005,6 +1034,12 @@ class TestHausdorff:
                             lambda p, v: rows.append(len(p)) or original(p, v))
         rng = np.random.default_rng(5)
         a, b = VPolytope(rng.normal(size=(300, 3))), VPolytope(rng.normal(size=(200, 3)))
+        hausdorff(a, b)  # fresh 3-D charts build no hull, so they certify no vertex
+        assert sum(rows) == a.n_vertices + b.n_vertices
+        assert "hull" not in vars(a._chart) and "hull" not in vars(b._chart)
+        rows.clear()
+        for body in (a, b):  # hulls held, as a volume builds them: the certificate decides
+            body._chart.hull
         left = sum(int(np.count_nonzero(~y._chart.certified(x.vertices)[1]))
                    for x, y in ((a, b), (b, a)))
         assert hausdorff(a, b) == self.exhaustive(a, b)
@@ -1017,14 +1052,17 @@ class TestHausdorff:
 
     @pytest.mark.parametrize("d,j,solves", [(3, 2, 0), (4, 3, 0), (5, 4, 6), (6, 5, 8)])
     def test_solves_only_vertices_that_can_set_the_maximum(self, monkeypatch, d, j, solves):
-        # up to chart dimension 3 the facets settle every vertex; above it
-        # Wolfe runs for the needle tips only
+        # the facets settle every vertex of a 2-D chart as it is, and of a
+        # 3-D one whose hull is held, as run_thm1 holds every row hull; above
+        # that, with no hull held, Wolfe runs for the needle tips only
         calls = []
         original = bodies._min_norm_point
         monkeypatch.setattr(bodies, "_min_norm_point",
                             lambda *args: calls.append(1) or original(*args))
         base, plane, x0, u = unit_cube_body(d, j)
         for _, body in thm1_sequence(base, plane, x0, u, 2.0, 6):
+            if j <= 3:
+                body._chart.hull, base._chart.hull
             calls.clear()
             hausdorff(body, base)
             assert len(calls) == solves
@@ -1067,24 +1105,46 @@ class TestFiberProfile:
         with pytest.raises(ValueError):
             fiber_profile(square2, outside, full_space(2), np.array([1.0, 0.0]), 10)
 
-    def test_containment_is_membership_without_wolfe(self, monkeypatch):
-        # the outer body's facets decide containment at every dimension
+    @staticmethod
+    def count_qhull(monkeypatch) -> list:
         calls = []
-        original = bodies._min_norm_point
-        monkeypatch.setattr(bodies, "_min_norm_point",
-                            lambda *args: calls.append(1) or original(*args))
-        u = np.array([1.0, 0.0, 0.0, 0.0])
+        original = bodies._qhull
+        monkeypatch.setattr(bodies, "_qhull", lambda verts: calls.append(1) or original(verts))
+        return calls
+
+    def test_containment_verdicts_build_no_hull(self, monkeypatch):
+        # containment is a distance question: the outer body's certificate
+        # where its chart has facets, else the bounded Wolfe scan; over a
+        # 2-plane the chords need no qhull either
+        calls = self.count_qhull(monkeypatch)
         for d in (3, 4):
-            cube = unit_cube(d, d)
-            calls.clear()
-            fiber_profile(cube, VPolytope(0.5 * cube.vertices + 0.25), full_space(d), u[:d], 8)
-            assert calls == []
-            calls.clear()
-            fiber_profile(cube, cube, full_space(d), u[:d], 8)  # leading rows: no check
-            assert calls == []
-            with pytest.raises(ValueError):
-                fiber_profile(cube, cube.translate(np.full(d, 0.1)), full_space(d), u[:d], 8)
-            assert calls == []
+            cube, h, u = unit_cube(d, d), axis_subspace(d, [0, 1]), np.eye(d)[0]
+            fiber_profile(cube, VPolytope(0.5 * cube.vertices + 0.25), h, u, 8)
+            fiber_profile(cube, cube, h, u, 8)  # leading rows: no check
+            with pytest.raises(ValueError, match="not contained"):
+                fiber_profile(cube, cube.translate(np.full(d, 0.1)), h, u, 8)
+        assert calls == []
+
+    def test_reversed_rows_build_no_hull(self, monkeypatch):
+        # the grown 6-cube with the cube's rows reversed, so no rows lead:
+        # each inner vertex is an outer vertex, at nearest-vertex bound 0, so
+        # no solve and no hull, and the profile is the one of the cube in its
+        # own order, whose rows lead and take no check at all
+        d = 6
+        cube, u = unit_cube(d, d), np.eye(d)[0]
+        spec = NeedleSpec(x0=np.full(d, 0.5), u=u, plane=full_space(d), length=8.0, eps=0.01,
+                          kind="prism")
+        grown = augment(cube, prism_needle(spec))
+        h = haar_sample(d, 2, RngStream(1, metrics.AUX_STREAM_BASE))
+        calls = self.count_qhull(monkeypatch)
+        prof = fiber_profile(grown, VPolytope(cube.vertices[::-1]), h, u, 400)
+        assert calls == []
+        ref = fiber_profile(grown, cube, h, u, 400)
+        for field in dataclasses.fields(prof):
+            assert np.array_equal(getattr(prof, field.name), getattr(ref, field.name))
+        with pytest.raises(ValueError, match="not contained"):
+            fiber_profile(grown, cube.translate(np.full(d, 0.1)), h, u, 400)
+        assert calls == []
 
     @pytest.mark.parametrize("d,grid_n", [(2, 0), (2, -3), (3, -8)])
     def test_grid_below_one_rejected(self, d, grid_n):
