@@ -4,8 +4,8 @@ Each body keeps one flat chart, built on first use: the frame of its affine
 hull and, only when asked for, the facet equations A y + b <= 0 (interval
 ends, hull_2d edges, qhull) and volume of the body inside that flat.  A
 body in a coordinate flat (as many varying coordinates as its rank, as at
-full rank) is charted by those coordinate axes, exactly and with no SVD;
-only a body in an oblique flat gets an SVD frame.  The facets give exact
+full rank) is charted by those axes, as offsets from its box centre, with
+no frame SVD; only a body in an oblique flat gets one.  The facets give exact
 line chords, bulk membership (_in_facets, shared with box Monte Carlo)
 and exact point-to-hull distances: a point's largest facet violation is
 its distance whenever the foot of the perpendicular on that facet passes
@@ -339,17 +339,16 @@ def line_fibers(body: VPolytope, bases: np.ndarray, direction: np.ndarray,
 
 def contains(body: VPolytope, pts: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Membership of the rows of pts in conv(body) by its facet equations: a
-    point within tol of every facet's half-space (and, for a
-    lower-dimensional body, of its affine hull) is inside.  A
-    full-dimensional body, as every generic projection is, has no affine
-    hull to test, and its facets alone decide."""
+    point within tol (or the chart's floor) of the body's affine hull, and
+    within tol of every facet's half-space, is inside.  Only the rows near
+    that hull go to the facets, so no hull is built when none is."""
     p = np.asarray(pts, dtype=float)
     if p.ndim != 2 or p.shape[1] != body.ambient_dim:
         raise ValueError(f"need an (n, {body.ambient_dim}) point array, got {p.shape}")
     c = body._chart
-    inside = _in_facets(c.to_flat(p), *c.hull[:2], tol)
-    if len(c.normal):
-        inside &= _within(c.off_flat(p), tol)
+    inside = _within(c.off_flat(p), max(tol, c.floor))
+    if inside.any():
+        inside[inside] = _in_facets(c.to_flat(p[inside]), *c.hull[:2], tol)
     return inside
 
 
@@ -424,10 +423,6 @@ def _chords(x, u, a, b, tol):
     return lo, hi, empty
 
 
-def _affine_rank(verts: np.ndarray) -> int:
-    return _numerical_ranks((verts - verts[0])[None])[0]
-
-
 def _pad_groups(shapes: list[tuple[int, int]]) -> list[list[int]]:
     """The indices of the vertex sets of these shapes in groups, each to be
     padded into one stack: all in one when that stack stays within twice
@@ -457,11 +452,19 @@ def _padded_stack(vertex_sets: list[np.ndarray]) -> np.ndarray:
     return stack
 
 
-def _numerical_ranks(stack: np.ndarray) -> list[int]:
-    """The number of singular values of each matrix of an (m, n, d) stack
-    above 1e-12 times the larger of 1 and its largest one."""
-    sv = np.linalg.svd(stack, compute_uv=False)
-    return (sv > 1e-12 * np.maximum(1.0, sv[:, :1])).sum(axis=1).tolist()
+def _numerical_ranks(stack: np.ndarray, floors: np.ndarray) -> list[int]:
+    """The number of singular values of each set of an (m, n, d) stack less
+    its first row above 1e-12 times the largest of them and above its
+    floor: neither bound has a unit, so no rank changes with scale."""
+    sv = np.linalg.svd(stack - stack[:, :1], compute_uv=False)
+    return (sv > np.maximum(1e-12 * sv[:, :1], floors[:, None])).sum(axis=1).tolist()
+
+
+def _box_centre(v: np.ndarray) -> np.ndarray:
+    """(min + max) / 2 per axis over the rows of v: the origin of every
+    coordinate chart and every projection, independent of row order, and
+    on an axis where every row has one value that value, exactly."""
+    return 0.5 * (v.min(axis=0) + v.max(axis=0))
 
 
 def _distinct_rows(v: np.ndarray) -> np.ndarray:
@@ -483,27 +486,27 @@ class _Chart:
     x lies in the affine hull iff normal @ (x - origin) = 0, and then
     frame @ (x - origin) are its in-flat coordinates: the orthonormal rows
     of frame span the hull's directions, those of normal their complement,
-    and dim is the hull's dimension.  A set whose varying coordinates (the
-    columns where not every vertex has the same value) are as many as its
-    rank lies in a coordinate flat, and is charted by those columns: frame
-    and normal are the unit rows of the varying and the constant axes,
-    origin holds the constant values (0 on the varying axes), and coords the
-    vertices' varying columns, exact and in the caller's order, so qhull,
-    whose bits follow the order of its input, sees that order.  Every
-    product with these unit rows is exact, so the formulas below give the
-    column selections' bits.  A full-rank set is the case with every column
-    varying.  Any other set lies in an oblique flat: the frame comes from an
-    SVD of the sorted distinct vertex rows, and coords holds those rows in
-    frame coordinates, so no bit depends on vertex order.
+    and dim is the hull's dimension.  floor, n eps max|v| for n vertices v,
+    is their offsets' rounding: the flat is known to within it.  A set whose
+    varying coordinates (the columns where not every vertex has the same
+    value) are as many as its rank lies in a coordinate flat, and is
+    charted by those columns: frame and normal are the unit rows of the
+    varying and the constant axes, origin is the centre of the vertex box,
+    and coords the vertices' offsets from it on the varying columns, in the
+    caller's order, which qhull's bits follow.  A full-rank set is the case
+    with every column varying.  Any other set lies in an oblique flat: the
+    origin is its first sorted distinct row, the frame comes from an SVD of
+    those rows, and coords holds them in frame coordinates, so no bit
+    depends on vertex order.
     Every product of many points against the facets runs over the row
     blocks of _row_blocks, so no caller sizes a block.  Charts come from
     _charts, which builds many at once.
     """
 
     def __init__(self, dim: int, origin: np.ndarray, coords: np.ndarray,
-                 frame: np.ndarray, normal: np.ndarray):
+                 frame: np.ndarray, normal: np.ndarray, floor: float):
         self.dim, self.origin, self.coords = dim, origin, coords
-        self.frame, self.normal = frame, normal
+        self.frame, self.normal, self.floor = frame, normal, floor
 
     @cached_property
     def scale(self) -> float:
@@ -618,28 +621,31 @@ class _Chart:
 
 def _charts(vertex_sets: list[np.ndarray]) -> list[_Chart]:
     """The chart of each vertex set, in order.  One SVD of each padded stack
-    of _pad_groups gives its sets' ranks, and the same stack their varying
-    columns; a set with as many varying columns as its rank gets its
-    coordinate chart, with no more arithmetic.  An oblique set gets its
-    frame from the SVD of its own distinct rows."""
+    of _pad_groups gives its sets' ranks, and the same stack their vertex
+    boxes, so their varying columns, floors and box centres (_box_centre);
+    a set with as many varying columns as its rank gets its coordinate
+    chart with no more SVD.  An oblique set gets its frame from the SVD of
+    its own distinct rows."""
     charts = []
     for group in _pad_groups([v.shape for v in vertex_sets]):
         stack = _padded_stack([vertex_sets[k] for k in group])
-        centered = stack - stack[:, :1]
-        ranks = _numerical_ranks(centered)
-        varying = (centered != 0.0).any(axis=1)
-        origins = np.where(varying, 0.0, stack[:, 0])
-        for k, r, vary, origin in zip(group, ranks, varying.tolist(), origins):
+        lo, hi = stack.min(axis=1), stack.max(axis=1)  # the sets' vertex boxes
+        floors = np.multiply([len(vertex_sets[k]) for k in group], np.finfo(float).eps)
+        floors *= np.maximum(hi, -lo).max(axis=1)
+        ranks = _numerical_ranks(stack, floors)
+        for k, r, vary, origin, floor in zip(group, ranks, (lo != hi).tolist(),
+                                             0.5 * (lo + hi), floors.tolist()):
             v = vertex_sets[k]
             d = v.shape[1]
             axes, frame, normal = _unit_rows(tuple(vary[:d]))
             if len(frame) == r:
-                charts.append(_Chart(r, origin[:d], v if r == d else v[:, axes], frame, normal))
+                charts.append(_Chart(r, origin[:d], (v - origin[:d])[:, axes], frame, normal,
+                                     floor))
                 continue
             p = _distinct_rows(v)
             c = p - p[0]
             vt = _frames(c)
-            charts.append(_Chart(r, p[0], c @ vt[:r].T, vt[:r], vt[r:]))
+            charts.append(_Chart(r, p[0], c @ vt[:r].T, vt[:r], vt[r:], floor))
     return charts
 
 

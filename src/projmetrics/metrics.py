@@ -14,8 +14,7 @@ operand or a nested flat pair gives the in-flat vol_j(K symdiff L) exactly,
 at every j.  The frame belongs to each body: a VPolytope keeps one chart
 (the frame of its affine hull and, built once on demand, its in-flat facets
 and volume), so a table whose rows share a base body builds the base's hull
-once.  A body in a coordinate flat, as every thm body is, and every body at
-j = d, keeps its own coordinates: its chart is its varying columns.
+once.
 An operand that spans no j-flat is the empty set, each of its projections
 having j-measure zero.  A single operand gives its chart volume; a pair of
 which one operand's vertex rows lead the other's, or pass bodies.contains
@@ -34,18 +33,18 @@ facet certificate in one call and reads every body's largest distance in
 one pass over the owner of each certified row.
 
 The rest samples subspaces: non-flat bodies, flat pairs at j >= 3 that are
-not nested (at j = d one box Monte Carlo estimate in the bodies' own
-coordinates), and monte_carlo mode.  Per-sample inner volumes are exact for
+not nested (at j = d one box Monte Carlo estimate in the pair's own
+offsets), and monte_carlo mode.  Per-sample inner volumes are exact for
 j <= 2 and, for a single operand, at j >= 3 too (the qhull volume of the
 projection's chart); a pair at j >= 3 is box Monte Carlo per sample.
 Every draw is addressed by (seed, sample index), so estimates are
 bit-identical for any worker count: sample i consumes streams 2i
 (subspace) and 2i+1 (points), reduced in index order.
-A batch's frames come as one (n, d, j) array (grassmann.haar_frames) and
-the operands are projected with one batched product; only the inner oracles
-run once per sample.  One sample gives no spread to estimate an error from,
-so its standard error is inf.  projected_volume under auto takes the qhull
-volume at j >= 3.
+A batch's frames come as one (n, d, j) array (grassmann.haar_frames), and
+the operands' offsets from their common box centre are projected with one
+batched product; only the inner oracles run once per sample.  One sample
+gives no spread to estimate an error from, so its standard error is inf.
+projected_volume is the one-sample step, for one body's offsets.
 
 The inner oracles themselves, exact and box Monte Carlo, live in
 projmetrics.oracles; this module holds the estimators built on them.
@@ -62,7 +61,7 @@ import numpy as np
 from .bodies import (
     DEFAULT_TOL,
     VPolytope,
-    _affine_rank,
+    _box_centre,
     _charts,
     _fill_charts,
     _row_blocks,
@@ -172,13 +171,11 @@ def _flat_values(j: int, pairs, led) -> list[float | None]:
     lies in the other's hull, gives |vol K - vol L| with no facet tested.
     Only the other pairs go to _flat_value.
 
-    A body in a coordinate flat, as every thm body is, keeps its own
-    coordinates and vertex order at every j: its chart's coordinates are
-    the body's varying columns, so no value depends on the ambient d, and
-    qhull sees the given order, whose last bits it can follow (at j = d = 6
-    it fails on the sorted order of thm1's last 6-cube row but not on the
-    given one).  Only a body in an oblique flat is charted from its sorted
-    distinct vertex rows, and there no bit depends on vertex order."""
+    A body in a coordinate flat, as every thm body is, is charted in its
+    vertex order, whose last bits qhull can follow (at j = d = 6 it fails
+    on the sorted order of thm1's last 6-cube row but not on the given
+    one); only an oblique body is charted from its sorted distinct rows.
+    No value depends on the ambient d or on where the body sits."""
     charts = [[x._chart for x in pair if x is not None] for pair in pairs]
     volumes = [None if any(c.dim > j for c in cs) else [c.volume for c in cs] for cs in charts]
     out = []
@@ -244,23 +241,18 @@ def _collect_values(seed, n, d, j, va, vb, n_points, exact_inner, workers) -> np
 
 def projected_volume(body: VPolytope, h: Subspace, plan: SamplingPlan,
                      sample_index: int = AUX_STREAM_BASE) -> MetricEstimate:
-    """j-volume of the projection of the body into h.  The body's offsets
-    from its vertex mean are projected, which leaves the volume as it is:
-    a thin body far from the origin then keeps its width's bits, which a
-    projection of its raw coordinates would round at the scale of its
-    distance from the origin."""
+    """j-volume of the projection of the body into h: one sampler step,
+    _pair_value of the body's offsets from its box centre projected onto
+    h, on the point stream of sample sample_index.  Exact under auto; in
+    monte_carlo mode only where the projection spans no j-flat (0 +- 0)."""
     if body.ambient_dim != h.ambient_dim:
         raise ValueError("body and subspace ambient dimensions differ")
-    j = h.dim
-    verts = (body.vertices - body.vertices.mean(axis=0)) @ h.basis
-    if plan.mode == "auto":  # qhull volume at j >= 3
-        val = exact_volume(verts, j)
-        return MetricEstimate(val, 0.0, 1, 0, exact=True, per_subspace=((0, val),))
-    stream = RngStream(plan.seed, 2 * sample_index + 1)
-    val, se = mc_volume(verts, j, plan.n_points, stream)
-    # degenerate bodies short-circuit to an exact zero inside mc_volume
-    exact = _affine_rank(verts) < j
-    return MetricEstimate(val, se, 1, plan.n_points, exact=exact, per_subspace=((0, val),))
+    exact_inner = plan.mode == "auto"
+    verts = (body.vertices - _box_centre(body.vertices)) @ h.basis
+    val, se = _pair_value(verts, None, h.dim, plan.n_points, exact_inner,
+                          RngStream(plan.seed, 2 * sample_index + 1))
+    return MetricEstimate(val, se, 1, 0 if exact_inner else plan.n_points,
+                          exact=exact_inner or val == se == 0.0, per_subspace=((0, val),))
 
 
 def delta_j(a: VPolytope | None, b: VPolytope | None, j: int, plan: SamplingPlan,
@@ -334,8 +326,9 @@ def _sampled_pair(a: VPolytope | None, b: VPolytope | None, j: int, plan: Sampli
                   workers: int) -> MetricEstimate:
     """delta_j of a pair with no exact in-flat value, one operand maybe None."""
     d = a.ambient_dim if a is not None else b.ambient_dim
-    va = a.vertices if a is not None else None
-    vb = b.vertices if b is not None else None
+    centre = _box_centre(np.vstack([x.vertices for x in (a, b) if x is not None]))
+    va = a.vertices - centre if a is not None else None
+    vb = b.vertices - centre if b is not None else None
     # a single operand's projection has its chart's qhull volume at j >= 3
     exact_inner = plan.mode == "auto" and (j <= 2 or a is None or b is None)
 

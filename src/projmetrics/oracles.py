@@ -66,11 +66,11 @@ def inside(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 
 def _in_chart(c: _Chart, pts: np.ndarray) -> np.ndarray:
-    """The facet test of a full-rank chart's hull (whose in-flat coordinates
-    are the points' own) at 1e-12 times its scale."""
+    """The facet test of a full-rank chart's hull at 1e-12 times its scale,
+    on the points' offsets from the chart's origin (to_flat)."""
     if c.dim < pts.shape[1]:  # no j-flat spanned: a hull of volume 0 holds no sample
         return np.zeros(pts.shape[0], dtype=bool)
-    return _in_facets(pts, *c.hull[:2], _INSIDE_TOL * c.scale)
+    return _in_facets(c.to_flat(pts), *c.hull[:2], _INSIDE_TOL * c.scale)
 
 
 def exact_volume(verts: np.ndarray, j: int) -> float:

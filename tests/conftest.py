@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,22 @@ def unit_cube(d: int, j: int) -> VPolytope:
     verts = [list(bits) + [0.0] * (d - j)
              for bits in itertools.product((0.0, 1.0), repeat=j)]
     return VPolytope(np.array(verts))
+
+
+def zonotope(generators: np.ndarray) -> VPolytope:
+    """Z = [0, g_1] + ... + [0, g_m] for the rows g_i of generators, as its
+    2^m subset sums (interior sums are fine by contract)."""
+    g = np.asarray(generators, dtype=float)
+    return VPolytope(np.array(list(itertools.product((0.0, 1.0), repeat=len(g)))) @ g)
+
+
+def zonotope_volume(generators: np.ndarray, j: int) -> float:
+    """V_j(Z) = the sum over j-subsets S of the generators of the j-volume of
+    the parallelotope they span (McMullen, "On zonotopes", 1971, with
+    Kubota's formula): the exact reference at every j."""
+    g = np.asarray(generators, dtype=float)
+    return math.fsum(math.sqrt(abs(np.linalg.det(g[list(s)] @ g[list(s)].T)))
+                     for s in itertools.combinations(range(len(g)), j))
 
 
 @pytest.fixture

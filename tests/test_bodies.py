@@ -413,20 +413,25 @@ class TestFacets:
     """The facets and volume that a body's cached chart holds."""
 
     def test_interval_and_square(self, square2):
-        a, b, length = VPolytope(np.array([[2.0], [-1.0], [0.5]]))._chart.hull
-        x = np.array([[-1.5], [-1.0], [2.0], [2.5]])
+        # the facets act on in-flat coordinates: offsets from the chart's
+        # origin, the centre of the vertex box
+        chart = VPolytope(np.array([[2.0], [-1.0], [0.5]]))._chart
+        a, b, length = chart.hull
+        x = chart.to_flat(np.array([[-1.5], [-1.0], [2.0], [2.5]]))
         assert np.all(x @ a.T + b <= 0, axis=1).tolist() == [False, True, True, False]
         assert length == 3.0
-        a, b, area = square2._chart.hull
+        chart = square2._chart
+        a, b, area = chart.hull
         assert a.shape == (4, 2) and area == 1.0
         assert np.allclose(np.linalg.norm(a, axis=1), 1.0)
-        assert np.all(square2.vertices @ a.T + b <= 0.0)
-        assert np.all(np.array([0.5, 0.5]) @ a.T + b == -0.5)
+        assert np.all(chart.to_flat(square2.vertices) @ a.T + b <= 0.0)
+        assert np.all(chart.to_flat(np.array([[0.5, 0.5]])) @ a.T + b == -0.5)
 
     def test_qhull_facets_contain_vertices(self, cube3):
-        a, b, volume = cube3._chart.hull
-        assert np.all(cube3.vertices @ a.T + b <= 1e-12)
-        assert np.all(np.full(3, 0.5) @ a.T + b < 0)
+        chart = cube3._chart
+        a, b, volume = chart.hull
+        assert np.all(chart.to_flat(cube3.vertices) @ a.T + b <= 1e-12)
+        assert np.all(chart.to_flat(np.full((1, 3), 0.5)) @ a.T + b < 0)
         assert volume == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("verts,dim,volume", [

@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
-from conftest import random_convex_polygon, unit_cube
+from conftest import random_convex_polygon, unit_cube, zonotope, zonotope_volume
 from projmetrics import bodies, metrics, oracles
 from projmetrics.bodies import VPolytope, distance_to_hull
 from projmetrics.constructions import (
@@ -20,11 +20,12 @@ from projmetrics.constructions import (
 )
 from projmetrics.experiments import CsvTable, ExperimentConfig
 from projmetrics.experiments.runners import run_thm1, run_thm2, run_thm3, unit_cube_body
-from projmetrics.grassmann import axis_subspace, full_space, haar_frames, haar_sample
+from projmetrics.grassmann import Subspace, axis_subspace, full_space, haar_frames, haar_sample
 from projmetrics.metrics import (
     MetricEstimate,
     SamplingPlan,
     _batch_values,
+    _pair_value,
     delta_j,
     delta_j_stack,
     fiber_profile,
@@ -58,6 +59,12 @@ def qhull_symdiff(a: np.ndarray, b: np.ndarray) -> float:
     assert centre[-1] > 1e-6, "the bodies do not overlap"
     inter = ConvexHull(HalfspaceIntersection(eq, centre[:-1]).intersections).volume
     return ha.volume + hb.volume - 2.0 * inter
+
+
+def box_centre(verts: np.ndarray) -> np.ndarray:
+    """The centre of the bounding box of the rows of verts, (min + max) / 2
+    per axis: the origin of every chart and projection."""
+    return 0.5 * (verts.min(axis=0) + verts.max(axis=0))
 
 
 def flag_scaled_mean(values: np.ndarray, d: int, j: int) -> tuple[float, float]:
@@ -96,6 +103,36 @@ class TestProjectedVolume:
         mc = projected_volume(a, h, SamplingPlan(n_points=100_000, seed=1,
                                                  mode="monte_carlo"))
         assert not mc.exact and abs(mc.value - exact.value) <= 4.0 * mc.std_error
+
+    @pytest.mark.parametrize("mode", ["auto", "monte_carlo"])
+    @pytest.mark.parametrize("j", [2, 3])
+    def test_one_step_of_the_sampler(self, mode, j):
+        # _pair_value of the body's offsets from its box centre, projected:
+        # the value the sampler gives its sample i in the plane of frame i
+        body = VPolytope(np.random.default_rng(j).normal(size=(12, 4)) + 5.0)
+        plan = SamplingPlan(n_subspaces=4, n_points=300, seed=2, mode=mode)
+        h = haar_sample(4, j, RngStream(7, 0))
+        est = projected_volume(body, h, plan, sample_index=11)
+        step = _pair_value((body.vertices - box_centre(body.vertices)) @ h.basis, None, j,
+                           plan.n_points, mode == "auto", RngStream(plan.seed, 23))
+        assert (est.value, est.std_error) == step
+        assert est.exact == (mode == "auto") and est.per_subspace == ((0, est.value),)
+        assert est.n_points_per_subspace == (0 if mode == "auto" else plan.n_points)
+        sampled = intrinsic_volume(body, j, plan)
+        assert [f for _, f in sampled.per_subspace] == [
+            projected_volume(body, Subspace(q), plan, sample_index=i).value
+            for i, q in enumerate(haar_frames(4, j, plan.seed, np.arange(4)))]
+
+    def test_exact_only_where_nothing_is_sampled(self, cube3, plane_e12):
+        # in monte_carlo mode a projection that spans no j-flat reads 0 +- 0
+        # exactly; a box that every point hits reads se 0 but is no exact value
+        seg = VPolytope([[0.0, 0.0, 0.0], [0.0, 0.0, 4.0]])
+        mc = SamplingPlan(n_points=2000, seed=0, mode="monte_carlo")
+        flat = projected_volume(seg, plane_e12, mc)
+        assert (flat.value, flat.std_error, flat.exact) == (0.0, 0.0, True)
+        full = projected_volume(cube3, plane_e12, mc)
+        assert full.std_error == 0.0 and full.value > 1.0 and not full.exact
+        assert projected_volume(seg, plane_e12, SamplingPlan(seed=0)).exact
 
     @pytest.mark.parametrize("seed", range(5))
     def test_monotone_under_containment(self, seed):
@@ -182,10 +219,10 @@ class TestDeltaJ:
         assert abs(est.value - exact) <= 4.0 * est.std_error
 
     def test_top_dimension_keeps_vertex_order(self):
-        # j = d >= 3 takes qhull's volume of each operand's vertex list as
-        # given, so the bits follow that order, as in every coordinate flat
-        # (in an oblique flat the sorted rows make them order-invariant:
-        # TestFlatSolids.test_symmetry_bitwise);
+        # j = d >= 3 takes qhull's volume of each operand's offsets from its
+        # box centre in the vertex order given, so the bits follow that
+        # order, as in every coordinate flat (in an oblique flat the sorted
+        # rows make them order-invariant: TestFlatSolids.test_symmetry_bitwise);
         # this body's qhull volume takes three values over 20 orders
         verts = np.random.default_rng(20).uniform(-1.0, 1.0, size=(10, 3))
         inner = 0.6 * verts + 0.4 * verts.mean(axis=0)
@@ -193,10 +230,11 @@ class TestDeltaJ:
         values = []
         for k in range(20):
             perm = np.random.default_rng(k).permutation(len(verts))
-            vol_a = ConvexHull(verts[perm]).volume
+            vol_a = ConvexHull(verts[perm] - box_centre(verts)).volume
             assert intrinsic_volume(VPolytope(verts[perm]), 3, plan).value == vol_a
             est = delta_j(VPolytope(verts[perm]), VPolytope(inner), 3, plan)
-            assert est.exact and est.value == abs(vol_a - ConvexHull(inner).volume)
+            vol_inner = ConvexHull(inner - box_centre(inner)).volume
+            assert est.exact and est.value == abs(vol_a - vol_inner)
             values.append(vol_a)
         assert max(values) - min(values) <= 1e-12 * max(values)
 
@@ -396,8 +434,9 @@ class TestFlatSolids:
         a, b, _, _ = tilted_solids(1)
         plan = SamplingPlan(n_subspaces=20, n_points=500, seed=1, mode="monte_carlo")
         est = delta_j(a, b, 3, plan)
-        loop = _batch_values((plan.seed, 0, plan.n_subspaces, 4, 3, a.vertices, b.vertices,
-                              plan.n_points, False))
+        centre = box_centre(np.vstack([a.vertices, b.vertices]))
+        loop = _batch_values((plan.seed, 0, plan.n_subspaces, 4, 3, a.vertices - centre,
+                              b.vertices - centre, plan.n_points, False))
         assert est.n_points_per_subspace == plan.n_points
         assert [f for _, f in est.per_subspace] == list(loop)
 
@@ -568,15 +607,17 @@ class TestObliqueCharts:
         assert frames and not np.isin(outer._chart.frame, (0.0, 1.0)).all()
 
     def test_coordinate_chart_is_exact(self):
+        # the origin is the centre of the vertex box, the constant itself on
+        # a constant axis, and every product with the unit rows is exact
         v = np.array([[0.5, 3.0, 0.1, -2.0], [0.7, 3.0, 0.2, -2.0], [0.3, 3.0, 0.9, -2.0]])
         chart = VPolytope(v)._chart
         assert chart.dim == 2
-        assert chart.origin.tolist() == [0.0, 3.0, 0.0, -2.0]
+        assert chart.origin.tolist() == [0.5, 3.0, 0.5, -2.0]
         assert chart.frame.tolist() == [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]
         assert chart.normal.tolist() == [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
-        assert np.array_equal(chart.coords, v[:, [0, 2]])
+        assert np.array_equal(chart.coords, (v - chart.origin)[:, [0, 2]])
         pts = np.array([[1.0, 2.0, 3.0, 4.0]])
-        assert chart.to_flat(pts).tolist() == [[1.0, 3.0]]
+        assert chart.to_flat(pts).tolist() == [[0.5, 2.5]]
         assert chart.off_flat(pts).tolist() == [[-1.0, 6.0]]
 
 
@@ -781,6 +822,22 @@ class TestTinyBodies:
             assert np.array_equal(bodies.hull_2d(pts * f), ring * f)
             assert np.array_equal(bodies.polygon_clip(ring * f, clip * f), inter * f)
 
+    def test_tiny_solid_keeps_its_rank(self):
+        # the rank test has no unit: 1e-12 * max(1, sv_max) read this solid
+        # as a flat of rank < 2 and V_2 as an exact 0.0
+        s = 2.0**-47
+        k = np.random.default_rng(3).normal(size=(12, 3))
+        plan = SamplingPlan(n_subspaces=20, seed=1)
+        tiny, unit = VPolytope(s * k), VPolytope(k)
+        est, ref = intrinsic_volume(tiny, 2, plan), intrinsic_volume(unit, 2, plan)
+        assert tiny._chart.dim == 3 and not est.exact and est.n_subspaces == 20
+        assert [f for _, f in est.per_subspace] == [s * s * f for _, f in ref.per_subspace]
+
+    def test_tiny_square_is_exact(self):
+        s = 2.0**-40
+        est = intrinsic_volume(VPolytope(s * unit_cube(3, 2).vertices), 2, SamplingPlan(seed=1))
+        assert est.exact and est.value == 2.0**-80
+
 
 class TestDegenerateOperands:
     """Operands that span no j-flat: every projection has j-measure zero, so
@@ -907,7 +964,8 @@ class TestIntrinsicVolume:
         assert not est.exact and est.n_subspaces == 200 and est.n_points_per_subspace == 0
         assert abs(est.value - 4.0) <= 4.0 * est.std_error  # V_3 of the unit 4-cube: binom(4, 3)
         frames = haar_frames(4, 3, 1, np.arange(200))
-        assert [f for _, f in est.per_subspace] == [exact_volume(cube.vertices @ q, 3)
+        centred = cube.vertices - box_centre(cube.vertices)
+        assert [f for _, f in est.per_subspace] == [exact_volume(centred @ q, 3)
                                                     for q in frames]
 
     def test_solid_at_j3_in_monte_carlo_mode_keeps_its_boxes(self):
@@ -915,10 +973,137 @@ class TestIntrinsicVolume:
         est = intrinsic_volume(cube, 3, SamplingPlan(n_subspaces=20, n_points=300, seed=1,
                                                      mode="monte_carlo"))
         frames = haar_frames(4, 3, 1, np.arange(20))
-        boxes = [mc_volume(cube.vertices @ q, 3, 300, RngStream(1, 2 * i + 1))[0]
+        centred = cube.vertices - box_centre(cube.vertices)
+        boxes = [mc_volume(centred @ q, 3, 300, RngStream(1, 2 * i + 1))[0]
                  for i, q in enumerate(frames)]
         assert [f for _, f in est.per_subspace] == boxes and est.n_points_per_subspace == 300
-        assert (est.value, est.std_error) == (4.010105179679052, 0.09753186506338186)
+        assert (est.value, est.std_error) == (4.0101051796790514, 0.09753186506338185)
+
+
+def diameter(*operands: VPolytope) -> float:
+    v = np.vstack([x.vertices for x in operands])
+    diff = v[:, None, :] - v[None, :, :]
+    return float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).max()))
+
+
+def shrunk(body: VPolytope) -> VPolytope:
+    v = body.vertices
+    return VPolytope(0.6 * v + 0.4 * v.mean(axis=0))
+
+
+def translation_bodies():
+    """name -> (K, j): K spans an affine j-flat, coordinate or oblique."""
+    rng = np.random.default_rng(11)
+    tilt2 = gram_schmidt(rng.normal(size=(4, 2)))
+    tilt3 = gram_schmidt(rng.normal(size=(5, 3)))
+    zono3 = rng.normal(size=(5, 3)) @ tilt3.T
+    polygon = VPolytope(random_convex_polygon(rng).vertices @ tilt2.T + rng.normal(size=4))
+    return {
+        "square in R3": (unit_cube(3, 2), 2),
+        "cube in R4": (unit_cube(4, 3), 3),
+        "solid in R3": (VPolytope(rng.normal(size=(12, 3))), 3),
+        "zonotope in a coordinate 2-flat of R3": (
+            zonotope(np.c_[rng.normal(size=(4, 2)), np.zeros(4)]), 2),
+        "zonotope in an oblique 2-flat of R4": (zonotope(rng.normal(size=(4, 2)) @ tilt2.T), 2),
+        "polygon in an oblique 2-flat of R4": (polygon, 2),
+        "zonotope in an oblique 3-flat of R5": (zonotope(zono3), 3),
+    }
+
+
+TRANSLATIONS = (1e4, 1e6, 1e8, 1e10)  # |t| / diam
+
+
+def moved(body: VPolytope, t: np.ndarray) -> VPolytope:
+    return VPolytope(body.vertices + t)
+
+
+def assert_moved_within(value: float, at_origin: float, ratio: float) -> None:
+    """64 (|t| / diam) eps relative: the rounding of offsets from a point
+    |t| from the origin, with room for the arithmetic after it."""
+    assert abs(value - at_origin) <= 64.0 * ratio * np.finfo(float).eps * abs(at_origin)
+
+
+class TestTranslation:
+    """delta_j, V_j and hausdorff do not change under translation, and every
+    chart and projection measures offsets from the centre of the vertex box:
+    a body moved |t| = ratio * diam keeps its values to 64 ratio eps
+    relative, its exact flags and its chart's rank."""
+
+    @staticmethod
+    def shift(d: int, length: float) -> np.ndarray:
+        u = np.array([1.0, -0.5, 1.0 / 3.0, 0.25, -0.2])[:d]
+        return length * u / np.linalg.norm(u)
+
+    @pytest.mark.parametrize("name", list(translation_bodies()))
+    def test_exact_values(self, name):
+        body, j = translation_bodies()[name]
+        inner = shrunk(body)
+        led = VPolytope(np.vstack([inner.vertices, body.vertices]))
+        plan = SamplingPlan(seed=1)
+        pairs = [(body, None), (body, inner), (led, inner)]
+        at_origin = delta_j_stack(pairs, j, plan)
+        assert all(est.exact for est in at_origin) and body._chart.dim == j
+        scale = diameter(body)
+        for ratio in TRANSLATIONS:
+            t = self.shift(body.ambient_dim, ratio * scale)
+            there = [(moved(a, t), b if b is None else moved(b, t)) for a, b in pairs]
+            for est, ref in zip(delta_j_stack(there, j, plan), at_origin):
+                assert est.exact and est.n_subspaces == ref.n_subspaces
+                assert_moved_within(est.value, ref.value, ratio)
+            assert there[0][0]._chart.dim == there[1][1]._chart.dim == j
+
+    def test_zonotope_volumes_are_exact(self):
+        # the flat zonotopes' V_j at t = 0 is McMullen's sum
+        rng = np.random.default_rng(11)
+        for d, j in ((3, 2), (4, 3), (5, 3)):
+            g = rng.normal(size=(5, j)) @ gram_schmidt(rng.normal(size=(d, j))).T
+            est = intrinsic_volume(zonotope(g), j, SamplingPlan())
+            assert est.exact and est.value == pytest.approx(zonotope_volume(g, j), rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["random", "zonotope"])
+    def test_sampled_values_per_plane(self, kind):
+        rng = np.random.default_rng(3)
+        body = VPolytope(rng.normal(size=(12, 3)) if kind == "random"
+                         else zonotope(rng.normal(size=(5, 3))).vertices)
+        other = VPolytope(rng.normal(size=(10, 3)) + 0.3)
+        plan = SamplingPlan(n_subspaces=50, seed=1)
+        pairs = [(body, None), (body, shrunk(body)), (body, other)]
+        at_origin = delta_j_stack(pairs, 2, plan)
+        scale = diameter(body, other)
+        for ratio in TRANSLATIONS:
+            t = self.shift(3, ratio * scale)
+            there = delta_j_stack([(moved(a, t), b if b is None else moved(b, t))
+                                   for a, b in pairs], 2, plan)
+            for est, ref in zip(there, at_origin):
+                assert not est.exact and est.n_subspaces == plan.n_subspaces
+                for (_, value), (_, base) in zip(est.per_subspace, ref.per_subspace):
+                    assert_moved_within(value, base, ratio)
+
+    @pytest.mark.parametrize("name", list(translation_bodies()))
+    def test_hausdorff(self, name):
+        body, _ = translation_bodies()[name]
+        d = body.ambient_dim
+        other = VPolytope(np.random.default_rng(5).normal(size=(8, d)))
+        pairs = [(body, shrunk(body)), (body, other)]
+        at_origin = [hausdorff(a, b) for a, b in pairs]
+        scale = diameter(body, other)
+        for ratio in TRANSLATIONS:
+            t = self.shift(d, ratio * scale)
+            for (a, b), ref in zip(pairs, at_origin):
+                assert_moved_within(hausdorff(moved(a, t), moved(b, t)), ref, ratio)
+
+    @pytest.mark.parametrize("length", [1e5, 1e6, 1e12])
+    def test_far_oblique_square_keeps_its_rank(self, length):
+        # the rank test allows for the rounding of the coordinates, n eps
+        # max|v|: against 1e-12 * sv_max alone this side-2 square read rank 3
+        # from |t| = 1e5 and its delta_2 to the centred unit copy was sampled
+        frame = gram_schmidt(np.random.default_rng(0).normal(size=(4, 2)))
+        square = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]) @ frame.T
+        t = self.shift(4, length)
+        big, unit = VPolytope(square + t), VPolytope(0.5 * square + t)
+        est = delta_j(big, unit, 2, SamplingPlan(n_subspaces=200, seed=1))
+        assert big._chart.dim == unit._chart.dim == 2 and est.exact
+        assert_moved_within(est.value, 3.0, length / diameter(big))
 
 
 class TestOutOfFlatWitnesses:
@@ -1145,6 +1330,16 @@ class TestFiberProfile:
         with pytest.raises(ValueError, match="not contained"):
             fiber_profile(grown, cube.translate(np.full(d, 0.1)), h, u, 400)
         assert calls == []
+
+    def test_tube_off_every_grid_point_builds_no_hull(self, monkeypatch):
+        # a 3-D tube image in a 4-D transverse grid, at a height of e5 that no
+        # cell centre has: no grid point reaches its facets, so its hull is
+        # never built, and only the two chord hulls are
+        cube5 = unit_cube(5, 5)
+        tube = VPolytope(np.c_[np.full(4, 0.5), 0.5 + 0.1 * np.eye(4, 3, -1), np.full(4, 0.5)])
+        calls = self.count_qhull(monkeypatch)
+        prof = fiber_profile(cube5, cube5, full_space(5), np.eye(5)[0], 10**4, tube=tube)
+        assert len(calls) == 2 and not prof.in_tube.any() and prof.tube_measure == 0.0
 
     @pytest.mark.parametrize("d,grid_n", [(2, 0), (2, -3), (3, -8)])
     def test_grid_below_one_rejected(self, d, grid_n):
