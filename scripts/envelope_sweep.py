@@ -12,6 +12,13 @@ radius 0.01, from the centroid along e1, the needle of `reproduce`) at grid
 400 with the needle's cross-section as tube, over --plane e1e2 and
 random:1, and once more over random:1 with the cube's rows reversed, so
 that they do not lead the grown body's and its containment is checked.
+The scale cells run `hausdorff`, `intrinsic -j 2` and `intrinsic -j 3`
+(200 subspaces) on a random 12-vertex pair in R^3 and on copies scaled by
+2^-40, 2^17 and 2^40, written with save_body (whose %.17g is exact for
+them); a scaled cell fails, with exit code "mismatch", unless its printed
+value is the unit cell's times 2^(k p), p the power of length the value
+carries: bit for bit for hausdorff and j = 2, and within 1e-15 relative
+for j = 3, a qhull volume.
 Every cell runs with RuntimeWarnings turned into errors, so a
 division by zero or a NaN in a kernel fails its cell.  One line per cell
 gives the exit code, the seconds taken and the process's peak RSS in MB so
@@ -33,7 +40,10 @@ together, the fibers cells well under a second, and the cold starts about
 10 s.  The tables and bodies go to a temporary directory.
 """
 
+import contextlib
+import io
 import itertools
+import math
 import os
 import pathlib
 import resource
@@ -93,6 +103,35 @@ def fibers_cells(out: pathlib.Path):
                 "--out", str(out / f"fibers_d{d}_{h.replace(':', '')}_{inner}.csv")]
 
 
+def scale_cells(out: pathlib.Path):
+    """(label, argv, (k, p)) for the scale cells: the unit pair first
+    (k = 0), then its copies scaled by 2^k, each pair's body files written
+    to out on the way; p is the power of length of the cell's value."""
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(size=(12, 3)), rng.normal(size=(12, 3))
+    for k in (0, -40, 17, 40):
+        path_a, path_b = str(out / f"scale_a_k{k}.body"), str(out / f"scale_b_k{k}.body")
+        save_body(VPolytope(np.ldexp(a, k)), path_a)
+        save_body(VPolytope(np.ldexp(b, k)), path_b)
+        yield f"hausdorff k={k}", ["hausdorff", "--body-a", path_a, "--body-b", path_b], (k, 1)
+        for j in (2, 3):
+            yield f"intrinsic -j {j} k={k}", ["intrinsic", "--body", path_a, "-j", str(j),
+                                                "--subspaces", "200"], (k, j)
+
+
+def scaled_as_unit(printed: str, command: str, k: int, p: int, unit: dict) -> bool:
+    """Whether a scale cell's printed value is the unit cell's, which unit
+    keeps by (command, p), times 2^(k p): bit for bit, or within 1e-15
+    relative at p = 3 (a qhull volume).  A unit cell (k = 0) stores its
+    value and passes."""
+    value = float(printed.split()[2])  # "d_H = x" or "V_j = x std_error ..."
+    if k == 0:
+        unit[command, p] = value
+        return True
+    want = math.ldexp(unit.get((command, p), math.nan), k * p)
+    return abs(value - want) <= 1e-15 * abs(want) if p == 3 else value == want
+
+
 def cold_start_cells(out: pathlib.Path):
     """(label, argv) for the cold-start lines, the two random bodies in R^3
     written to out on the way."""
@@ -122,15 +161,17 @@ def cold_start(argv: list[str]):
 
 
 def run_cell(argv: list[str]):
+    """The cell's exit code, its seconds and what it printed."""
+    printed = io.StringIO()
     start = time.perf_counter()
     try:
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), contextlib.redirect_stdout(printed):
             warnings.simplefilter("error", RuntimeWarning)
             code = cli_main(argv)
     except Exception:  # the sweep reports every cell, so it records this one and goes on
         traceback.print_exc()
         code = "exception"
-    return code, time.perf_counter() - start
+    return code, time.perf_counter() - start, printed.getvalue()
 
 
 def main() -> int:
@@ -138,8 +179,14 @@ def main() -> int:
         out = pathlib.Path(tmp)
         failed = []
         totals = {}
-        for label, argv in itertools.chain(thm_cells(out), fibers_cells(out)):
-            code, seconds = run_cell(argv)
+        unit = {}
+        plain = ((label, argv, None)
+                 for label, argv in itertools.chain(thm_cells(out), fibers_cells(out)))
+        for label, argv, scale in itertools.chain(plain, scale_cells(out)):
+            code, seconds, printed = run_cell(argv)
+            if scale is not None and code == 0 \
+                    and not scaled_as_unit(printed, argv[0], *scale, unit):
+                code = "mismatch"
             peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
             print(f"{label} exit={code} seconds={seconds:.2f} peak_rss_mb={peak_mb:.0f}",
                   flush=True)

@@ -10,7 +10,8 @@ line chords, bulk membership (_in_facets, shared with box Monte Carlo)
 and exact point-to-hull distances: a point's largest facet violation is
 its distance whenever the foot of the perpendicular on that facet passes
 the facet test.  Above dimension 2 only a hull built for a volume or a
-chord certifies; the other points get Wolfe's min-norm point.  The
+chord certifies; the other points get Wolfe's min-norm point.  Every
+tolerance is a multiple of the body's own extent, the chart's scale.  The
 volumes give metrics its exact in-flat values.  Many bodies' charts can be
 built in one pass (_fill_charts), with one rank SVD for all of them when
 padding them to one stack at most doubles their elements, and one per body
@@ -43,8 +44,6 @@ __all__ = [
     "polygon_clip",
     "ring_contains",
 ]
-
-DEFAULT_TOL = 1e-9
 
 
 class BodyParseError(ValueError):
@@ -185,15 +184,15 @@ def _min_norm_point(pts: np.ndarray, start: int, max_iter: int) -> np.ndarray | 
     """Wolfe's min-norm-point iteration over conv(rows of pts).
 
     Returns the minimizer, or None when the iteration budget is exhausted.
-    The corral is kept as an index list; the affine minimizer is obtained
-    from the KKT system via least squares, which tolerates duplicate points.
+    The corral is kept as an index list; its affine minimizer has weights
+    (1 - sum beta, beta), beta the least-squares solution of
+    (C[1:] - C[0])^T beta = -C[0], which tolerates duplicate points and,
+    like the duality-gap stop at 1e-13 max|p|^2, scales with the points.
     """
-    n = pts.shape[0]
     idx = [start]
     lam = np.array([1.0])
     x = pts[start].copy()
-    scale2 = max(1.0, float(np.max(np.einsum("ij,ij->i", pts, pts))))
-    eps_gap = 1e-13 * scale2
+    eps_gap = 1e-13 * float(np.max(np.einsum("ij,ij->i", pts, pts)))
     eps_lam = 1e-14
     it = 0
     while it < max_iter:
@@ -209,22 +208,8 @@ def _min_norm_point(pts: np.ndarray, start: int, max_iter: int) -> np.ndarray | 
         while it < max_iter:
             it += 1
             corral = pts[idx]
-            k = len(idx)
-            kkt = np.zeros((k + 1, k + 1))
-            kkt[0, 1:] = 1.0
-            kkt[1:, 0] = 1.0
-            # Gram of the corral less the constant |corral[0]|^2 in every entry,
-            # which leaves alpha unchanged and keeps far points' |p|^2 out
-            off = corral - corral[0]
-            c = off @ corral[0]
-            kkt[1:, 1:] = off @ off.T + c[:, None] + c[None, :]
-            rhs = np.zeros(k + 1)
-            rhs[0] = 1.0
-            sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-            alpha = sol[1:]
-            asum = float(alpha.sum())
-            if abs(asum) > 1e-9:
-                alpha = alpha / asum
+            beta = np.linalg.lstsq((corral[1:] - corral[0]).T, -corral[0], rcond=None)[0]
+            alpha = np.concatenate(([1.0 - beta.sum()], beta))
             if np.all(alpha > eps_lam):
                 lam = alpha
                 x = corral.T @ lam
@@ -257,8 +242,8 @@ def distance_to_hull(p: np.ndarray, body: VPolytope) -> float:
     settle it exactly for a point inside the hull (0.0) or one whose
     nearest point lies inside a facet.  Otherwise it is the min-norm point
     of the shifted vertex set, whose accuracy is limited by the duality-gap
-    stop, well below DEFAULT_TOL for desk-scale inputs (1e-16 to 1e-14, not
-    0.0, inside a fresh unit-scale body of dimension >= 3)."""
+    stop, relative to the shifted vertices (1e-16 to 1e-14 of the body's
+    extent, not 0.0, inside a fresh body of dimension >= 3)."""
     p = np.asarray(p, dtype=float)
     if p.shape != (body.ambient_dim,):
         raise ValueError(f"point has dimension {p.shape}, body has {body.ambient_dim}")
@@ -276,19 +261,18 @@ def distance_to_hull(p: np.ndarray, body: VPolytope) -> float:
     return float(np.linalg.norm(x))
 
 
-def line_fiber(body: VPolytope, base: np.ndarray, direction: np.ndarray,
-               tol: float = DEFAULT_TOL) -> Interval:
+def line_fiber(body: VPolytope, base: np.ndarray, direction: np.ndarray) -> Interval:
     """The set {t : base + t*direction in conv(body)} (an interval by convexity).
 
     The one-row case of `line_fibers`: the chord comes from the facet
     equations of the hull, so its endpoints are exact up to rounding."""
     base = np.asarray(base, dtype=float)
-    lo, hi, empty = line_fibers(body, base.reshape(1, -1), direction, tol)
+    lo, hi, empty = line_fibers(body, base.reshape(1, -1), direction)
     return EMPTY_INTERVAL if empty[0] else Interval(float(lo[0]), float(hi[0]))
 
 
-def line_fibers(body: VPolytope, bases: np.ndarray, direction: np.ndarray,
-                tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def line_fibers(body: VPolytope, bases: np.ndarray,
+                direction: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Chords of conv(body) along the lines bases[i] + t*direction.
 
     Returns (lo, hi, empty) arrays over the rows of the (n, d) array
@@ -297,7 +281,7 @@ def line_fibers(body: VPolytope, bases: np.ndarray, direction: np.ndarray,
     same] (Schneider, Convex Bodies, 2nd ed., sec. 1.1).  A facet parallel
     to the line (|a.u| at rounding scale) only asks that the base lie within
     tol of its half-space, and a line that misses the hull by at most tol
-    gets a chord of length 0.
+    gets a chord of length 0, where tol is the chart's (_Chart.tol).
 
     A full-dimensional hull, as every generic projection is, goes straight
     to that facet algebra.  A lower-dimensional hull is taken in the frame
@@ -308,8 +292,6 @@ def line_fibers(body: VPolytope, bases: np.ndarray, direction: np.ndarray,
     so each row's bits, signs of zero included, do not depend on the other
     rows.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     d = body.ambient_dim
     x = np.asarray(bases, dtype=float)
     u = np.asarray(direction, dtype=float)
@@ -321,6 +303,7 @@ def line_fibers(body: VPolytope, bases: np.ndarray, direction: np.ndarray,
         raise ValueError("direction must be nonzero")
     c = body._chart
     a, b, _ = c.hull
+    tol = c.tol
     xf, uf = c.to_flat(x), _rowdot(u[None], c.frame)[0]
     if not len(c.normal):  # a full-dimensional hull: no flat for the line to leave
         return _chords(xf, uf, a, b, tol)
@@ -337,16 +320,17 @@ def line_fibers(body: VPolytope, bases: np.ndarray, direction: np.ndarray,
     return lo, hi, empty | off
 
 
-def contains(body: VPolytope, pts: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def contains(body: VPolytope, pts: np.ndarray) -> np.ndarray:
     """Membership of the rows of pts in conv(body) by its facet equations: a
-    point within tol (or the chart's floor) of the body's affine hull, and
-    within tol of every facet's half-space, is inside.  Only the rows near
-    that hull go to the facets, so no hull is built when none is."""
+    point within the chart's tol of the body's affine hull, and within tol
+    of every facet's half-space, is inside.  Only the rows near that hull
+    go to the facets, so no hull is built when none is."""
     p = np.asarray(pts, dtype=float)
     if p.ndim != 2 or p.shape[1] != body.ambient_dim:
         raise ValueError(f"need an (n, {body.ambient_dim}) point array, got {p.shape}")
     c = body._chart
-    inside = _within(c.off_flat(p), max(tol, c.floor))
+    tol = c.tol
+    inside = _within(c.off_flat(p), tol)
     if inside.any():
         inside[inside] = _in_facets(c.to_flat(p[inside]), *c.hull[:2], tol)
     return inside
@@ -510,9 +494,14 @@ class _Chart:
 
     @cached_property
     def scale(self) -> float:
-        """max(1, largest in-flat vertex coordinate): the unit of the chart's
-        rounding tolerances."""
-        return max(1.0, float(np.max(np.abs(self.coords), initial=0.0)))
+        """The largest in-flat vertex coordinate (0 for a point): the body's
+        extent, the unit of every tolerance of the chart's readers."""
+        return float(np.max(np.abs(self.coords), initial=0.0))
+
+    @property
+    def tol(self) -> float:
+        """max(1e-12 scale, floor), the tolerance of contains and line_fibers."""
+        return max(1e-12 * self.scale, self.floor)
 
     @cached_property
     def hull(self) -> tuple[np.ndarray, np.ndarray, float]:
@@ -583,7 +572,8 @@ class _Chart:
         distance s, so the distance is s.  The part normal to the flat adds
         in quadrature, and below tol counts as 0, so the body's own vertices
         read exactly 0.0.  tol is 1e-12 times the larger of the chart's
-        scale and the row's largest coordinate offset from the origin."""
+        scale and the row's largest coordinate offset from the origin, and
+        at least the chart's floor: a point chart's scale is 0."""
         n = pts.shape[0]
         dist, ok = np.zeros(n), np.zeros(n, dtype=bool)
         if self.facets is None:
@@ -591,7 +581,8 @@ class _Chart:
         a, b, normals = self.facets
         for r in _row_blocks(n, max(pts.shape[1], len(b))):
             rel = pts[r] - self.origin
-            tol = 1e-12 * np.maximum(self.scale, np.max(np.abs(rel), axis=1))
+            tol = np.maximum(1e-12 * np.maximum(self.scale, np.max(np.abs(rel), axis=1)),
+                             self.floor)
             off2 = np.zeros(len(rel))
             if len(self.normal):
                 off2 = _rowsumsq(_rowdot(rel, self.normal))
@@ -800,16 +791,18 @@ def _segment_line_intersection(s, e, a, b):
     return ((n1 * dp[0] - n2 * dc[0]) * inv, (n1 * dp[1] - n2 * dc[1]) * inv)
 
 
-def ring_contains(ring: np.ndarray, pts: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def ring_contains(ring: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Vectorized membership of pts in a CCW convex ring (degenerate rings
     contain nothing, matching the measure-zero volume convention): every
-    edge's cross product at once, over row blocks of points."""
+    edge's cross product at once, over row blocks of points, at 1e-12 times
+    the square of the ring's extent (the longest side of its bounding box)."""
     r = np.asarray(ring, dtype=float)
     p = np.asarray(pts, dtype=float)
     if p.ndim == 1:
         p = p.reshape(1, -1)
     if r.shape[0] < 3:
         return np.zeros(p.shape[0], dtype=bool)
+    tol = 1e-12 * float(np.max(np.ptp(r, axis=0))) ** 2
     ax, ay = r[:, :1], r[:, 1:]  # (edges, 1) columns against rows of points
     edge = np.roll(r, -1, axis=0) - r
     ex, ey = edge[:, :1], edge[:, 1:]

@@ -59,7 +59,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import (
-    DEFAULT_TOL,
     VPolytope,
     _box_centre,
     _charts,
@@ -199,7 +198,7 @@ def _flat_value(j: int, a: VPolytope, b: VPolytope) -> float | None:
     exactly when the pair lies in one j-flat; it gets None at j >= 3, as
     does a pair in no common j-flat."""
     for outer, inner in ((a, b), (b, a)):
-        if contains(outer, inner.vertices, 1e-12 * outer._chart.scale).all():
+        if contains(outer, inner.vertices).all():
             return abs(a._chart.volume - b._chart.volume)
     if j >= 3:
         return None
@@ -341,8 +340,11 @@ def _sampled_pair(a: VPolytope | None, b: VPolytope | None, j: int, plan: Sampli
     fvals = _collect_values(plan.seed, n, d, j, va, vb, plan.n_points, exact_inner, workers)
     flag = flag_coefficient(d, j)
     value = flag * float(np.mean(fvals))
-    # one sample gives no spread to estimate an error from
-    se = flag * float(np.std(fvals, ddof=1)) / math.sqrt(n) if n > 1 else math.inf
+    # one sample gives no spread; the spread of values scaled by an exact
+    # power of two, whose squares cannot overflow, is scaled back
+    e = int(np.frexp(np.max(np.abs(fvals)))[1])
+    spread = float(np.ldexp(np.std(np.ldexp(fvals, -e), ddof=1), e)) if n > 1 else math.inf
+    se = flag * spread / math.sqrt(n)
     return MetricEstimate(value, se, n, 0 if exact_inner else plan.n_points, exact=False,
                           per_subspace=tuple((i, float(f)) for i, f in enumerate(fvals)))
 
@@ -489,12 +491,12 @@ def fiber_profile(outer: VPolytope, inner: VPolytope, h: Subspace, u: np.ndarray
     and tube_measure is the image's exact (j-1)-volume from the same chart
     (0 when the image spans less).  The grid has round(grid_n ** (1/(j-1)))
     cells per transverse axis, and grid_n must be at least 1.  Chords and
-    the containment and tube tests use the fixed DEFAULT_TOL (1e-9), and
-    differences below 100 * DEFAULT_TOL read 0.  Containment needs no test
-    when inner's vertex rows lead outer's; otherwise inner's farthest vertex
-    from outer's hull, found as hausdorff finds it, with no hull built,
-    must lie within it.  The three projected bodies get their charts in
-    one pass.
+    the tube test use each body's own tolerance (bodies._Chart.tol), and
+    differences below 1e-10 times the projected outer body's scale read 0.
+    Containment needs no test when inner's vertex rows lead outer's;
+    otherwise inner's farthest vertex from outer's hull, found as hausdorff
+    finds it, with no hull built, must lie within 1e-12 times outer's scale
+    of it.  The three projected bodies get their charts in one pass.
     """
     if grid_n < 1:
         raise ValueError(f"fiber grid size must be >= 1, got {grid_n}")
@@ -505,7 +507,7 @@ def fiber_profile(outer: VPolytope, inner: VPolytope, h: Subspace, u: np.ndarray
     if not (inner.n_vertices <= outer.n_vertices
             and _heads_agree([(inner.vertices, outer.vertices)])[0]):
         dist, ok = outer._chart.certified(inner.vertices)
-        if _farthest([(inner.vertices, outer, ok)], float(dist.max())) > DEFAULT_TOL:
+        if _farthest([(inner.vertices, outer, ok)], dist.max()) > 1e-12 * outer._chart.scale:
             raise ValueError("inner body is not contained in the outer body")
     u_h, e_basis = axis_split(h, u)
     j = h.dim
@@ -529,7 +531,7 @@ def fiber_profile(outer: VPolytope, inner: VPolytope, h: Subspace, u: np.ndarray
     lo_o, hi_o, _ = line_fibers(proj_outer, bases, u_h)
     lo_i, hi_i, _ = line_fibers(proj_inner, bases, u_h)
     diff = (hi_o - lo_o) - (hi_i - lo_i)  # empty chords have lo = hi = 0
-    diff[diff < 100.0 * DEFAULT_TOL] = 0.0
+    diff[diff < 1e-10 * proj_outer._chart.scale] = 0.0
 
     in_tube = np.zeros(mesh.shape[0], dtype=bool) if tube_e is None else contains(tube_e, mesh)
     tube_measure = 0.0

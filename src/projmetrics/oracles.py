@@ -7,10 +7,10 @@ the facets and volume of the set's chart (bodies._Chart, one qhull call;
 containment through bodies._in_facets, the kernel of bodies.contains), and
 the symmetric difference has no exact oracle.  At j = 2 the area of a
 hull outside a centred disc is exact too (exact_outside_area_stack, one
-ring-and-disc pass over many rows).  Membership at j <= 2 is tested at a
-tolerance scaled by the operand's own extent, so a body keeps its samples
-at every scale.  Box Monte Carlo oracles sample the bounding box of the
-operands from one RngStream, so their bits depend only on the stream;
+ring-and-disc pass over many rows).  Membership is tested at a tolerance
+scaled by the operand's own extent.  Box Monte Carlo oracles sample the
+operands' own bounding box, unpadded, from one RngStream, so their bits
+depend only on the stream and scale with the body;
 mc_volume_stack draws many rows' boxes in one call over their stream keys,
 with the bits each row has alone.  A box estimate with zero
 hits reports the rule of three, se = box_vol * 3/n (the 95% upper bound on
@@ -50,18 +50,16 @@ _INSIDE_TOL = 1e-12  # membership tolerance, relative to the operand's scale
 
 def inside(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Points of pts in the convex hull of verts (both in R^j), at 1e-12
-    times the set's own scale: its length at j = 1 and the square of its
-    extent (the longest side of its bounding box) at j = 2, where the test
-    reads edge cross products; at j >= 3 the facet test of the chart's
-    hull, at 1e-12 times the chart's scale."""
+    times the set's own scale: its length at j = 1, at j = 2 the tolerance
+    of bodies.ring_contains on its hull_2d ring, and at j >= 3 the facet
+    test of the chart's hull, at 1e-12 times the chart's scale."""
     j = verts.shape[1]
     if j == 1:
         lo, hi = float(verts.min()), float(verts.max())
         tol = _INSIDE_TOL * (hi - lo)
         return (pts[:, 0] >= lo - tol) & (pts[:, 0] <= hi + tol)
     if j == 2:
-        ring = hull_2d(verts)
-        return ring_contains(ring, pts, _INSIDE_TOL * float(np.max(np.ptp(ring, axis=0))) ** 2)
+        return ring_contains(hull_2d(verts), pts)
     return _in_chart(_charts([verts])[0], pts)
 
 
@@ -180,10 +178,9 @@ def _beyond_arc(x: np.ndarray, y: np.ndarray, r2: np.ndarray) -> np.ndarray:
 
 
 def _sample_box(verts: np.ndarray, u: np.ndarray):
-    """The uniforms u as points of the bounding box of verts, padded by 1e-9,
-    and the box's volume."""
-    lo = verts.min(axis=0) - 1e-9
-    hi = verts.max(axis=0) + 1e-9
+    """The uniforms u as points of the bounding box of verts (unpadded: the
+    estimate is unbiased on the box itself), and the box's volume."""
+    lo, hi = verts.min(axis=0), verts.max(axis=0)
     return lo + u.reshape(-1, verts.shape[1]) * (hi - lo), float(np.prod(hi - lo))
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import random_convex_polygon, unit_cube
 from projmetrics import bodies
 from projmetrics.bodies import (
-    DEFAULT_TOL,
     BodyParseError,
     NonConvergenceError,
     VPolytope,
@@ -258,8 +257,6 @@ class TestLineFibers:
             line_fibers(square2, np.zeros((3, 3)), np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             line_fibers(square2, np.zeros((3, 2)), np.zeros(2))
-        with pytest.raises(ValueError):
-            line_fibers(square2, np.zeros((3, 2)), np.array([1.0, 0.0]), tol=0.0)
 
 
 def seq_dot(x: list, m_row: list) -> float:
@@ -271,14 +268,16 @@ def seq_dot(x: list, m_row: list) -> float:
     return acc
 
 
-def reference_chord(body: VPolytope, base: np.ndarray, direction: np.ndarray,
-                    tol: float = DEFAULT_TOL) -> tuple[float, float, bool]:
+def reference_chord(body: VPolytope, base: np.ndarray,
+                    direction: np.ndarray) -> tuple[float, float, bool]:
     """One row of line_fibers in plain floats, facet by facet: the chart's
     coordinates of the line, then either its one crossing of a flat, or
-    the chord [max over a.u < 0, min over a.u > 0] of t = -(a.x + b)/(a.u).
+    the chord [max over a.u < 0, min over a.u > 0] of t = -(a.x + b)/(a.u),
+    at the tolerance 1e-12 times the chart's scale, or its floor.
     Like numpy's maximum and minimum, each max and min here keeps the later
     of two equal values, so zeros keep the library's signs."""
     c = body._chart
+    tol = max(1e-12 * c.scale, c.floor)
     a, b = (x.tolist() for x in c.hull[:2])
     u = direction.tolist()
     rel = [x - o for x, o in zip(base.tolist(), c.origin.tolist())]
@@ -650,9 +649,9 @@ class TestWolfeDistance:
 
     @pytest.mark.parametrize("d", [4, 5, 6])
     def test_far_points_from_a_cube(self, d):
-        # the corral's Gram is formed from offsets to its first point: from
-        # the points themselves its entries, about |p|^2, swamped the cube's
-        # extent, and at 6000 the solve no longer converged
+        # the corral's affine step is solved on offsets to its first point:
+        # a Gram of the points themselves, entries about |p|^2, swamped the
+        # cube's extent, and at 6000 the solve no longer converged
         cube = unit_cube(d, d)
         for x in (6e3, 1e4, 1e5, 1e6):
             p = np.full(d, 0.5)
@@ -676,6 +675,26 @@ class TestWolfeDistance:
         monkeypatch.setattr(bodies, "_min_norm_point", lambda pts, start, max_iter: None)
         with pytest.raises(NonConvergenceError, match="did not converge in 360 iterations"):
             distance_to_hull(np.array([3.0, 0.5, 0.5, 0.5]), unit_cube(4, 4))
+
+    @pytest.mark.parametrize("k", [-60, -27, 0, 17, 60])
+    def test_wolfe_brackets_the_distance_at_every_scale(self, k):
+        # Wolfe's iterate x over the offsets p_i of the vertices from a point
+        # brackets the point's distance: min_i <x, p_i> / |x| <= dist <= |x|.
+        # The bracket is at most 1e-12 |x| wide whatever the scale 2^k (4e-16
+        # seen); a step solved on a bordered Gram in length^2 left it 1.17 |x|
+        # wide at 2^-60 and 2^-27, and did not converge at 2^17 and 2^60
+        for d in (3, 4):
+            rng = np.random.default_rng(d)
+            for _ in range(5):
+                verts = rng.normal(size=(4 * d, d))
+                u = rng.normal(size=d)
+                u /= np.linalg.norm(u)
+                pts = np.ldexp(verts - (float(np.max(verts @ u)) + 1.0) * u, k)  # dist >= 2^k
+                start = int(np.argmin(np.einsum("ij,ij->i", pts, pts)))
+                x = _min_norm_point(pts, start, 10 * len(pts) + 20)
+                assert x is not None
+                norm = float(np.linalg.norm(x))
+                assert norm - float(np.min(pts @ x)) / norm <= 1e-12 * norm
 
 
 class TestHull2d:
@@ -711,13 +730,15 @@ class TestHull2d:
         radii = np.sqrt(rng.uniform(0, 1, 100))
         pts = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
         ring = hull_2d(pts)
-        assert ring_contains(ring, pts, tol=1e-9).all()
+        assert ring_contains(ring, pts).all()
 
 
-def ring_contains_by_edge(ring: np.ndarray, pts: np.ndarray, tol: float) -> np.ndarray:
-    """ring_contains as one pass over the points per edge."""
+def ring_contains_by_edge(ring: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """ring_contains as one pass over the points per edge, at 1e-12 times the
+    square of the ring's extent."""
     if ring.shape[0] < 3:
         return np.zeros(len(pts), dtype=bool)
+    tol = 1e-12 * max(np.ptp(ring[:, 0]), np.ptp(ring[:, 1])) ** 2
     inside = np.ones(len(pts), dtype=bool)
     for (ax, ay), (bx, by) in zip(ring, np.roll(ring, -1, axis=0)):
         inside &= (bx - ax) * (pts[:, 1] - ay) - (by - ay) * (pts[:, 0] - ax) >= -tol
@@ -733,20 +754,17 @@ class TestRingContains:
         rng = np.random.default_rng(seed)
         ring = hull_2d(rng.normal(size=(rng.integers(3, 60), 2)) * 10.0 ** rng.uniform(-3, 3))
         pts = rng.uniform(-1.2, 1.2, size=(3000, 2)) * np.max(np.abs(ring))
-        for tol in (0.0, 1e-12, 1e-3):
-            got = ring_contains(ring, pts, tol)
-            assert np.array_equal(got, ring_contains_by_edge(ring, pts, tol))
-            if tol == 0.0:
-                assert got.any() and not got.all()
+        got = ring_contains(ring, pts)
+        assert np.array_equal(got, ring_contains_by_edge(ring, pts))
+        assert got.any() and not got.all()
 
     def test_points_on_edges_and_vertices(self):
         ring = hull_2d(np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 2.0], [0.0, 2.0]]))
         t = np.linspace(0.0, 1.0, 9)[:, None]
         on = np.vstack([ring, *(a + t * (b - a) for a, b in zip(ring, np.roll(ring, -1, 0)))])
-        for tol in (0.0, 1e-9):
-            assert ring_contains(ring, on, tol).all()
-            assert np.array_equal(ring_contains(ring, on + 1e-6, tol),
-                                  ring_contains_by_edge(ring, on + 1e-6, tol))
+        assert ring_contains(ring, on).all()
+        off = on + 1e-6
+        assert np.array_equal(ring_contains(ring, off), ring_contains_by_edge(ring, off))
         assert np.array_equal(ring_contains(ring, on[0]), [True])  # one point as a row
 
     @pytest.mark.parametrize("n", [0, 1, 2])
@@ -763,13 +781,13 @@ class TestRingContains:
         full = 8 * len(pts) * len(ring)  # one (points, edges) float array
         tracemalloc.start()
         try:
-            got = ring_contains(ring, pts, 1e-12)
+            got = ring_contains(ring, pts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert full > 16 * 8 * _FACET_BLOCK
         assert peak < 8 * 8 * _FACET_BLOCK + got.nbytes
-        assert np.array_equal(got, ring_contains_by_edge(ring, pts, 1e-12))
+        assert np.array_equal(got, ring_contains_by_edge(ring, pts))
 
 
 class TestPolygonOps:

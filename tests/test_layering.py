@@ -35,8 +35,6 @@ KEPT_WITHOUT_CALLER = {
 # passes, each kept for a reason
 KEPT_DEFAULTS = {
     ("main", "argv"): "the console-script entry point, which reads sys.argv",
-    ("line_fiber", "tol"): "the one-row case of line_fibers, a layer that "
-                           "perfbench/spans.py traces by name",
     ("mc_volume", "exclusion_radius"): "the one-row case of mc_volume_stack's radii, "
                                        "which the thm2 row-loop reference in the tests "
                                        "passes",

@@ -9,7 +9,7 @@ from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from conftest import random_convex_polygon, unit_cube, zonotope, zonotope_volume
 from projmetrics import bodies, metrics, oracles
-from projmetrics.bodies import VPolytope, distance_to_hull
+from projmetrics.bodies import VPolytope, contains, distance_to_hull, line_fibers
 from projmetrics.constructions import (
     NeedleSpec,
     augment,
@@ -125,13 +125,14 @@ class TestProjectedVolume:
 
     def test_exact_only_where_nothing_is_sampled(self, cube3, plane_e12):
         # in monte_carlo mode a projection that spans no j-flat reads 0 +- 0
-        # exactly; a box that every point hits reads se 0 but is no exact value
+        # exactly; a box that every point hits (the unit square, sampled on
+        # its own bounding box) reads its area with se 0 but is no exact value
         seg = VPolytope([[0.0, 0.0, 0.0], [0.0, 0.0, 4.0]])
         mc = SamplingPlan(n_points=2000, seed=0, mode="monte_carlo")
         flat = projected_volume(seg, plane_e12, mc)
         assert (flat.value, flat.std_error, flat.exact) == (0.0, 0.0, True)
         full = projected_volume(cube3, plane_e12, mc)
-        assert full.std_error == 0.0 and full.value > 1.0 and not full.exact
+        assert full.std_error == 0.0 and full.value == 1.0 and not full.exact
         assert projected_volume(seg, plane_e12, SamplingPlan(seed=0)).exact
 
     @pytest.mark.parametrize("seed", range(5))
@@ -977,7 +978,7 @@ class TestIntrinsicVolume:
         boxes = [mc_volume(centred @ q, 3, 300, RngStream(1, 2 * i + 1))[0]
                  for i, q in enumerate(frames)]
         assert [f for _, f in est.per_subspace] == boxes and est.n_points_per_subspace == 300
-        assert (est.value, est.std_error) == (4.0101051796790514, 0.09753186506338185)
+        assert (est.value, est.std_error) == (4.010105165351053, 0.0975318648125895)
 
 
 def diameter(*operands: VPolytope) -> float:
@@ -1104,6 +1105,151 @@ class TestTranslation:
         est = delta_j(big, unit, 2, SamplingPlan(n_subspaces=200, seed=1))
         assert big._chart.dim == unit._chart.dim == 2 and est.exact
         assert_moved_within(est.value, 3.0, length / diameter(big))
+
+
+SCALES = (-60, -47, -27, -13, -1, 1, 17, 31, 45, 60)  # s = 2^k
+
+
+def scaled(body: VPolytope, k: int) -> VPolytope:
+    return VPolytope(np.ldexp(body.vertices, k))
+
+
+def scale_bodies():
+    """name -> (K, j): random polytopes in R^2..R^5 at j = d, zonotopes and
+    cubes, solid and in a coordinate or oblique j-flat."""
+    rng = np.random.default_rng(17)
+    tilt2 = gram_schmidt(rng.normal(size=(4, 2)))
+    out = {f"random solid in R{d}": (VPolytope(rng.normal(size=(3 * d, d))), d)
+           for d in (2, 3, 4, 5)}
+    out.update({
+        "zonotope in R3": (zonotope(rng.normal(size=(5, 3))), 3),
+        "zonotope in an oblique 2-flat of R4": (zonotope(rng.normal(size=(4, 2)) @ tilt2.T), 2),
+        "square in R3": (unit_cube(3, 2), 2),
+        "cube in R3": (unit_cube(3, 3), 3),
+        "cube in R4": (unit_cube(4, 3), 3),
+    })
+    return out
+
+
+def scale_misses(got, ref, factor: float, rel: float = 0.0) -> bool:
+    """Whether got differs from factor * ref: bit for bit (signs of zero
+    included) when rel is 0, else by more than rel times the largest |ref|."""
+    got, want = np.asarray(got, dtype=float), factor * np.asarray(ref, dtype=float)
+    if rel == 0.0:
+        return got.shape != want.shape or got.tobytes() != want.tobytes()
+    return bool(np.any(np.abs(got - want) > rel * np.max(np.abs(want), initial=0.0)))
+
+
+class TestScale:
+    """Every answer scales with the bodies: a body scaled by s = 2^k, k in
+    [-60, 60], has its distances, chords and membership scaled by s and its
+    j-volumes by s^j, bit for bit, since every tolerance is a multiple of
+    the body's own extent and scaling by a power of two is exact.  Only
+    what qhull computes, at j >= 3, is held to a relative bound: its facet
+    equations for points scaled by 2^k, k <= -27, differ from the unit
+    ones in the last bits, so its volumes are held to 1e-15 relative and
+    the chords on its facets to 1e-14 of the largest chord end (2.1e-15
+    seen).  Each test collects the (body, k) that miss."""
+
+    def test_hausdorff_and_distances(self):
+        misses = []
+        for name, (body, _) in scale_bodies().items():
+            d = body.ambient_dim
+            rng = np.random.default_rng(d)
+            other = VPolytope(rng.normal(size=(8, d)) + 0.3)
+            probes = np.vstack([other.vertices, shrunk(body).vertices[:3]])
+            ref = [hausdorff(body, other), hausdorff(other, body), hausdorff(body, shrunk(body))]
+            ref_dist = [distance_to_hull(p, body) for p in probes]
+            for k in SCALES:
+                s = 2.0**k
+                a, b = scaled(body, k), scaled(other, k)
+                got = [hausdorff(a, b), hausdorff(b, a), hausdorff(a, scaled(shrunk(body), k))]
+                dist = [distance_to_hull(s * p, a) for p in probes]
+                if scale_misses(got, ref, s) or scale_misses(dist, ref_dist, s):
+                    misses.append((name, k))
+        assert misses == []
+
+    def test_membership_and_chords(self):
+        misses = []
+        for name, (body, j) in scale_bodies().items():
+            d = body.ambient_dim
+            rng = np.random.default_rng(d)
+            lo, hi = body.vertices.min(axis=0), body.vertices.max(axis=0)
+            pts = np.vstack([body.vertices, lo + rng.uniform(-0.2, 1.2, size=(60, d)) * (hi - lo)])
+            u = rng.normal(size=d)
+            ref_in = contains(body, pts)
+            ref_lo, ref_hi, ref_empty = line_fibers(body, pts, u)
+            assert ref_in.any() and not ref_in.all()
+            rel = 1e-14 if j >= 3 else 0.0  # chords on qhull's facets
+            for k in SCALES:
+                s = 2.0**k
+                a = scaled(body, k)
+                c_lo, c_hi, c_empty = line_fibers(a, s * pts, u)
+                if (not np.array_equal(contains(a, s * pts), ref_in)
+                        or not np.array_equal(c_empty, ref_empty)
+                        or scale_misses(c_lo, ref_lo, s, rel)
+                        or scale_misses(c_hi, ref_hi, s, rel)):
+                    misses.append((name, k))
+        assert misses == []
+
+    def test_exact_values(self):
+        # a flat pair that is not nested (the body and its copy moved a
+        # quarter of an edge inside its flat) is clipped in its own chart
+        misses = []
+        plan = SamplingPlan(seed=1)
+        for name, (body, j) in scale_bodies().items():
+            inner = shrunk(body)
+            led = VPolytope(np.vstack([inner.vertices, body.vertices]))
+            pairs = [(body, None), (body, inner), (led, inner)]
+            if j <= 2:
+                v = body.vertices
+                pairs.append((body, VPolytope(v + 0.25 * (v[1] - v[0]))))
+            ref = delta_j_stack(pairs, j, plan)
+            assert all(est.exact for est in ref)
+            rel = 1e-15 if j >= 3 else 0.0  # qhull volumes
+            for k in SCALES:
+                got = delta_j_stack([tuple(x if x is None else scaled(x, k) for x in pair)
+                                     for pair in pairs], j, plan)
+                if (not all(est.exact for est in got)
+                        or scale_misses([e.value for e in got], [e.value for e in ref],
+                                        2.0 ** (k * j), rel)):
+                    misses.append((name, k))
+        assert misses == []
+
+    @pytest.mark.parametrize("mode", ["auto", "monte_carlo"])
+    def test_sampled_values_per_plane(self, mode):
+        # j = 2 in R^3: exact per sample under auto, box Monte Carlo per
+        # plane in monte_carlo mode; j = 3 in R^4: box Monte Carlo for the
+        # pair, and under auto qhull's volume for the single operand
+        misses = []
+        plan = SamplingPlan(n_subspaces=12, n_points=200, seed=1, mode=mode)
+        rng = np.random.default_rng(5)
+        for body, j in ((VPolytope(rng.normal(size=(12, 3))), 2),
+                        (zonotope(rng.normal(size=(5, 3))), 2),
+                        (VPolytope(rng.normal(size=(14, 4))), 3),
+                        (zonotope(rng.normal(size=(5, 4))), 3)):
+            other = VPolytope(rng.normal(size=(10, body.ambient_dim)) + 0.3)
+            pairs = [(body, None), (body, shrunk(body)), (body, other)]
+            ref = delta_j_stack(pairs, j, plan)
+            for k in SCALES:
+                got = delta_j_stack([(scaled(a, k), b if b is None else scaled(b, k))
+                                     for a, b in pairs], j, plan)
+                for (a, b), est, base in zip(pairs, got, ref):
+                    rel = 1e-15 if j >= 3 and b is None and mode == "auto" else 0.0
+                    if scale_misses([f for _, f in est.per_subspace],
+                                    [f for _, f in base.per_subspace], 2.0 ** (k * j), rel):
+                        misses.append((body.n_vertices, j, b is None, k))
+        assert misses == []
+
+    def test_std_error_does_not_overflow(self):
+        # the spread of values near 2^600 is taken on values scaled back to
+        # about 1: squaring them as they are overflows to an se of inf
+        body = VPolytope(np.random.default_rng(2).normal(size=(12, 3)))
+        plan = SamplingPlan(n_subspaces=20, seed=1)
+        ref = intrinsic_volume(body, 2, plan)
+        est = intrinsic_volume(scaled(body, 300), 2, plan)
+        assert math.isfinite(est.std_error) and est.std_error > 0.0
+        assert (est.value, est.std_error) == (2.0**600 * ref.value, 2.0**600 * ref.std_error)
 
 
 class TestOutOfFlatWitnesses:

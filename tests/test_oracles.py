@@ -45,15 +45,13 @@ class TestZeroHits:
         value, se = mc_volume(square2.vertices, 2, n, RngStream(0, 1),
                               exclusion_radius=math.sqrt(2.0) - 1e-6)
         assert value == 0.0
-        assert se == pytest.approx(3.0 / n, rel=1e-8)  # box (1 + 2e-9)^2
+        assert se == 3.0 / n  # the unit square's own box
 
     def test_hits_keep_the_binomial_error(self, square2):
         n = 1000
         value, se = mc_volume(square2.vertices, 2, n, RngStream(0, 1), exclusion_radius=1.0)
-        phat = value / (1.0 + 2e-9) ** 2
-        assert 0.0 < value < 1.0
-        assert se == pytest.approx((1.0 + 2e-9) ** 2 * math.sqrt(phat * (1 - phat) / n),
-                                   rel=1e-9)
+        assert 0.0 < value < 1.0  # the box is the unit square: value is the hit rate
+        assert se == math.sqrt(value * (1 - value) / n)
 
 
 class TestExactOracles:
